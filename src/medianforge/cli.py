@@ -66,6 +66,8 @@ def _emit(report, output):
 
 
 def _cmd_aggregate(args) -> int:
+    if not args.tol > 0.0:
+        raise ParseError(f"--tol must be positive, got {args.tol!r}")
     points = read_profile_csv(args.input)
     if args.method == "skewed-gm" and not args.skew_matrix:
         raise ParseError("method skewed-gm requires --skew-matrix")
@@ -162,6 +164,8 @@ def _parse_theta0(text: str) -> np.ndarray:
 
 
 def _cmd_best_response(args) -> int:
+    if args.restarts < 1:
+        raise ParseError(f"--restarts must be >= 1, got {args.restarts}")
     seed = _fallback_seed(args.seed)
     pref = None
     if args.pref_matrix:
@@ -172,7 +176,10 @@ def _cmd_best_response(args) -> int:
     if args.preset == "thm1":
         if args.X is None or args.V is None:
             raise ParseError("--preset thm1 requires --X and --V")
-        inst = build_theorem1_instance(args.X, args.V)
+        try:
+            inst = build_theorem1_instance(args.X, args.V)
+        except ValueError as exc:
+            raise ParseError(f"--preset thm1: {exc}") from None
         honest = inst.honest_profile
         theta0 = inst.theta0
         extra_votes = [inst.strategic_vote]

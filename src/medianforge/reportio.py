@@ -6,7 +6,6 @@ Profiles are CSV files, one voter per row, with an optional header row
 """
 
 import csv
-import io
 import json
 from datetime import datetime, timezone
 
@@ -183,7 +182,3 @@ def dump_report(report: dict, path: str = None, stream=None) -> None:
             fh.write(text)
     elif stream is not None:
         stream.write(text)
-
-
-def report_from_json(text: str) -> dict:
-    return json.loads(io.StringIO(text).read())

@@ -308,15 +308,11 @@ def _stress_gains(profile, pref, seed, trial_tol=1e-10):
 
 
 def _asymptotic_task(args):
-    (kind, dim, sigmas, corner_x, radius, v_count, trial, seed,
-     pref_flat, tol) = args
-    dist = PreferenceDistribution(kind, dim, sigmas=sigmas, corner_x=corner_x,
-                                  radius=radius)
+    dist, v_count, trial, seed, pref, tol = args
     trial_seed = _derived_seed(seed, 1, v_count, trial)
     row = {"V": v_count, "trial": trial, "seed": trial_seed}
     try:
         profile = sample_profile(dist, v_count, trial_seed)
-        pref = np.array(pref_flat, dtype=float).reshape(dim, dim)
         gains, skew_closed, skew_num = _stress_gains(profile, pref, trial_seed, tol)
         row.update(
             {
@@ -355,23 +351,13 @@ def asymptotic_experiment(config: ExperimentConfig, s=None, median_skew=None,
         sk = None
         pref = s_mat
 
-    tasks = []
-    for v_count in config.V_grid:
-        for trial in range(config.trials):
-            tasks.append(
-                (
-                    dist.kind,
-                    dim,
-                    dist.sigmas,
-                    dist.corner_x,
-                    dist.radius,
-                    int(v_count),
-                    trial,
-                    config.seed,
-                    tuple(pref.ravel()),
-                    tol,
-                )
-            )
+    # One C-ordered matrix for every task: BLAS rounding can depend on layout.
+    pref = np.ascontiguousarray(pref)
+    tasks = [
+        (dist, int(v_count), trial, config.seed, pref, tol)
+        for v_count in config.V_grid
+        for trial in range(config.trials)
+    ]
     rows = _run_tasks(_asymptotic_task, tasks, parallel)
     if median_skew is not None:
         for row in rows:
@@ -415,9 +401,7 @@ def asymptotic_experiment(config: ExperimentConfig, s=None, median_skew=None,
 
 
 def _convergence_task(args):
-    kind, dim, sigmas, corner_x, radius, v_count, v_ref, trial, seed, tol = args
-    dist = PreferenceDistribution(kind, dim, sigmas=sigmas, corner_x=corner_x,
-                                  radius=radius)
+    dist, v_count, v_ref, trial, seed, tol = args
     trial_seed = _derived_seed(seed, 2, v_count, trial)
     ref_seed = _derived_seed(seed, 2, 0, trial)  # shared across the V grid
     profile = sample_profile(dist, v_count, trial_seed)
@@ -444,8 +428,7 @@ def convergence_diagnostics(config: ExperimentConfig, tol: float = 1e-10,
         raise ValueError("convergence diagnostics need dim >= 5 under a smooth density")
     v_ref = 10 * max(config.V_grid)
     tasks = [
-        (dist.kind, dist.dim, dist.sigmas, dist.corner_x, dist.radius,
-         int(v), v_ref, t, config.seed, tol)
+        (dist, int(v), v_ref, t, config.seed, tol)
         for v in config.V_grid
         for t in range(config.trials)
     ]
@@ -483,9 +466,8 @@ ATTACK_KINDS = ("radial-escape", "clustered", "mirrored")
 
 
 def _byzantine_task(args):
-    kind, dim, sigmas, corner_x, radius, v_t, v_s, trial, seed, tol = args
-    dist = PreferenceDistribution(kind, dim, sigmas=sigmas, corner_x=corner_x,
-                                  radius=radius)
+    dist, v_t, v_s, trial, seed, tol = args
+    dim = dist.dim
     trial_seed = _derived_seed(seed, 3, v_t, v_s, trial)
     rng = np.random.default_rng(np.random.SeedSequence(trial_seed))
     truthful = sample_profile(dist, v_t, _derived_seed(trial_seed, 0))
@@ -532,11 +514,7 @@ def byzantine_experiment(truthful_dist: PreferenceDistribution, v_t: int, v_s: i
     if v_s >= v_t:
         raise MajorityAttack("strategic voters must be a strict minority")
     d = truthful_dist
-    tasks = [
-        (d.kind, d.dim, d.sigmas, d.corner_x, d.radius, int(v_t), int(v_s), t,
-         seed, tol)
-        for t in range(trials)
-    ]
+    tasks = [(d, int(v_t), int(v_s), t, seed, tol) for t in range(trials)]
     rows = _run_tasks(_byzantine_task, tasks, parallel)
     displacements = np.array([r["displacement"] for r in rows])
     summary = {

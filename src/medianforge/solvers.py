@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtVoterPoint, SolverFailure, ZeroVector
-from .linalg import check_spd
+from .errors import AtVoterPoint, DimensionMismatch, SolverFailure
+from .linalg import check_spd, extreme_eigenvalues
 from .profiles import WeightedProfile, affine_dimension
 
 __all__ = [
@@ -41,8 +41,9 @@ class MedianResult:
 
     additive_bound certifies ||point - exact minimizer||_2 <= bound whenever
     the local Hessian is computable and positive definite; +inf otherwise.
-    For skewed solves, grad_norm and additive_bound live in the skewed
-    geometry of the solve.
+    For skewed solves, grad_norm is the norm of the skewed-loss (sub)gradient
+    and additive_bound bounds the Euclidean distance, both in the original
+    coordinates.
     """
 
     point: np.ndarray
@@ -195,73 +196,63 @@ def _weiszfeld_step(voters, weights, y, scale):
     return (1.0 - gamma) * t + gamma * y
 
 
-def _certify(profile: WeightedProfile, z, grad_norm, tol_grad, iterations, degenerate,
-             hessian_fn) -> MedianResult:
+def _additive_bound(voters, weights, scale, z, tol_grad) -> float:
+    """tol_grad / lambda_min of the loss Hessian at z; +inf where that fails."""
     try:
-        h = hessian_fn(z)
-        lam_min = float(np.linalg.eigvalsh(h)[0])
-        bound = tol_grad / lam_min if lam_min > 0.0 else np.inf
-    except (AtVoterPoint, ZeroVector, np.linalg.LinAlgError):
-        bound = np.inf
-    return MedianResult(
-        point=z,
-        loss=loss_eval(profile, z),
-        grad_norm=float(grad_norm),
-        additive_bound=float(bound),
-        iterations=iterations,
-        degenerate=degenerate,
-    )
+        lam_min = float(np.linalg.eigvalsh(_hessian_raw(voters, weights, scale, z))[0])
+    except (AtVoterPoint, np.linalg.LinAlgError):
+        return np.inf
+    return tol_grad / lam_min if lam_min > 0.0 else np.inf
 
 
-def _minimize_distance_sum(voters, scale, init, step, subgrad, hess, tol_grad):
-    """Weiszfeld-style iterations with Newton refinement.
+def _solve_gm_raw(voters, weights, tol_grad, init=None):
+    """Core solve on raw arrays; returns (point, grad_norm, iterations).
 
-    Returns (point, grad_norm, iterations). `step` is the fixed-point update,
-    `subgrad` the minimum-norm subgradient, `hess` the loss Hessian.
+    Vardi-Zhang-corrected Weiszfeld steps, then damped Newton once the
+    minimum-norm subgradient is small, until its norm is <= tol_grad.
     """
-    z = init.astype(float).copy()
+    scale = _profile_scale(voters)
+    if init is None:
+        init = weights @ voters
+    z = np.array(init, dtype=float)
     newton_from = max(tol_grad, 1e-3)
     iterations = 0
-    g = subgrad(z)
+    g = _min_norm_subgradient_raw(voters, weights, scale, z)
     gn = np.linalg.norm(g)
-
-    def snap_to_voter(y):
-        # The minimizer may sit exactly on a voter point, which smooth
-        # iterations only approach asymptotically; test the nearest one.
-        j = int(np.argmin(np.linalg.norm(voters - y, axis=1)))
-        candidate = voters[j]
-        gn_c = np.linalg.norm(subgrad(candidate))
-        return (candidate.copy(), gn_c) if gn_c <= tol_grad else None
 
     while gn > tol_grad and iterations < MAX_ITERATIONS:
         if np.min(np.linalg.norm(voters - z, axis=1)) <= 1e-5 * scale:
-            snapped = snap_to_voter(z)
-            if snapped is not None:
-                z, gn = snapped
+            # The minimizer may sit exactly on a voter point, which smooth
+            # iterations only approach asymptotically; test the nearest one.
+            candidate = voters[int(np.argmin(np.linalg.norm(voters - z, axis=1)))]
+            g_c = _min_norm_subgradient_raw(voters, weights, scale, candidate)
+            gn_c = np.linalg.norm(g_c)
+            if gn_c <= tol_grad:
+                z, gn = candidate.copy(), gn_c
                 iterations += 1
                 break
         if gn <= newton_from:
             z_new = None
             try:
-                h = hess(z)
+                h = _hessian_raw(voters, weights, scale, z)
                 direction = np.linalg.solve(h, g)
                 # Backtrack on the gradient norm; quadratic tail convergence.
                 t = 1.0
                 for _ in range(40):
                     cand = z - t * direction
-                    gc = subgrad(cand)
+                    gc = _min_norm_subgradient_raw(voters, weights, scale, cand)
                     if np.linalg.norm(gc) < gn:
                         z_new, g, gn = cand, gc, np.linalg.norm(gc)
                         break
                     t *= 0.5
-            except (AtVoterPoint, ZeroVector, np.linalg.LinAlgError):
+            except (AtVoterPoint, np.linalg.LinAlgError):
                 z_new = None
             if z_new is not None:
                 z = z_new
                 iterations += 1
                 continue
-        z = step(z)
-        g = subgrad(z)
+        z = _weiszfeld_step(voters, weights, z, scale)
+        g = _min_norm_subgradient_raw(voters, weights, scale, z)
         gn = np.linalg.norm(g)
         iterations += 1
     if gn > tol_grad:
@@ -269,22 +260,6 @@ def _minimize_distance_sum(voters, scale, init, step, subgrad, hess, tol_grad):
             f"geometric-median solve stalled at gradient norm {gn:.3e} (tol {tol_grad:.1e})"
         )
     return z, gn, iterations
-
-
-def _solve_gm_raw(voters, weights, tol_grad, init=None):
-    """Core solve on raw arrays; returns (point, grad_norm, iterations)."""
-    scale = _profile_scale(voters)
-    if init is None:
-        init = weights @ voters
-    return _minimize_distance_sum(
-        voters,
-        scale,
-        np.asarray(init, dtype=float),
-        lambda p: _weiszfeld_step(voters, weights, p, scale),
-        lambda p: _min_norm_subgradient_raw(voters, weights, scale, p),
-        lambda p: _hessian_raw(voters, weights, scale, p),
-        tol_grad,
-    )
 
 
 def geometric_median(profile: WeightedProfile, tol_grad: float = DEFAULT_TOL_GRAD,
@@ -303,8 +278,14 @@ def geometric_median(profile: WeightedProfile, tol_grad: float = DEFAULT_TOL_GRA
     if init is None:
         init = coordinatewise_median(profile)
     z, gn, iterations = _solve_gm_raw(voters, weights, tol_grad, init)
-    return _certify(profile, z, gn, tol_grad, iterations, degenerate,
-                    lambda p: loss_hessian(profile, p))
+    return MedianResult(
+        point=z,
+        loss=loss_eval(profile, z),
+        grad_norm=float(gn),
+        additive_bound=_additive_bound(voters, weights, _scale_of(profile), z, tol_grad),
+        iterations=iterations,
+        degenerate=degenerate,
+    )
 
 
 # -- skewed geometry ---------------------------------------------------------
@@ -337,83 +318,38 @@ def skewed_loss_hessian(profile: WeightedProfile, sigma: np.ndarray, z) -> np.nd
     return sigma.T @ inner @ sigma
 
 
-def _skewed_min_norm_subgradient(profile, sigma, z):
-    z = np.asarray(z, dtype=float)
-    sdiffs = (z - profile.voters) @ sigma.T
-    dists = np.linalg.norm(sdiffs, axis=1)
-    mask = dists <= VOTER_POINT_RTOL * _scale_of(profile)
-    if not np.any(mask):
-        return sigma.T @ ((profile.weights / dists) @ sdiffs)
-    # Work in the transformed space, where each voter exerts a Euclidean
-    # unit force: the subdifferential there is a ball of radius w0.
-    w0 = float(profile.weights[mask].sum())
-    rest = ~mask
-    if not np.any(rest):
-        return np.zeros(profile.dim)
-    g = (profile.weights[rest] / dists[rest]) @ sdiffs[rest]
-    gn = np.linalg.norm(g)
-    if gn <= w0:
-        return np.zeros(profile.dim)
-    return sigma.T @ (g * ((gn - w0) / gn))
-
-
 def skewed_geometric_median(
     profile: WeightedProfile, sigma, tol_grad: float = DEFAULT_TOL_GRAD
 ) -> MedianResult:
     """Minimizer of the weighted average of skewed distances ||z - voter||_S.
 
-    Solved directly in the original coordinates (skewed Weiszfeld step plus
-    Newton on the skewed loss); mathematically equals applying the inverse
-    skew to the plain geometric median of the skewed profile.
+    Computed as S^-1 GM(S x): the plain core solves the skewed profile
+    y = S x, starting from S times the coordinate-wise median, and the
+    result maps back through S^-1. The skewed-loss gradient at z is S g_y,
+    so the core stops at ||g_y|| <= tol_grad / lambda_max(S), and its
+    certificate on ||S z - S z*|| divided by lambda_min(S) bounds ||z - z*||.
     """
     if not tol_grad > 0.0:
         raise ValueError("tol_grad must be positive")
     s = check_spd(sigma, "skew matrix")
     if s.shape[0] != profile.dim:
-        raise ValueError("skew matrix dimension does not match the profile")
+        raise DimensionMismatch("skew matrix dimension does not match the profile")
     voters, weights = profile.voters, profile.weights
     degenerate = affine_dimension(voters) <= 1
-    scale = _profile_scale(voters)
-
-    # With skewed distances the surrogate minimizer is still a weighted
-    # average of the voters, so the Weiszfeld step reuses the plain update
-    # with skewed distances in the denominators.
-    def step(y):
-        sdiffs = (voters - y) @ s.T
-        dists = np.linalg.norm(sdiffs, axis=1)
-        mask = dists <= VOTER_POINT_RTOL * scale
-        if not np.any(mask):
-            c = weights / dists
-            return (c @ voters) / c.sum()
-        w0 = float(weights[mask].sum())
-        rest = ~mask
-        if not np.any(rest):
-            return y
-        c = weights[rest] / dists[rest]
-        pull = s.T @ (c @ sdiffs[rest])
-        if np.linalg.norm(pull) <= w0:
-            return y
-        t = (c @ voters[rest]) / c.sum()
-        gamma = min(1.0, w0 / np.linalg.norm(pull))
-        return (1.0 - gamma) * t + gamma * y
-
-    hess = lambda p: skewed_loss_hessian(profile, s, p)
-    z, gn, iterations = _minimize_distance_sum(
-        voters,
-        scale,
-        coordinatewise_median(profile),
-        step,
-        lambda p: _skewed_min_norm_subgradient(profile, s, p),
-        hess,
-        tol_grad,
-    )
-
-    result = _certify(profile, z, gn, tol_grad, iterations, degenerate, hess)
+    lam_min, lam_max = extreme_eigenvalues(s)
+    tol_y = tol_grad / lam_max
+    # The rows keep the profile's canonical order, so the solve stays
+    # exactly invariant under permutation of the input.
+    y = voters @ s.T
+    init = s @ coordinatewise_median(profile)
+    z_y, _, iterations = _solve_gm_raw(y, weights, tol_y, init=init)
+    scale = _profile_scale(y)
+    g_y = _min_norm_subgradient_raw(y, weights, scale, z_y)
     return MedianResult(
-        point=result.point,
-        loss=skewed_loss_eval(profile, s, z),
-        grad_norm=result.grad_norm,
-        additive_bound=result.additive_bound,
-        iterations=result.iterations,
-        degenerate=result.degenerate,
+        point=np.linalg.solve(s, z_y),
+        loss=float(weights @ np.linalg.norm(y - z_y, axis=1)),
+        grad_norm=float(np.linalg.norm(s @ g_y)),
+        additive_bound=_additive_bound(y, weights, scale, z_y, tol_y) / lam_min,
+        iterations=iterations,
+        degenerate=degenerate,
     )

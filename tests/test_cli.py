@@ -87,6 +87,25 @@ class TestAggregate:
         doc = json.loads(out)
         assert doc["results"]["point"][0] > 1e-3
 
+    def test_skew_matrix_dimension_mismatch_exit_2(self, triangle_csv, tmp_path, capsys):
+        mat = write_csv(tmp_path / "sigma3.csv", "1,0,0\n0,1,0\n0,0,1\n")
+        code, out, err = run_cli(
+            ["aggregate", "--input", triangle_csv, "--method", "skewed-gm",
+             "--skew-matrix", mat],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nonpositive_tol_exit_2(self, triangle_csv, capsys):
+        for tol in ("-1", "0"):
+            code, out, err = run_cli(
+                ["aggregate", "--input", triangle_csv, "--method", "gm", "--tol", tol],
+                capsys,
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith("error: --tol") and err.count("\n") == 1
+
     def test_weights_mismatch_exit_2(self, triangle_csv, tmp_path, capsys):
         wpath = write_csv(tmp_path / "w.csv", "1\n2\n")
         code, _, err = run_cli(
@@ -181,6 +200,22 @@ class TestBestResponseCommand:
             ["best-response", "--input", prof, "--theta0", "1,2,3"], capsys
         )
         assert code == 2
+
+    def test_preset_small_x_exit_2(self, capsys):
+        code, out, err = run_cli(
+            ["best-response", "--preset", "thm1", "--X", "5", "--V", "10"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_restarts_exit_2(self, triangle_csv, capsys):
+        code, out, err = run_cli(
+            ["best-response", "--input", triangle_csv, "--theta0", "2,2",
+             "--restarts", "0"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --restarts") and err.count("\n") == 1
 
     def test_seed_env_fallback(self, tmp_path, capsys, monkeypatch):
         prof = write_csv(tmp_path / "p.csv", "1,0\n-1,0\n0,2\n0,-2\n0.5,0.5\n")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from medianforge import solvers as sv
 from medianforge.errors import AtVoterPoint
@@ -303,3 +305,61 @@ class TestSkewedGeometricMedian:
         res = sv.skewed_geometric_median(uniform_profile(pts), sigma, tol_grad=1e-10)
         g = sv.skewed_loss_gradient(uniform_profile(pts), sigma, res.point)
         assert np.linalg.norm(g) <= 1e-10
+
+    def test_start_on_voter_does_not_stall(self):
+        # The coordinate-wise median, where the solve starts, is the first
+        # voter. S and 2S define the same skewed median.
+        pts = np.array([
+            [-1.123026717269326, -1.0182589777413658],
+            [-1.2572391168522856, -0.34497139826697054],
+            [1.361196247658805, -1.8179132247570622],
+            [-1.0413232879022336, -1.6915465572157609],
+            [-1.2047301466364182, -0.14856091003083488],
+        ])
+        wp = uniform_profile(pts)
+        np.testing.assert_array_equal(sv.coordinatewise_median(wp), pts[0])
+        half = sv.skewed_geometric_median(wp, np.diag([1.0, 0.5]))
+        double = sv.skewed_geometric_median(wp, np.diag([2.0, 1.0]))
+        assert half.grad_norm <= 1e-10
+        gap = np.linalg.norm(half.point - double.point)
+        assert gap <= half.additive_bound + double.additive_bound
+        np.testing.assert_allclose(double.point, [-1.119887701386242, -1.0106679445574303],
+                                   atol=1e-9)
+
+
+@hs.composite
+def voter_start_cases(draw):
+    """A planar profile with duplicated voters whose coordinate-wise median is
+    a voter, a random SPD skew S, and a positive factor c."""
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((draw(hs.integers(3, 6)), 2)) * rng.uniform(0.5, 3.0, 2)
+    copies = draw(hs.lists(hs.integers(1, 3), min_size=len(base), max_size=len(base)))
+    rest = np.repeat(base, copies, axis=0)
+    # Adding the lower coordinate-wise median of `rest` as a voter keeps it
+    # the coordinate-wise median of the whole profile.
+    center = sv.coordinatewise_median(uniform_profile(rest))
+    pts = np.vstack([rest, np.repeat(center[None, :], draw(hs.integers(1, 2)), axis=0)])
+    theta = draw(hs.floats(0.0, math.pi))
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    eigs = np.exp([draw(hs.floats(-1.5, 1.5)) for _ in range(2)])
+    sigma = (rot * eigs) @ rot.T
+    return pts, 0.5 * (sigma + sigma.T), draw(hs.floats(0.1, 10.0))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(voter_start_cases())
+def test_skewed_median_from_voter_start(case):
+    pts, sigma, c = case
+    wp = uniform_profile(pts)
+    res = sv.skewed_geometric_median(wp, sigma)
+    scaled = sv.skewed_geometric_median(wp, c * sigma)
+    assert res.grad_norm <= 1e-10
+    # S and cS define the same median. A solve that ends on a voter has no
+    # finite certificate; both solves must then pick the same voter.
+    bound = res.additive_bound + scaled.additive_bound
+    if not np.isfinite(bound):
+        bound = 0.0
+    assert np.linalg.norm(res.point - scaled.point) <= bound + 1e-12 * wp.scale
+    oracle = np.linalg.solve(sigma, grid_refine_median(pts @ sigma.T))
+    assert sv.skewed_loss_eval(wp, sigma, res.point) \
+        <= sv.skewed_loss_eval(wp, sigma, oracle) + 1e-9
