@@ -227,12 +227,9 @@ def _cmd_best_response(args) -> int:
     }
     if preset_info is not None:
         result["preset"] = preset_info
-    manip = geometric_median(
-        uniform_profile(np.vstack([honest.voters, rep.strategic_vote[None, :]]))
-    )
     certs = {
-        "manipulated_grad_norm": manip.grad_norm,
-        "manipulated_additive_bound": manip.additive_bound,
+        "manipulated_grad_norm": rep.manipulated_grad_norm,
+        "manipulated_additive_bound": rep.manipulated_additive_bound,
     }
     inputs = {
         "input": args.input,
@@ -267,9 +264,15 @@ def _distribution_from_config(cfg: dict) -> PreferenceDistribution:
         raise ParseError(f"bad distribution config: {exc}") from None
 
 
+THEOREM1_FIELDS = ["X", "V", "alpha_V", "truthful_dist", "strategic_dist", "ratio",
+                   "gain_alpha", "vote_achievable", "truthful_median_err",
+                   "limit_ratio", "paper_gain_bound"]
+BYZANTINE_FIELDS = ["V_T", "V_S", "trial", "seed", "attack", "delta", "bound",
+                    "displacement", "within_bound"]
 ASYMPTOTIC_FIELDS = ["V", "trial", "seed", "skew_closed", "skew_numeric",
                      "gain_gamma_1.5", "gain_gamma_3.0", "gain_gamma_10.0",
                      "max_gain", "error"]
+CONVERGENCE_FIELDS = ["V", "trial", "seed", "ref_seed", "median_err", "hessian_err"]
 
 
 def _flatten_asymptotic(rows):
@@ -281,6 +284,45 @@ def _flatten_asymptotic(rows):
             out[f"gain_gamma_{g['gamma']}"] = g["gain_alpha"]
         flat.append(out)
     return flat
+
+
+def _run_experiment(kind, cfg, seed, args):
+    """Run one simulate config; returns (report, CSV fields, CSV rows)."""
+    if kind == "theorem1":
+        if "X" not in cfg or "V_grid" not in cfg:
+            raise ParseError(f"{args.config}: theorem1 needs 'X' and 'V_grid'")
+        report = theorem1_experiment(float(cfg["X"]), cfg["V_grid"], parallel=args.parallel)
+        return report, THEOREM1_FIELDS, report.rows
+    if kind == "byzantine":
+        for key in ("V_T", "V_S", "trials", "distribution"):
+            if key not in cfg:
+                raise ParseError(f"{args.config}: byzantine needs {key!r}")
+        dist = _distribution_from_config(cfg["distribution"])
+        report = byzantine_experiment(dist, int(cfg["V_T"]), int(cfg["V_S"]),
+                                      int(cfg["trials"]), seed, parallel=args.parallel)
+        return report, BYZANTINE_FIELDS, report.rows
+    for key in ("distribution", "V_grid", "trials"):
+        if key not in cfg:
+            raise ParseError(f"{args.config}: {kind} needs {key!r}")
+    dist = _distribution_from_config(cfg["distribution"])
+    config = ExperimentConfig(
+        dist,
+        tuple(cfg["V_grid"]),
+        int(cfg["trials"]),
+        seed,
+        epsilon=float(cfg.get("epsilon", 0.1)),
+        delta=float(cfg.get("delta", 0.05)),
+    )
+    if kind == "asymptotic":
+        pref = np.asarray(cfg["preference_matrix"], dtype=float) \
+            if "preference_matrix" in cfg else None
+        skew = np.asarray(cfg["median_skew"], dtype=float) \
+            if "median_skew" in cfg else None
+        report = asymptotic_experiment(config, s=pref, median_skew=skew,
+                                       parallel=args.parallel)
+        return report, ASYMPTOTIC_FIELDS, _flatten_asymptotic(report.rows)
+    report = convergence_diagnostics(config, parallel=args.parallel)
+    return report, CONVERGENCE_FIELDS, report.rows
 
 
 def _cmd_simulate(args) -> int:
@@ -301,61 +343,12 @@ def _cmd_simulate(args) -> int:
     seed = int(cfg.get("seed", _fallback_seed(None)))
     os.makedirs(args.output, exist_ok=True)
 
-    if kind == "theorem1":
-        if "X" not in cfg or "V_grid" not in cfg:
-            raise ParseError(f"{args.config}: theorem1 needs 'X' and 'V_grid'")
-        report = theorem1_experiment(float(cfg["X"]), cfg["V_grid"],
-                                     parallel=args.parallel)
-        fields = ["X", "V", "alpha_V", "truthful_dist", "strategic_dist", "ratio",
-                  "gain_alpha", "vote_achievable", "truthful_median_err",
-                  "limit_ratio", "paper_gain_bound"]
-        csv_rows = report.rows
-    elif kind == "byzantine":
-        for key in ("V_T", "V_S", "trials", "distribution"):
-            if key not in cfg:
-                raise ParseError(f"{args.config}: byzantine needs {key!r}")
-        dist = _distribution_from_config(cfg["distribution"])
-        report = byzantine_experiment(dist, int(cfg["V_T"]), int(cfg["V_S"]),
-                                      int(cfg["trials"]), seed,
-                                      parallel=args.parallel)
-        fields = ["V_T", "V_S", "trial", "seed", "attack", "delta", "bound",
-                  "displacement", "within_bound"]
-        csv_rows = report.rows
-    else:
-        for key in ("distribution", "V_grid", "trials"):
-            if key not in cfg:
-                raise ParseError(f"{args.config}: {kind} needs {key!r}")
-        dist = _distribution_from_config(cfg["distribution"])
-        try:
-            config = ExperimentConfig(
-                dist,
-                tuple(cfg["V_grid"]),
-                int(cfg["trials"]),
-                seed,
-                epsilon=float(cfg.get("epsilon", 0.1)),
-                delta=float(cfg.get("delta", 0.05)),
-            )
-        except ValueError as exc:
-            raise ParseError(f"{args.config}: {exc}") from None
-        if kind == "asymptotic":
-            pref = np.asarray(cfg["preference_matrix"], dtype=float) \
-                if "preference_matrix" in cfg else None
-            skew = np.asarray(cfg["median_skew"], dtype=float) \
-                if "median_skew" in cfg else None
-            try:
-                report = asymptotic_experiment(config, s=pref, median_skew=skew,
-                                               parallel=args.parallel)
-            except ValueError as exc:
-                raise ParseError(f"{args.config}: {exc}") from None
-            fields = ASYMPTOTIC_FIELDS
-            csv_rows = _flatten_asymptotic(report.rows)
-        else:
-            try:
-                report = convergence_diagnostics(config, parallel=args.parallel)
-            except ValueError as exc:
-                raise ParseError(f"{args.config}: {exc}") from None
-            fields = ["V", "trial", "seed", "ref_seed", "median_err", "hessian_err"]
-            csv_rows = report.rows
+    try:
+        report, fields, csv_rows = _run_experiment(kind, cfg, seed, args)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(f"{args.config}: {exc}") from None
 
     json_path = os.path.join(args.output, f"{kind}_report.json")
     csv_path = os.path.join(args.output, f"{kind}_trials.csv")

@@ -256,6 +256,10 @@ def _theorem1_task(args):
 def theorem1_experiment(x: float, v_grid, tol: float = 1e-10,
                         parallel: int = 1) -> ExperimentReport:
     """Measure gains of the closed-form strategic vote across voter counts."""
+    if not x >= 8.0:
+        raise ValueError("the construction needs corner abscissa X >= 8")
+    if len(v_grid) < 1 or min(int(v) for v in v_grid) < 1:
+        raise ValueError("V_grid must be a non-empty list of voter counts >= 1")
     tasks = [(float(x), int(v), tol) for v in v_grid]
     rows = _run_tasks(_theorem1_task, tasks, parallel)
     summary = {
@@ -308,11 +312,13 @@ def _stress_gains(profile, pref, seed, trial_tol=1e-10):
 
 
 def _asymptotic_task(args):
-    dist, v_count, trial, seed, pref, tol = args
+    dist, v_count, trial, seed, pref, median_skew, tol = args
     trial_seed = _derived_seed(seed, 1, v_count, trial)
     row = {"V": v_count, "trial": trial, "seed": trial_seed}
     try:
         profile = sample_profile(dist, v_count, trial_seed)
+        if median_skew is not None:
+            profile = VoterProfile(profile.voters @ median_skew.T)
         gains, skew_closed, skew_num = _stress_gains(profile, pref, trial_seed, tol)
         row.update(
             {
@@ -334,8 +340,8 @@ def asymptotic_experiment(config: ExperimentConfig, s=None, median_skew=None,
     """Boundary-stress manipulation sweep against the skewness bound.
 
     With a median_skew matrix the aggregate is the skewed geometric median;
-    the sweep then runs in the transformed space where that aggregate is the
-    plain median, with the preference norm mapped accordingly (gains are
+    the sweep then runs on the mapped voters Sk x, where that aggregate is
+    the plain median, with the preference norm mapped accordingly (gains are
     unchanged by the mapping, and the bound matrix is orthogonally similar).
     """
     dist = config.distribution
@@ -354,7 +360,7 @@ def asymptotic_experiment(config: ExperimentConfig, s=None, median_skew=None,
     # One C-ordered matrix for every task: BLAS rounding can depend on layout.
     pref = np.ascontiguousarray(pref)
     tasks = [
-        (dist, int(v_count), trial, config.seed, pref, tol)
+        (dist, int(v_count), trial, config.seed, pref, sk, tol)
         for v_count in config.V_grid
         for trial in range(config.trials)
     ]
@@ -511,6 +517,10 @@ def byzantine_experiment(truthful_dist: PreferenceDistribution, v_t: int, v_s: i
                          trials: int, seed: int, tol: float = 1e-10,
                          parallel: int = 1) -> ExperimentReport:
     """Adversarial placement trials against the resilience ball."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if v_s < 0:
+        raise ValueError("V_S must be >= 0")
     if v_s >= v_t:
         raise MajorityAttack("strategic voters must be a strict minority")
     d = truthful_dist

@@ -1,9 +1,13 @@
 """Aggregation operators: average, coordinate-wise median, geometric median.
 
-The geometric-median solver runs a Vardi-Zhang-corrected Weiszfeld iteration
-(safe at voter-point collisions) and hands over to damped Newton once the
-gradient is small, so the terminal gradient norm can be driven to ~1e-10 and
-converted into an additive distance certificate via the local Hessian.
+The geometric-median solver makes one distance pass per iterate: z - voters
+and its row norms give the pull of the voters, and from that one pull it
+reads the minimum-norm subgradient (the stop test), the Vardi-Zhang-corrected
+Weiszfeld step (safe at voter-point collisions), the nearest voter (the snap
+test), the loss and, on demand, the Hessian. Damped Newton takes over once
+the subgradient is small, so the terminal gradient norm can be driven to
+~1e-10; the Hessian of the final pass turns it into an additive distance
+certificate.
 """
 
 from dataclasses import dataclass
@@ -58,11 +62,6 @@ def _profile_scale(voters: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(voters))))
 
 
-def _scale_of(profile: WeightedProfile) -> float:
-    s = getattr(profile, "scale", None)
-    return s if s is not None else _profile_scale(profile.voters)
-
-
 def average(profile: WeightedProfile) -> np.ndarray:
     """Weighted arithmetic mean."""
     return profile.weights @ profile.voters
@@ -85,46 +84,72 @@ def coordinatewise_median(profile: WeightedProfile) -> np.ndarray:
     return out
 
 
-def _coincident_mask(dists: np.ndarray, scale: float) -> np.ndarray:
-    return dists <= VOTER_POINT_RTOL * scale
+class _Pass:
+    """One distance pass at z: diffs = z - voters, their row norms, and what
+    the solver reads from them.
+
+    g is the minimum-norm element of the loss subdifferential: the gradient
+    away from voter points, and on one the pull of the other voters shrunk
+    by the coincident weight w0 (zero once w0 outweighs it). gn is its norm,
+    csum the sum of weight / distance over the voters not at z, and nearest
+    the index of the closest voter.
+    """
+
+    def __init__(self, voters, weights, scale, z):
+        self.z = z
+        self.weights = weights
+        self.diffs = z - voters
+        self.dists = np.sqrt(np.einsum("ij,ij->i", self.diffs, self.diffs))
+        self.nearest = int(np.argmin(self.dists))
+        self.at_voter = self.dists[self.nearest] <= VOTER_POINT_RTOL * scale
+        if not self.at_voter:
+            c = weights / self.dists
+            self.g = c @ self.diffs
+        else:
+            rest = self.dists > VOTER_POINT_RTOL * scale
+            w0 = float(weights[~rest].sum())
+            c = weights[rest] / self.dists[rest]
+            pull = c @ self.diffs[rest]
+            pn = np.linalg.norm(pull)
+            self.g = np.zeros(z.size) if pn <= w0 else pull * ((pn - w0) / pn)
+        self.csum = c.sum()
+        self.gn = np.linalg.norm(self.g)
+
+    @property
+    def loss(self) -> float:
+        return float(self.weights @ self.dists)
+
+    def step(self) -> np.ndarray:
+        """Weiszfeld point z - g / csum; with g the minimum-norm subgradient
+        this is the Vardi-Zhang step at a voter point."""
+        return self.z - self.g / self.csum
+
+    def require_smooth(self):
+        if self.at_voter:
+            raise AtVoterPoint("evaluation point coincides with a voter's point")
+
+    def gradient(self) -> np.ndarray:
+        self.require_smooth()
+        return self.g
+
+    def hessian(self) -> np.ndarray:
+        self.require_smooth()
+        c = self.weights / self.dists
+        h = np.eye(self.z.size) * self.csum
+        h -= self.diffs.T @ (self.diffs * (c / self.dists**2)[:, None])
+        return h
+
+    def additive_bound(self, tol_grad) -> float:
+        """tol_grad / lambda_min of the loss Hessian at z; +inf where that fails."""
+        try:
+            lam_min = float(np.linalg.eigvalsh(self.hessian())[0])
+        except (AtVoterPoint, np.linalg.LinAlgError):
+            return np.inf
+        return tol_grad / lam_min if lam_min > 0.0 else np.inf
 
 
-def _row_dists(voters, z):
-    diffs = z - voters
-    return diffs, np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-
-
-def _grad_raw(voters, weights, scale, z):
-    diffs, dists = _row_dists(voters, z)
-    if dists.min() <= VOTER_POINT_RTOL * scale:
-        raise AtVoterPoint("evaluation point coincides with a voter's point")
-    return (weights / dists) @ diffs
-
-
-def _hessian_raw(voters, weights, scale, z):
-    diffs, dists = _row_dists(voters, z)
-    if dists.min() <= VOTER_POINT_RTOL * scale:
-        raise AtVoterPoint("evaluation point coincides with a voter's point")
-    c = weights / dists
-    h = np.eye(voters.shape[1]) * c.sum()
-    h -= diffs.T @ (diffs * (c / dists**2)[:, None])
-    return h
-
-
-def _min_norm_subgradient_raw(voters, weights, scale, z):
-    diffs, dists = _row_dists(voters, z)
-    if dists.min() > VOTER_POINT_RTOL * scale:
-        return (weights / dists) @ diffs
-    mask = _coincident_mask(dists, scale)
-    w0 = float(weights[mask].sum())
-    rest = ~mask
-    if not np.any(rest):
-        return np.zeros(voters.shape[1])
-    g = (weights[rest] / dists[rest]) @ diffs[rest]
-    gn = np.linalg.norm(g)
-    if gn <= w0:
-        return np.zeros(voters.shape[1])
-    return g * ((gn - w0) / gn)
+def _evaluate(profile: WeightedProfile, z) -> _Pass:
+    return _Pass(profile.voters, profile.weights, profile.scale, np.asarray(z, dtype=float))
 
 
 def loss_eval(profile: WeightedProfile, z) -> float:
@@ -134,23 +159,18 @@ def loss_eval(profile: WeightedProfile, z) -> float:
 
 
 def loss_gradient(profile: WeightedProfile, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    return _grad_raw(profile.voters, profile.weights, _scale_of(profile), z)
+    return _evaluate(profile, z).gradient()
 
 
 def loss_hessian(profile: WeightedProfile, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    return _hessian_raw(profile.voters, profile.weights, _scale_of(profile), z)
+    return _evaluate(profile, z).hessian()
 
 
 def loss_third_deriv(profile: WeightedProfile, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    diffs = z - profile.voters
-    dists = np.linalg.norm(diffs, axis=1)
-    if np.any(_coincident_mask(dists, _scale_of(profile))):
-        raise AtVoterPoint("evaluation point coincides with a voter's point")
-    u = diffs / dists[:, None]
-    c = profile.weights / dists**2
+    p = _evaluate(profile, z)
+    p.require_smooth()
+    u = p.diffs / p.dists[:, None]
+    c = profile.weights / p.dists**2
     t = 3.0 * np.einsum("v,vi,vj,vk->ijk", c, u, u, u)
     cu = (c[:, None] * u).sum(axis=0)
     eye = np.eye(profile.dim)
@@ -167,99 +187,63 @@ def min_norm_subgradient(profile: WeightedProfile, z) -> np.ndarray:
     coincident voters contribute a ball of radius equal to their weight, and
     the minimum-norm selection shrinks the remaining pull accordingly.
     """
-    z = np.asarray(z, dtype=float)
-    return _min_norm_subgradient_raw(
-        profile.voters, profile.weights, _scale_of(profile), z
-    )
+    return _evaluate(profile, z).g
 
 
-def _weiszfeld_step(voters, weights, y, scale):
-    diffs = voters - y
-    dists = np.linalg.norm(diffs, axis=1)
-    mask = dists <= VOTER_POINT_RTOL * scale
-    if not np.any(mask):
-        c = weights / dists
-        return (c @ voters) / c.sum()
-    # Vardi-Zhang correction: treat the collided point as an anchor and move
-    # only if the residual pull of the other voters exceeds its weight.
-    w0 = float(weights[mask].sum())
-    rest = ~mask
-    if not np.any(rest):
-        return y
-    c = weights[rest] / dists[rest]
-    pull = c @ diffs[rest]
-    pull_norm = np.linalg.norm(pull)
-    if pull_norm <= w0:
-        return y
-    t = (c @ voters[rest]) / c.sum()
-    gamma = min(1.0, w0 / pull_norm)
-    return (1.0 - gamma) * t + gamma * y
-
-
-def _additive_bound(voters, weights, scale, z, tol_grad) -> float:
-    """tol_grad / lambda_min of the loss Hessian at z; +inf where that fails."""
+def _newton(p: _Pass, at):
+    """First damped-Newton point from p whose subgradient is smaller, or None."""
     try:
-        lam_min = float(np.linalg.eigvalsh(_hessian_raw(voters, weights, scale, z))[0])
+        direction = np.linalg.solve(p.hessian(), p.g)
     except (AtVoterPoint, np.linalg.LinAlgError):
-        return np.inf
-    return tol_grad / lam_min if lam_min > 0.0 else np.inf
+        return None
+    # Backtrack on the gradient norm; quadratic tail convergence.
+    for k in range(40):
+        trial = at(p.z - 0.5**k * direction)
+        if trial.gn < p.gn:
+            return trial
+        del trial  # keeps one trial's V x d diffs alive, not two
+    return None
 
 
-def _solve_gm_raw(voters, weights, tol_grad, init=None):
-    """Core solve on raw arrays; returns (point, grad_norm, iterations).
+def _solve_gm_raw(voters, weights, tol_grad, init):
+    """Core solve on raw arrays; returns (final pass, iterations).
 
     Vardi-Zhang-corrected Weiszfeld steps, then damped Newton once the
-    minimum-norm subgradient is small, until its norm is <= tol_grad.
+    minimum-norm subgradient is small, until its norm is <= tol_grad. Each
+    accepted iterate costs one pass; only a rejected Newton point or a
+    failed snap test costs another.
     """
     scale = _profile_scale(voters)
-    if init is None:
-        init = weights @ voters
-    z = np.array(init, dtype=float)
+
+    def at(z):
+        return _Pass(voters, weights, scale, z)
+
+    p = at(np.array(init, dtype=float))
     newton_from = max(tol_grad, 1e-3)
     iterations = 0
-    g = _min_norm_subgradient_raw(voters, weights, scale, z)
-    gn = np.linalg.norm(g)
-
-    while gn > tol_grad and iterations < MAX_ITERATIONS:
-        if np.min(np.linalg.norm(voters - z, axis=1)) <= 1e-5 * scale:
+    while p.gn > tol_grad and iterations < MAX_ITERATIONS:
+        iterations += 1
+        if p.dists[p.nearest] <= 1e-5 * scale:
             # The minimizer may sit exactly on a voter point, which smooth
             # iterations only approach asymptotically; test the nearest one.
-            candidate = voters[int(np.argmin(np.linalg.norm(voters - z, axis=1)))]
-            g_c = _min_norm_subgradient_raw(voters, weights, scale, candidate)
-            gn_c = np.linalg.norm(g_c)
-            if gn_c <= tol_grad:
-                z, gn = candidate.copy(), gn_c
-                iterations += 1
+            snap = at(voters[p.nearest].copy())
+            if snap.gn <= tol_grad:
+                p = snap
                 break
-        if gn <= newton_from:
-            z_new = None
-            try:
-                h = _hessian_raw(voters, weights, scale, z)
-                direction = np.linalg.solve(h, g)
-                # Backtrack on the gradient norm; quadratic tail convergence.
-                t = 1.0
-                for _ in range(40):
-                    cand = z - t * direction
-                    gc = _min_norm_subgradient_raw(voters, weights, scale, cand)
-                    if np.linalg.norm(gc) < gn:
-                        z_new, g, gn = cand, gc, np.linalg.norm(gc)
-                        break
-                    t *= 0.5
-            except (AtVoterPoint, np.linalg.LinAlgError):
-                z_new = None
-            if z_new is not None:
-                z = z_new
-                iterations += 1
+        if p.gn <= newton_from:
+            trial = _newton(p, at)
+            if trial is not None:
+                p = trial
                 continue
-        z = _weiszfeld_step(voters, weights, z, scale)
-        g = _min_norm_subgradient_raw(voters, weights, scale, z)
-        gn = np.linalg.norm(g)
-        iterations += 1
-    if gn > tol_grad:
+        z = p.step()
+        if np.array_equal(z, p.z):
+            break  # a fixed point: every later iteration would repeat this one
+        p = at(z)
+    if p.gn > tol_grad:
         raise SolverFailure(
-            f"geometric-median solve stalled at gradient norm {gn:.3e} (tol {tol_grad:.1e})"
+            f"geometric-median solve stalled at gradient norm {p.gn:.3e} (tol {tol_grad:.1e})"
         )
-    return z, gn, iterations
+    return p, iterations
 
 
 def geometric_median(profile: WeightedProfile, tol_grad: float = DEFAULT_TOL_GRAD,
@@ -277,12 +261,12 @@ def geometric_median(profile: WeightedProfile, tol_grad: float = DEFAULT_TOL_GRA
     degenerate = affine_dimension(voters) <= 1
     if init is None:
         init = coordinatewise_median(profile)
-    z, gn, iterations = _solve_gm_raw(voters, weights, tol_grad, init)
+    final, iterations = _solve_gm_raw(voters, weights, tol_grad, init)
     return MedianResult(
-        point=z,
-        loss=loss_eval(profile, z),
-        grad_norm=float(gn),
-        additive_bound=_additive_bound(voters, weights, _scale_of(profile), z, tol_grad),
+        point=final.z,
+        loss=final.loss,
+        grad_norm=float(final.gn),
+        additive_bound=final.additive_bound(tol_grad),
         iterations=iterations,
         degenerate=degenerate,
     )
@@ -301,7 +285,7 @@ def skewed_loss_gradient(profile: WeightedProfile, sigma: np.ndarray, z) -> np.n
     z = np.asarray(z, dtype=float)
     sdiffs = (z - profile.voters) @ sigma.T
     dists = np.linalg.norm(sdiffs, axis=1)
-    if np.any(dists <= VOTER_POINT_RTOL * _scale_of(profile)):
+    if np.any(dists <= VOTER_POINT_RTOL * profile.scale):
         raise AtVoterPoint("evaluation point coincides with a voter's point")
     return sigma.T @ ((profile.weights / dists) @ sdiffs)
 
@@ -310,7 +294,7 @@ def skewed_loss_hessian(profile: WeightedProfile, sigma: np.ndarray, z) -> np.nd
     z = np.asarray(z, dtype=float)
     sdiffs = (z - profile.voters) @ sigma.T
     dists = np.linalg.norm(sdiffs, axis=1)
-    if np.any(dists <= VOTER_POINT_RTOL * _scale_of(profile)):
+    if np.any(dists <= VOTER_POINT_RTOL * profile.scale):
         raise AtVoterPoint("evaluation point coincides with a voter's point")
     c = profile.weights / dists
     inner = np.eye(profile.dim) * c.sum()
@@ -342,14 +326,12 @@ def skewed_geometric_median(
     # exactly invariant under permutation of the input.
     y = voters @ s.T
     init = s @ coordinatewise_median(profile)
-    z_y, _, iterations = _solve_gm_raw(y, weights, tol_y, init=init)
-    scale = _profile_scale(y)
-    g_y = _min_norm_subgradient_raw(y, weights, scale, z_y)
+    final, iterations = _solve_gm_raw(y, weights, tol_y, init)
     return MedianResult(
-        point=np.linalg.solve(s, z_y),
-        loss=float(weights @ np.linalg.norm(y - z_y, axis=1)),
-        grad_norm=float(np.linalg.norm(s @ g_y)),
-        additive_bound=_additive_bound(y, weights, scale, z_y, tol_y) / lam_min,
+        point=np.linalg.solve(s, final.z),
+        loss=final.loss,
+        grad_norm=float(np.linalg.norm(s @ final.g)),
+        additive_bound=final.additive_bound(tol_y) / lam_min,
         iterations=iterations,
         degenerate=degenerate,
     )

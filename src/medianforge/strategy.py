@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .errors import AtVoterPoint, DegenerateDimension, MajorityAttack, NotSPD
+from .errors import (AtVoterPoint, DegenerateDimension, DimensionMismatch, MajorityAttack,
+                     NotSPD, SolverFailure)
 from .linalg import check_spd, extreme_eigenvalues
 from .profiles import VoterProfile, WeightedProfile, affine_dimension, uniform_profile
 from .solvers import (
@@ -202,13 +203,17 @@ class StrategyReport:
     """Outcome of a strategic-vote search under a chosen preference norm.
 
     gain_alpha is empirical (a lower bound on the worst case): it compares
-    the truthful result against the best strategic vote found.
+    the truthful result against the best strategic vote found. The
+    manipulated_* certificates are those of the solve that gave
+    manipulated_median.
     """
 
     theta0: np.ndarray
     truthful_median: np.ndarray
     strategic_vote: np.ndarray
     manipulated_median: np.ndarray
+    manipulated_grad_norm: float
+    manipulated_additive_bound: float
     truthful_dist: float
     strategic_dist: float
     gain_alpha: float
@@ -362,7 +367,12 @@ def _blackbox_response(theta0, honest_voters, s, seeds, restarts, rng, scale,
 
     def objective(vote):
         stacked[-1] = vote
-        z, _, _ = _solve_gm_raw(stacked, weights, search_tol, init=warm["z"])
+        try:
+            z = _solve_gm_raw(stacked, weights, search_tol, warm["z"])[0].z
+        except SolverFailure:
+            # A vote within rounding of an honest voter can leave the median
+            # unresolvable to search_tol; the search steps around it.
+            return np.inf
         warm["z"] = z
         return _pref_dist(z, theta0, s)
 
@@ -404,6 +414,8 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     if affine_dimension(honest.voters) < 2:
         raise DegenerateDimension("best response needs an honest profile of dimension >= 2")
     s_mat = np.eye(theta0.size) if s is None else check_spd(s, "preference matrix")
+    if s_mat.shape[0] != theta0.size:
+        raise DimensionMismatch("preference matrix dimension does not match theta0")
     honest_wp = honest.weighted()
     v_count = honest.count
     radius = 1.0 / v_count
@@ -411,40 +423,30 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     scale = max(1.0, float(np.max(np.abs(honest.voters))))
 
     g_honest = geometric_median(honest_wp, tol_grad).point
-    truthful = _median_with_vote(honest.voters, theta0, tol_grad, init=g_honest)
-    truthful_dist = _pref_dist(truthful.point, theta0, s_mat)
+    candidates: dict[str, tuple[np.ndarray, MedianResult, float]] = {}
 
-    candidates: dict[str, tuple[np.ndarray, np.ndarray, float]] = {}
-    candidates["truthful"] = (theta0, truthful.point, truthful_dist)
+    def add(name, vote):
+        med = _median_with_vote(honest.voters, vote, tol_grad, init=g_honest)
+        candidates[name] = (vote, med, _pref_dist(med.point, theta0, s_mat))
+
+    add("truthful", theta0)
+    _, truthful, truthful_dist = candidates["truthful"]
 
     achievable = AchievableSet(honest)
     exact_capture = achievable_contains(achievable, theta0)
 
-    extra_seeds = []
-    for i, vote in enumerate(extra_votes or []):
-        vote = np.asarray(vote, dtype=float)
-        med = _median_with_vote(honest.voters, vote, tol_grad, init=g_honest)
-        candidates[f"extra_{i}"] = (vote, med.point, _pref_dist(med.point, theta0, s_mat))
-        extra_seeds.append(vote)
+    extra_seeds = [np.asarray(vote, dtype=float) for vote in extra_votes or []]
+    for i, vote in enumerate(extra_seeds):
+        add(f"extra_{i}", vote)
 
     rng_proj = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     proj_vote = _projection_response(theta0, honest_wp, s_mat, g_honest, radius, rng_proj)
-    proj_median = _median_with_vote(honest.voters, proj_vote, tol_grad, init=g_honest)
-    candidates["projection"] = (
-        proj_vote,
-        proj_median.point,
-        _pref_dist(proj_median.point, theta0, s_mat),
-    )
+    add("projection", proj_vote)
 
     nm_seeds = extra_seeds + [theta0, proj_vote, g_honest]
     nm_vote = _blackbox_response(theta0, honest.voters, s_mat, nm_seeds, restarts, rng,
                                  scale, g_honest, tol_grad)
-    nm_median = _median_with_vote(honest.voters, nm_vote, tol_grad, init=g_honest)
-    candidates["blackbox"] = (
-        nm_vote,
-        nm_median.point,
-        _pref_dist(nm_median.point, theta0, s_mat),
-    )
+    add("blackbox", nm_vote)
 
     def rank(item):
         vote, _, dist = item[1]
@@ -459,13 +461,15 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
         theta0=theta0,
         truthful_median=truthful.point,
         strategic_vote=vote,
-        manipulated_median=median,
+        manipulated_median=median.point,
+        manipulated_grad_norm=median.grad_norm,
+        manipulated_additive_bound=median.additive_bound,
         truthful_dist=truthful_dist,
         strategic_dist=dist,
         gain_alpha=float(gain),
         preference_norm=s_mat,
         exact_capture=exact_capture,
-        candidates={k: {"vote": v[0], "median": v[1], "dist": v[2]}
+        candidates={k: {"vote": v[0], "median": v[1].point, "dist": v[2]}
                     for k, v in candidates.items()},
     )
 

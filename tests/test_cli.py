@@ -217,6 +217,16 @@ class TestBestResponseCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: --restarts") and err.count("\n") == 1
 
+    def test_pref_matrix_dimension_mismatch_exit_2(self, triangle_csv, tmp_path, capsys):
+        mat = write_csv(tmp_path / "pref1.csv", "1\n")
+        code, out, err = run_cli(
+            ["best-response", "--input", triangle_csv, "--theta0", "2,2",
+             "--pref-matrix", mat],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_seed_env_fallback(self, tmp_path, capsys, monkeypatch):
         prof = write_csv(tmp_path / "p.csv", "1,0\n-1,0\n0,2\n0,-2\n0.5,0.5\n")
         monkeypatch.setenv("MEDIANFORGE_SEED", "77")
@@ -248,6 +258,22 @@ class TestSimulateCommand:
             ["simulate", "--config", cfg, "--output", str(tmp_path / "o")], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("cfg", [
+        {"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": 0,
+         "distribution": {"kind": "isotropic-gaussian", "dim": 3}},
+        {"experiment": "byzantine", "V_T": 5, "V_S": -1, "trials": 3,
+         "distribution": {"kind": "isotropic-gaussian", "dim": 3}},
+        {"experiment": "theorem1", "X": 5, "V_grid": [10]},
+        {"experiment": "theorem1", "X": 20, "V_grid": []},
+    ], ids=["zero-trials", "negative-V_S", "theorem1-small-X", "theorem1-empty-grid"])
+    def test_invalid_config_exit_2(self, cfg, tmp_path, capsys):
+        path = write_csv(tmp_path / "c.json", json.dumps(cfg))
+        code, out, err = run_cli(
+            ["simulate", "--config", path, "--output", str(tmp_path / "o")], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_theorem1_run_and_csv(self, tmp_path, capsys):
         cfg = write_csv(

@@ -5,7 +5,8 @@ import pytest
 
 from medianforge import simulate as sim
 from medianforge.errors import MajorityAttack
-from medianforge.profiles import uniform_profile
+from medianforge.linalg import spd_inv, spd_sqrt
+from medianforge.profiles import VoterProfile, uniform_profile
 from medianforge.solvers import geometric_median, loss_gradient
 from medianforge.strategy import AchievableSet, achievable_contains, skewness
 
@@ -163,6 +164,20 @@ class TestAsymptoticExperiment:
         gains_skewed = [r["max_gain"] for r in skewed.rows]
         assert np.median(gains_skewed) < np.median(gains_plain)
         assert max(gains_skewed) < max(gains_plain)
+
+
+    def test_median_skew_maps_the_voters(self):
+        # A median-skew row is the plain-median sweep of the mapped voters
+        # Sk x under the mapped preference norm.
+        dist = sim.PreferenceDistribution("isotropic-gaussian", 5)
+        sk = np.diag([1.0, 1.0, 1.0, 1.0, 3.0])
+        cfg = sim.ExperimentConfig(dist, V_grid=(200,), trials=1, seed=7)
+        row = sim.asymptotic_experiment(cfg, median_skew=sk).rows[0]
+        mapped = VoterProfile(sim.sample_profile(dist, 200, row["seed"]).voters @ sk.T)
+        pref = np.ascontiguousarray(spd_sqrt(spd_inv(sk) @ spd_inv(sk)))
+        gains, skew_closed, skew_num = sim._stress_gains(mapped, pref, row["seed"], 1e-10)
+        assert row["gains"] == gains
+        assert (row["skew_closed"], row["skew_numeric"]) == (skew_closed, skew_num)
 
 
 class TestConvergenceDiagnostics:

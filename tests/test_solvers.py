@@ -173,6 +173,22 @@ class TestGeometricMedian:
         assert res.degenerate
         assert res.grad_norm <= 1e-10
 
+    def test_one_distance_pass_per_iterate(self, rng, monkeypatch):
+        # Far from every voter the Newton steps are accepted first time, so
+        # each iterate costs one pass and the certificate reads the last one.
+        passes = []
+
+        class Counted(sv._Pass):
+            def __init__(self, *args):
+                passes.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(sv, "_Pass", Counted)
+        wp = uniform_profile(rng.standard_normal((2000, 4)))
+        res = sv.geometric_median(wp)
+        assert res.grad_norm <= 1e-10 and np.isfinite(res.additive_bound)
+        assert len(passes) <= res.iterations + 2
+
     def test_weighted_pull(self):
         wp = WeightedProfile([[0.0, 0.0], [10.0, 0.0]], [0.75, 0.25])
         res = sv.geometric_median(wp)
@@ -363,3 +379,23 @@ def test_skewed_median_from_voter_start(case):
     oracle = np.linalg.solve(sigma, grid_refine_median(pts @ sigma.T))
     assert sv.skewed_loss_eval(wp, sigma, res.point) \
         <= sv.skewed_loss_eval(wp, sigma, oracle) + 1e-9
+
+
+@hs.composite
+def voter_init_cases(draw):
+    """A planar profile with duplicated voters and one of them as the start."""
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((draw(hs.integers(2, 6)), 2)) * rng.uniform(0.5, 3.0, 2)
+    copies = draw(hs.lists(hs.integers(1, 4), min_size=len(base), max_size=len(base)))
+    pts = np.repeat(base, copies, axis=0)
+    return pts, pts[draw(hs.integers(0, len(pts) - 1))]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(voter_init_cases())
+def test_median_from_voter_init(case):
+    pts, init = case
+    wp = uniform_profile(pts)
+    res = sv.geometric_median(wp, init=init)
+    assert np.linalg.norm(sv.min_norm_subgradient(wp, res.point)) <= 1e-10
+    assert res.loss <= sv.loss_eval(wp, grid_refine_median(pts)) + 1e-9
