@@ -2,12 +2,12 @@
 
 The geometric-median solver makes one distance pass per iterate: z - voters
 and its row norms give the pull of the voters, and from that one pull it
-reads the minimum-norm subgradient (the stop test), the Vardi-Zhang-corrected
-Weiszfeld step (safe at voter-point collisions), the nearest voter (the snap
-test), the loss and, on demand, the Hessian. Damped Newton takes over once
-the subgradient is small, so the terminal gradient norm can be driven to
-~1e-10; the Hessian of the final pass turns it into an additive distance
-certificate.
+reads the minimum-norm subgradient (the stop test), the nearest voter (the
+snap test), the loss and, on demand, the Hessian. The Vardi-Zhang-corrected
+Weiszfeld step (safe at voter-point collisions) reuses the same z - voters.
+Damped Newton takes over once the subgradient is small, so the terminal
+gradient norm can be driven to ~1e-10; the Hessian of the final pass turns
+it into an additive distance certificate.
 """
 
 from dataclasses import dataclass
@@ -90,29 +90,31 @@ class _Pass:
 
     g is the minimum-norm element of the loss subdifferential: the gradient
     away from voter points, and on one the pull of the other voters shrunk
-    by the coincident weight w0 (zero once w0 outweighs it). gn is its norm,
-    csum the sum of weight / distance over the voters not at z, and nearest
-    the index of the closest voter.
+    by the coincident weight w0 (zero once w0 outweighs it); gn is its norm
+    and nearest the index of the closest voter. On a voter point, rest
+    selects the other voters, c holds their weight / distance and pn is the
+    norm of their pull.
     """
 
     def __init__(self, voters, weights, scale, z):
         self.z = z
+        self.voters = voters
         self.weights = weights
         self.diffs = z - voters
         self.dists = np.sqrt(np.einsum("ij,ij->i", self.diffs, self.diffs))
         self.nearest = int(np.argmin(self.dists))
         self.at_voter = self.dists[self.nearest] <= VOTER_POINT_RTOL * scale
+        self.rest = None
         if not self.at_voter:
-            c = weights / self.dists
-            self.g = c @ self.diffs
+            self.g = (weights / self.dists) @ self.diffs
         else:
-            rest = self.dists > VOTER_POINT_RTOL * scale
-            w0 = float(weights[~rest].sum())
-            c = weights[rest] / self.dists[rest]
-            pull = c @ self.diffs[rest]
-            pn = np.linalg.norm(pull)
-            self.g = np.zeros(z.size) if pn <= w0 else pull * ((pn - w0) / pn)
-        self.csum = c.sum()
+            self.rest = self.dists > VOTER_POINT_RTOL * scale
+            self.w0 = float(weights[~self.rest].sum())
+            self.c = weights[self.rest] / self.dists[self.rest]
+            pull = self.c @ self.diffs[self.rest]
+            self.pn = np.linalg.norm(pull)
+            self.g = (np.zeros(z.size) if self.pn <= self.w0
+                      else pull * ((self.pn - self.w0) / self.pn))
         self.gn = np.linalg.norm(self.g)
 
     @property
@@ -120,9 +122,18 @@ class _Pass:
         return float(self.weights @ self.dists)
 
     def step(self) -> np.ndarray:
-        """Weiszfeld point z - g / csum; with g the minimum-norm subgradient
-        this is the Vardi-Zhang step at a voter point."""
-        return self.z - self.g / self.csum
+        """Weiszfeld point; on a voter point, its Vardi-Zhang blend with z,
+        or z itself once w0 outweighs the pull."""
+        if self.rest is None:
+            # np.linalg.norm rounds some rows one ulp away from the einsum
+            # norms; the recorded stress-sweep gain floors depend on it.
+            c = self.weights / np.linalg.norm(self.diffs, axis=1)
+            return (c @ self.voters) / c.sum()
+        if self.pn <= self.w0:
+            return self.z
+        t = (self.c @ self.voters[self.rest]) / self.c.sum()
+        gamma = min(1.0, self.w0 / self.pn)
+        return (1.0 - gamma) * t + gamma * self.z
 
     def require_smooth(self):
         if self.at_voter:
@@ -135,7 +146,7 @@ class _Pass:
     def hessian(self) -> np.ndarray:
         self.require_smooth()
         c = self.weights / self.dists
-        h = np.eye(self.z.size) * self.csum
+        h = np.eye(self.z.size) * c.sum()
         h -= self.diffs.T @ (self.diffs * (c / self.dists**2)[:, None])
         return h
 
@@ -230,15 +241,13 @@ def _solve_gm_raw(voters, weights, tol_grad, init):
             if snap.gn <= tol_grad:
                 p = snap
                 break
+            del snap  # keeps its V x d diffs from living next to p's and a trial's
         if p.gn <= newton_from:
             trial = _newton(p, at)
             if trial is not None:
                 p = trial
                 continue
-        z = p.step()
-        if np.array_equal(z, p.z):
-            break  # a fixed point: every later iteration would repeat this one
-        p = at(z)
+        p = at(p.step())
     if p.gn > tol_grad:
         raise SolverFailure(
             f"geometric-median solve stalled at gradient norm {p.gn:.3e} (tol {tol_grad:.1e})"

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .errors import (AtVoterPoint, DegenerateDimension, DimensionMismatch, MajorityAttack,
-                     NotSPD, SolverFailure)
+from .errors import AtVoterPoint, DegenerateDimension, DimensionMismatch, MajorityAttack, NotSPD
 from .linalg import check_spd, extreme_eigenvalues
 from .profiles import VoterProfile, WeightedProfile, affine_dimension, uniform_profile
 from .solvers import (
@@ -367,12 +366,7 @@ def _blackbox_response(theta0, honest_voters, s, seeds, restarts, rng, scale,
 
     def objective(vote):
         stacked[-1] = vote
-        try:
-            z = _solve_gm_raw(stacked, weights, search_tol, warm["z"])[0].z
-        except SolverFailure:
-            # A vote within rounding of an honest voter can leave the median
-            # unresolvable to search_tol; the search steps around it.
-            return np.inf
+        z = _solve_gm_raw(stacked, weights, search_tol, warm["z"])[0].z
         warm["z"] = z
         return _pref_dist(z, theta0, s)
 
