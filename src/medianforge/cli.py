@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .errors import MedianForgeError, NotSPD, SolverFailure
-from .linalg import check_spd
+from .linalg import check_spd, one_blas_thread
 from .profiles import VoterProfile, WeightedProfile, affine_dimension, uniform_profile
 from .reportio import (
     ParseError,
@@ -430,7 +430,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except (ParseError, NotSPD) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

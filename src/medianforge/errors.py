@@ -30,7 +30,9 @@ class MajorityAttack(MedianForgeError):
 
 
 class BracketFailure(MedianForgeError):
-    """Root bracketing failed; the requested construction needs a larger voter count."""
+    """Root bracketing failed: no sign change of the bracketed function was
+    found, e.g. a requested gradient-norm level the loss never reaches along a
+    ray, or a construction that needs a larger voter count."""
 
 
 class SolverFailure(MedianForgeError):

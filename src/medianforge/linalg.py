@@ -1,4 +1,10 @@
-"""Small SPD-matrix helpers used throughout the package."""
+"""Small SPD-matrix helpers used throughout the package, and the OpenBLAS
+thread pin for the experiment pool and the command line."""
+
+import ctypes
+import functools
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -60,3 +66,62 @@ def extreme_eigenvalues(m) -> tuple[float, float]:
     """(smallest, largest) eigenvalue of a symmetric matrix."""
     w = np.linalg.eigvalsh(as_matrix(m))
     return float(w[0]), float(w[-1])
+
+
+# numpy and scipy each bundle their own OpenBLAS, under different symbol names
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _thread_control(path: str):
+    """(get, set) thread-count functions of the OpenBLAS at path, or None."""
+    try:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def _openblas_thread_controls() -> list:
+    """Thread controls of every OpenBLAS mapped into this process now, read
+    from /proc/self/maps; empty where that file is missing."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = dict.fromkeys(line.split()[-1] for line in fh if "openblas" in line)
+    except OSError:
+        return []
+    return [c for c in map(_thread_control, paths) if c is not None]
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with every loaded OpenBLAS at one thread, then restore
+    the previous counts.
+
+    The linear algebra here is on d x d matrices and short vectors, too small
+    to gain from threads; with one pool worker per core, the idle OpenBLAS
+    threads of one worker spin on the core the other needs. Pool workers
+    forked inside the block inherit the count, which also makes results
+    independent of the worker count. Does nothing where no OpenBLAS is found.
+    """
+    # After a fork, setting a count makes OpenBLAS start its thread pool
+    # again, and new pool threads spin for a while: set only counts that
+    # change, so a nested pin and its exit touch nothing.
+    saved = [(set_, count) for get, set_ in _openblas_thread_controls()
+             if (count := get()) != 1]
+    for set_, _ in saved:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, count in saved:
+            set_(count)

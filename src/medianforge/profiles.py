@@ -22,6 +22,12 @@ def _canonical_order(points: np.ndarray, weights: np.ndarray | None = None) -> n
     return np.lexsort(keys)
 
 
+def _profile_scale(points: np.ndarray) -> float:
+    """max(1, max |coordinate|), without an abs(points) temporary the size
+    of the voters."""
+    return max(1.0, float(points.max()), -float(points.min()))
+
+
 def _validate_points(points) -> np.ndarray:
     a = np.asarray(points, dtype=float)
     if a.ndim != 2:
@@ -41,7 +47,7 @@ class VoterProfile:
 
     def __post_init__(self):
         a = _validate_points(self.voters)
-        a = np.array(a[_canonical_order(a)])
+        a = a[_canonical_order(a)]
         a.setflags(write=False)
         object.__setattr__(self, "voters", a)
 
@@ -80,13 +86,13 @@ class WeightedProfile:
             raise ValueError(f"weights must sum to 1, got {total!r} (use from_raw_weights)")
         w = w / total
         order = _canonical_order(a, w)
-        a = np.array(a[order])
-        w = np.array(w[order])
+        a = a[order]
+        w = w[order]
         a.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "voters", a)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "scale", max(1.0, float(np.max(np.abs(a)))))
+        object.__setattr__(self, "scale", _profile_scale(a))
 
     @classmethod
     def from_raw_weights(cls, points, raw_weights) -> "WeightedProfile":

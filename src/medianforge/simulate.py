@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketFailure, MajorityAttack, MedianForgeError
-from .linalg import spd_inv, spd_sqrt
+from .linalg import one_blas_thread, spd_inv, spd_sqrt
 from .profiles import VoterProfile, uniform_profile
 from .solvers import geometric_median, loss_gradient, loss_hessian, min_norm_subgradient
 from .strategy import (
@@ -579,8 +579,11 @@ def fit_isotropizing_skew(dist: PreferenceDistribution, samples: int = 2000,
 
 
 def _run_tasks(fn, tasks, parallel):
-    if parallel is None or parallel <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    workers = min(parallel, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=1))
+    # workers fork inside the pin and inherit it, so every task runs
+    # OpenBLAS on one thread whatever the worker count
+    with one_blas_thread():
+        if parallel is None or parallel <= 1 or len(tasks) <= 1:
+            return [fn(t) for t in tasks]
+        workers = min(parallel, len(tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks, chunksize=1))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AtVoterPoint, DimensionMismatch, SolverFailure
 from .linalg import check_spd, extreme_eigenvalues
-from .profiles import WeightedProfile, affine_dimension
+from .profiles import WeightedProfile, _profile_scale, affine_dimension
 
 __all__ = [
     "MedianResult",
@@ -56,10 +56,6 @@ class MedianResult:
     additive_bound: float
     iterations: int
     degenerate: bool = False
-
-
-def _profile_scale(voters: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(voters))))
 
 
 def average(profile: WeightedProfile) -> np.ndarray:

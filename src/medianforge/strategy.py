@@ -10,12 +10,21 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .errors import AtVoterPoint, DegenerateDimension, DimensionMismatch, MajorityAttack, NotSPD
+from .errors import (
+    AtVoterPoint,
+    BracketFailure,
+    DegenerateDimension,
+    DimensionMismatch,
+    MajorityAttack,
+    NotSPD,
+    SolverFailure,
+)
 from .linalg import check_spd, extreme_eigenvalues
 from .profiles import VoterProfile, WeightedProfile, affine_dimension, uniform_profile
 from .solvers import (
     DEFAULT_TOL_GRAD,
     MedianResult,
+    _evaluate,
     _solve_gm_raw,
     geometric_median,
     loss_gradient,
@@ -163,7 +172,8 @@ def boundary_point(honest_wp: WeightedProfile, center, direction, level: float,
     """Point along center + t * direction where the loss-gradient norm hits level.
 
     Brent root finding on the ray parameter; assumes the gradient norm is
-    below the level at the center.
+    below the level at the center. Raises BracketFailure when the norm stays
+    at or below the level out to t = 2^60 t_max.
     """
     center = np.asarray(center, dtype=float)
     u = np.asarray(direction, dtype=float)
@@ -183,7 +193,7 @@ def boundary_point(honest_wp: WeightedProfile, center, direction, level: float,
         f_hi = excess(hi)
         grow += 1
     if f_hi <= 0.0:
-        raise RuntimeError("could not bracket the achievable-set boundary")
+        raise BracketFailure("could not bracket the achievable-set boundary")
     root = optimize.brentq(excess, lo, hi, xtol=1e-15 * max(1.0, hi), rtol=8.9e-16)
     # land on the inside of the level set
     t = root
@@ -247,9 +257,10 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
         return np.linalg.norm(min_norm_subgradient(honest_wp, z)) - radius
 
     def penalized(z, mu):
+        p = _evaluate(honest_wp, z)
         try:
-            grad_l = loss_gradient(honest_wp, z)
-            h = loss_hessian(honest_wp, z)
+            grad_l = p.gradient()
+            h = p.hessian()
         except AtVoterPoint:
             return np.inf, np.zeros(d)
         n = np.linalg.norm(grad_l)
@@ -267,10 +278,15 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
         lo, hi = 0.0, 1.0
         for _ in range(100):
             mid = 0.5 * (lo + hi)
+            adjacent = mid == lo or mid == hi
             if constraint_excess(g_honest + mid * (z - g_honest)) <= 0.0:
                 lo = mid
             else:
                 hi = mid
+            if adjacent:
+                # lo and hi are equal or neighbouring floats: every further
+                # step tests this same mid and leaves lo as it is
+                break
         return g_honest + lo * (z - g_honest)
 
     def slide(z, iters=25):
@@ -278,9 +294,10 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
         dist = _pref_dist(z, theta0, s)
         step = 0.5
         for _ in range(iters):
+            p = _evaluate(honest_wp, z)
             try:
-                grad_l = loss_gradient(honest_wp, z)
-                normal = loss_hessian(honest_wp, z) @ grad_l
+                grad_l = p.gradient()
+                normal = p.hessian() @ grad_l
             except AtVoterPoint:
                 break
             nn = np.linalg.norm(normal)
@@ -297,7 +314,7 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
                 cand = z - step * dist * tangent / tn
                 try:
                     cand = boundary_point(honest_wp, g_honest, cand - g_honest, radius)
-                except RuntimeError:
+                except BracketFailure:
                     break
                 cand_dist = _pref_dist(cand, theta0, s)
                 if cand_dist < dist:
@@ -325,7 +342,7 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
     for u in directions:
         try:
             starts.append(boundary_point(honest_wp, g_honest, u, radius))
-        except RuntimeError:
+        except BracketFailure:
             continue
 
     best = None
@@ -414,7 +431,7 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     v_count = honest.count
     radius = 1.0 / v_count
     rng = np.random.default_rng(seed)
-    scale = max(1.0, float(np.max(np.abs(honest.voters))))
+    scale = honest_wp.scale
 
     g_honest = geometric_median(honest_wp, tol_grad).point
     candidates: dict[str, tuple[np.ndarray, MedianResult, float]] = {}
@@ -640,7 +657,7 @@ def hull_distance(points, z, max_iter: int = 20000) -> float:
         bounds=[(0, None)] * v_count + [(0, None)], method="highs",
     )
     if not res.success:
-        raise RuntimeError(f"hull distance LP failed: {res.message}")
+        raise SolverFailure(f"hull distance LP failed: {res.message}")
     lam = np.maximum(res.x[:v_count], 0.0)
     lam /= lam.sum()
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,17 @@ def test_affine_dimension():
     assert affine_dimension([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) == 2
     line = np.outer(np.arange(5.0), [1.0, 2.0, 3.0]) + 7.0
     assert affine_dimension(line) == 1
+
+
+def test_construction_copies_the_voters_once():
+    x = np.random.default_rng(0).standard_normal((200_000, 10))
+    tracemalloc.start()
+    try:
+        p = uniform_profile(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the sorted, read-only copy plus per-voter weights and sort keys
+    assert peak < 1.6 * x.nbytes
+    assert not np.shares_memory(p.voters, x)
+    assert not p.voters.flags.writeable

@@ -1,11 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from medianforge import simulate as sim
 from medianforge.errors import MajorityAttack
-from medianforge.linalg import spd_inv, spd_sqrt
+from medianforge.linalg import _openblas_thread_controls, spd_inv, spd_sqrt
 from medianforge.profiles import VoterProfile, uniform_profile
 from medianforge.solvers import geometric_median, loss_gradient
 from medianforge.strategy import AchievableSet, achievable_contains, skewness
@@ -178,6 +179,41 @@ class TestAsymptoticExperiment:
         gains, skew_closed, skew_num = sim._stress_gains(mapped, pref, row["seed"], 1e-10)
         assert row["gains"] == gains
         assert (row["skew_closed"], row["skew_numeric"]) == (skew_closed, skew_num)
+
+
+def _blas_threads(_task=None):
+    """(pid, thread count of each loaded OpenBLAS) of the calling process."""
+    return os.getpid(), [get() for get, _ in _openblas_thread_controls()]
+
+
+class TestOpenBLASPin:
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_tasks_run_on_one_thread_and_the_count_is_restored(self, parallel):
+        controls = _openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded")
+        pid, before = _blas_threads()
+        # start from 2 threads so a missing restore shows on a one-core host too
+        for _, set_ in controls:
+            set_(2)
+        try:
+            rows = sim._run_tasks(_blas_threads, [0, 1], parallel)
+            after = _blas_threads()[1]
+        finally:
+            for (_, set_), count in zip(controls, before):
+                set_(count)
+        assert [counts for _, counts in rows] == [[1] * len(controls)] * 2
+        assert all((row_pid == pid) == (parallel == 1) for row_pid, _ in rows)
+        assert after == [2] * len(controls)
+
+    def test_convergence_rows_independent_of_worker_count(self):
+        # V_ref = 2000 voters in d = 50: a size where the OpenBLAS thread
+        # count changes the last bits of the reference median and Hessian
+        d = sim.PreferenceDistribution("isotropic-gaussian", 50)
+        cfg = sim.ExperimentConfig(d, V_grid=(100, 200), trials=1, seed=5)
+        serial = sim.convergence_diagnostics(cfg, parallel=1)
+        pooled = sim.convergence_diagnostics(cfg, parallel=2)
+        assert serial.rows == pooled.rows
 
 
 class TestConvergenceDiagnostics:

@@ -1,10 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from medianforge import strategy as st
-from medianforge.errors import DegenerateDimension, MajorityAttack, NotSPD
+from medianforge.errors import (
+    BracketFailure,
+    DegenerateDimension,
+    MajorityAttack,
+    NotSPD,
+    SolverFailure,
+)
 from medianforge.profiles import VoterProfile, uniform_profile
 from medianforge.solvers import geometric_median, loss_gradient, loss_hessian
 
@@ -157,6 +164,13 @@ class TestAchievableSet:
             assert st.achievable_contains(st.AchievableSet(prof), z)
             res = geometric_median(uniform_profile(np.vstack([prof.voters, z])))
             assert np.linalg.norm(res.point - z) <= max(res.additive_bound, 1e-9)
+
+    def test_unreachable_level_is_a_bracket_failure(self, rng):
+        # the loss gradient is an average of unit vectors: its norm never reaches 2
+        wp = VoterProfile(rng.standard_normal((12, 3))).weighted()
+        g = geometric_median(wp).point
+        with pytest.raises(BracketFailure):
+            st.boundary_point(wp, g, np.ones(3), level=2.0)
 
 
 class TestBestResponse:
@@ -332,3 +346,9 @@ class TestHullDistance:
         simplex = np.eye(3)
         dist = st.hull_distance(simplex, np.zeros(3))
         assert dist == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-6)
+
+    def test_lp_failure_is_a_solver_failure(self, monkeypatch):
+        failed = SimpleNamespace(success=False, message="infeasible")
+        monkeypatch.setattr(st.optimize, "linprog", lambda *args, **kwargs: failed)
+        with pytest.raises(SolverFailure):
+            st.hull_distance(np.eye(3), np.zeros(3))
