@@ -18,7 +18,6 @@ from .profiles import VoterProfile, WeightedProfile, affine_dimension, uniform_p
 from .reportio import (
     ParseError,
     dump_report,
-    fmt_float,
     make_report,
     read_matrix_csv,
     read_profile_csv,

@@ -41,14 +41,6 @@ def check_spd(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def is_spd(m) -> bool:
-    try:
-        check_spd(m)
-    except (NotSPD, DimensionMismatch):
-        return False
-    return True
-
-
 def spd_sqrt(m) -> np.ndarray:
     """Symmetric positive-definite square root."""
     a = check_spd(m)

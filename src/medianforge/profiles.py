@@ -40,30 +40,6 @@ def _validate_points(points) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class VoterProfile:
-    """A finite multiset of d-dimensional preference vectors."""
-
-    voters: np.ndarray
-
-    def __post_init__(self):
-        a = _validate_points(self.voters)
-        a = a[_canonical_order(a)]
-        a.setflags(write=False)
-        object.__setattr__(self, "voters", a)
-
-    @property
-    def count(self) -> int:
-        return self.voters.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.voters.shape[1]
-
-    def weighted(self) -> "WeightedProfile":
-        return uniform_profile(self.voters)
-
-
-@dataclass(frozen=True)
 class WeightedProfile:
     """Voters plus strictly positive per-voter weights summing to one."""
 
@@ -94,13 +70,13 @@ class WeightedProfile:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "scale", _profile_scale(a))
 
-    @classmethod
-    def from_raw_weights(cls, points, raw_weights) -> "WeightedProfile":
+    @staticmethod
+    def from_raw_weights(points, raw_weights) -> "WeightedProfile":
         """Build from positive weights of any scale; they are normalized here."""
         w = np.asarray(raw_weights, dtype=float)
         if w.ndim != 1 or not np.all(w > 0.0):
             raise ValueError("raw weights must be a 1-d array of positive reals")
-        return cls(points, w / w.sum())
+        return WeightedProfile(points, w / w.sum())
 
     @property
     def count(self) -> int:
@@ -110,13 +86,17 @@ class WeightedProfile:
     def dim(self) -> int:
         return self.voters.shape[1]
 
-    def unweighted(self) -> VoterProfile:
-        return VoterProfile(self.voters)
+
+class VoterProfile(WeightedProfile):
+    """A finite multiset of d-dimensional preference vectors, one voter one
+    unit force: the WeightedProfile whose weights are all 1/V."""
+
+    def __init__(self, voters):
+        super().__init__(voters)
 
 
-def uniform_profile(points) -> WeightedProfile:
-    a = _validate_points(points)
-    return WeightedProfile(a, np.full(a.shape[0], 1.0 / a.shape[0]))
+def uniform_profile(points) -> VoterProfile:
+    return VoterProfile(points)
 
 
 def affine_dimension(points, rel_tol: float = 1e-9) -> int:

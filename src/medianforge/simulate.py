@@ -15,13 +15,12 @@ import numpy as np
 from .errors import BracketFailure, MajorityAttack, MedianForgeError
 from .linalg import one_blas_thread, spd_inv, spd_sqrt
 from .profiles import VoterProfile, uniform_profile
-from .solvers import geometric_median, loss_gradient, loss_hessian, min_norm_subgradient
+from .solvers import geometric_median, loss_gradient, loss_hessian
 from .strategy import (
-    AchievableSet,
+    _resilience_radius,
     achievable_contains,
     best_response,
     boundary_point,
-    byzantine_bound,
     numeric_skewness,
     skewness,
 )
@@ -104,8 +103,6 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    kind: str
-    config: dict
     rows: list
     summary: dict
 
@@ -229,7 +226,7 @@ def _theorem1_task(args):
     x, v, tol = args
     inst = build_theorem1_instance(x, v)
     honest = inst.honest_profile
-    achievable = achievable_contains(AchievableSet(honest), inst.strategic_vote)
+    achievable = achievable_contains(honest, inst.strategic_vote)
     joined = uniform_profile(np.vstack([honest.voters, inst.strategic_vote[None, :]]))
     manipulated = geometric_median(joined, tol)
     strategic_dist = float(np.linalg.norm(manipulated.point - inst.theta0))
@@ -265,7 +262,7 @@ def theorem1_experiment(x: float, v_grid, tol: float = 1e-10,
         "final_ratio": rows[-1]["ratio"],
         "min_gain": min(r["gain_alpha"] for r in rows),
     }
-    return ExperimentReport("theorem1", {"X": x, "V_grid": list(v_grid)}, rows, summary)
+    return ExperimentReport(rows, summary)
 
 
 # -- asymptotic strategyproofness sweep ----------------------------------------
@@ -274,10 +271,9 @@ def theorem1_experiment(x: float, v_grid, tol: float = 1e-10,
 def _stress_gains(profile, pref, seed, trial_tol=1e-10):
     """Place stress preferences just outside the achievable set and measure
     the strategic gain at each; returns (rows, skew_closed, skew_numeric)."""
-    wp = profile.weighted()
     v_count = profile.count
-    g = geometric_median(wp, trial_tol).point
-    hess = loss_hessian(wp, g)
+    g = geometric_median(profile, trial_tol).point
+    hess = loss_hessian(profile, g)
     pref_inv = spd_inv(pref)
     bound_matrix = pref_inv @ hess @ pref_inv
     bound_matrix = 0.5 * (bound_matrix + bound_matrix.T)
@@ -290,8 +286,8 @@ def _stress_gains(profile, pref, seed, trial_tol=1e-10):
     w, q = np.linalg.eigh(bound_matrix)
     x_star = q[:, 0] / math.sqrt(w[0]) + q[:, -1] / math.sqrt(w[-1])
     pull_dir = np.linalg.solve(hess, pref_inv @ x_star)
-    z_b = boundary_point(wp, g, pull_dir, 1.0 / v_count)
-    outward = v_count * loss_gradient(wp, z_b)
+    z_b = boundary_point(profile, g, pull_dir, 1.0 / v_count)
+    outward = v_count * loss_gradient(profile, z_b)
     outward /= np.linalg.norm(outward)
 
     gains = []
@@ -345,8 +341,7 @@ def asymptotic_experiment(config: ExperimentConfig, s=None, median_skew=None,
     dist = config.distribution
     if dist.smooth and dist.dim < 5:
         raise ValueError("asymptotic sweeps need dim >= 5 under a smooth density")
-    dim = dist.dim
-    s_mat = np.eye(dim) if s is None else np.asarray(s, dtype=float)
+    s_mat = np.eye(dist.dim) if s is None else np.asarray(s, dtype=float)
     if median_skew is not None:
         sk = np.asarray(median_skew, dtype=float)
         sk_inv = spd_inv(sk)
@@ -387,18 +382,7 @@ def asymptotic_experiment(config: ExperimentConfig, s=None, median_skew=None,
             "mean_skew_closed": float(skews.mean()),
             "fraction_within_bound": float(within.mean()),
         }
-    cfg = {
-        "distribution": dist.kind,
-        "dim": dim,
-        "V_grid": list(config.V_grid),
-        "trials": config.trials,
-        "seed": config.seed,
-        "epsilon": config.epsilon,
-        "delta": config.delta,
-        "median_skew": None if sk is None else sk.tolist(),
-        "preference": s_mat.tolist(),
-    }
-    return ExperimentReport("asymptotic", cfg, rows, summary)
+    return ExperimentReport(rows, summary)
 
 
 # -- finite-voter convergence diagnostics ---------------------------------------
@@ -410,10 +394,10 @@ def _convergence_task(args):
     ref_seed = _derived_seed(seed, 2, 0, trial)  # shared across the V grid
     profile = sample_profile(dist, v_count, trial_seed)
     reference = sample_profile(dist, v_ref, ref_seed)
-    g_v = geometric_median(profile.weighted(), tol).point
-    g_ref = geometric_median(reference.weighted(), tol).point
-    h_v = loss_hessian(profile.weighted(), g_v)
-    h_ref = loss_hessian(reference.weighted(), g_ref)
+    g_v = geometric_median(profile, tol).point
+    g_ref = geometric_median(reference, tol).point
+    h_v = loss_hessian(profile, g_v)
+    h_ref = loss_hessian(reference, g_ref)
     return {
         "V": v_count,
         "trial": trial,
@@ -453,14 +437,7 @@ def convergence_diagnostics(config: ExperimentConfig, tol: float = 1e-10,
         "median_error_slope": med_slope,
         "hessian_error_slope": hess_slope,
     }
-    cfg = {
-        "distribution": dist.kind,
-        "dim": dist.dim,
-        "V_grid": list(config.V_grid),
-        "trials": config.trials,
-        "seed": config.seed,
-    }
-    return ExperimentReport("convergence", cfg, rows, summary)
+    return ExperimentReport(rows, summary)
 
 
 # -- byzantine attack trials -----------------------------------------------------
@@ -475,9 +452,9 @@ def _byzantine_task(args):
     trial_seed = _derived_seed(seed, 3, v_t, v_s, trial)
     rng = np.random.default_rng(np.random.SeedSequence(trial_seed))
     truthful = sample_profile(dist, v_t, _derived_seed(trial_seed, 0))
-    g_t = geometric_median(truthful.weighted(), tol).point
+    g_t = geometric_median(truthful, tol).point
     delta = float(np.max(np.linalg.norm(truthful.voters - g_t, axis=1)))
-    bound = byzantine_bound(truthful, v_s, tol)
+    bound = _resilience_radius(delta, v_s, v_t)
 
     attack = ATTACK_KINDS[trial % len(ATTACK_KINDS)]
     if v_s == 0:
@@ -531,15 +508,7 @@ def byzantine_experiment(truthful_dist: PreferenceDistribution, v_t: int, v_s: i
         "max_displacement": float(displacements.max()),
         "max_bound": float(max(r["bound"] for r in rows)),
     }
-    cfg = {
-        "distribution": d.kind,
-        "dim": d.dim,
-        "V_T": v_t,
-        "V_S": v_s,
-        "trials": trials,
-        "seed": seed,
-    }
-    return ExperimentReport("byzantine", cfg, rows, summary)
+    return ExperimentReport(rows, summary)
 
 
 # -- diagnostic search for an isotropizing skew ----------------------------------

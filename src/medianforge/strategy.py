@@ -38,7 +38,6 @@ __all__ = [
     "skewness",
     "numeric_skewness",
     "hessian_at_median",
-    "AchievableSet",
     "achievable_contains",
     "boundary_point",
     "StrategyReport",
@@ -144,27 +143,13 @@ def numeric_skewness(s, starts: int = 64, iters: int = 400, seed: int = 0) -> fl
 # -- achievable set -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AchievableSet:
-    """Points a single strategic voter can turn into the geometric median.
-
-    Membership: the honest-loss gradient (minimum-norm subgradient on voter
-    points) has Euclidean norm at most 1/V.
-    """
-
-    honest: VoterProfile
-
-    @property
-    def radius_rule(self) -> float:
-        return 1.0 / self.honest.count
-
-
-def achievable_contains(achievable: AchievableSet, z, atol: float = 1e-9) -> bool:
-    """Membership test with a small absolute slack: medians computed to a
-    gradient tolerance sit within that tolerance of the boundary."""
-    wp = achievable.honest.weighted()
-    g = min_norm_subgradient(wp, np.asarray(z, dtype=float))
-    return bool(np.linalg.norm(g) <= achievable.radius_rule + atol)
+def achievable_contains(honest: VoterProfile, z, atol: float = 1e-9) -> bool:
+    """Whether a single strategic voter can turn z into the geometric median:
+    the honest-loss gradient (minimum-norm subgradient on voter points) has
+    Euclidean norm at most 1/V. The small absolute slack admits medians
+    computed to a gradient tolerance, which sit that close to the boundary."""
+    g = min_norm_subgradient(honest, np.asarray(z, dtype=float))
+    return bool(np.linalg.norm(g) <= 1.0 / honest.count + atol)
 
 
 def boundary_point(honest_wp: WeightedProfile, center, direction, level: float,
@@ -427,13 +412,10 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     s_mat = np.eye(theta0.size) if s is None else check_spd(s, "preference matrix")
     if s_mat.shape[0] != theta0.size:
         raise DimensionMismatch("preference matrix dimension does not match theta0")
-    honest_wp = honest.weighted()
-    v_count = honest.count
-    radius = 1.0 / v_count
+    radius = 1.0 / honest.count
     rng = np.random.default_rng(seed)
-    scale = honest_wp.scale
 
-    g_honest = geometric_median(honest_wp, tol_grad).point
+    g_honest = geometric_median(honest, tol_grad).point
     candidates: dict[str, tuple[np.ndarray, MedianResult, float]] = {}
 
     def add(name, vote):
@@ -443,20 +425,19 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     add("truthful", theta0)
     _, truthful, truthful_dist = candidates["truthful"]
 
-    achievable = AchievableSet(honest)
-    exact_capture = achievable_contains(achievable, theta0)
+    exact_capture = achievable_contains(honest, theta0)
 
     extra_seeds = [np.asarray(vote, dtype=float) for vote in extra_votes or []]
     for i, vote in enumerate(extra_seeds):
         add(f"extra_{i}", vote)
 
     rng_proj = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    proj_vote = _projection_response(theta0, honest_wp, s_mat, g_honest, radius, rng_proj)
+    proj_vote = _projection_response(theta0, honest, s_mat, g_honest, radius, rng_proj)
     add("projection", proj_vote)
 
     nm_seeds = extra_seeds + [theta0, proj_vote, g_honest]
     nm_vote = _blackbox_response(theta0, honest.voters, s_mat, nm_seeds, restarts, rng,
-                                 scale, g_honest, tol_grad)
+                                 honest.scale, g_honest, tol_grad)
     add("blackbox", nm_vote)
 
     def rank(item):
@@ -519,11 +500,10 @@ def condition_checker(honest: VoterProfile, beta: float, seed: int = 0,
                       tol_grad: float = DEFAULT_TOL_GRAD) -> ConditionReport:
     if not beta > 0.0:
         raise ValueError("beta must be positive")
-    wp = honest.weighted()
     d = honest.dim
     v_count = honest.count
     rng = np.random.default_rng(seed)
-    g = geometric_median(wp, tol_grad).point
+    g = geometric_median(honest, tol_grad).point
 
     dists = np.linalg.norm(honest.voters - g, axis=1)
     min_dist = float(dists.min())
@@ -538,7 +518,7 @@ def condition_checker(honest: VoterProfile, beta: float, seed: int = 0,
     min_slope = np.inf
     if smooth_ok:
         for u in sphere(shell_dirs_per_dim * d):
-            slope = float(u @ loss_gradient(wp, g + beta * u))
+            slope = float(u @ loss_gradient(honest, g + beta * u))
             if slope < min_slope:
                 min_slope = slope
                 worst["containment"] = g + beta * u
@@ -558,9 +538,9 @@ def condition_checker(honest: VoterProfile, beta: float, seed: int = 0,
         try:
             for u, r in zip(directions, radii):
                 z = g + r * u
-                grad = loss_gradient(wp, z)
-                hess = loss_hessian(wp, z)
-                third = loss_third_deriv(wp, z)
+                grad = loss_gradient(honest, z)
+                hess = loss_hessian(honest, z)
+                third = loss_third_deriv(honest, z)
                 m = hess @ hess + third @ grad
                 eig = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
                 if eig < min_curv:
@@ -605,10 +585,15 @@ def hessian_at_median(profile: VoterProfile, tol: float = DEFAULT_TOL_GRAD) -> n
     of the limiting Hessian)."""
     if affine_dimension(profile.voters) < 2:
         raise DegenerateDimension("Hessian estimate needs a profile of dimension >= 2")
-    wp = profile.weighted()
-    g = geometric_median(wp, tol).point
-    h = loss_hessian(wp, g)
+    g = geometric_median(profile, tol).point
+    h = loss_hessian(profile, g)
     return check_spd(h, "Hessian at the median")
+
+
+def _resilience_radius(delta: float, num_strategic: int, t_count: int) -> float:
+    """(1 - (S/T)^2)^(-1/2) * delta, the ball radius of byzantine_bound."""
+    rho = num_strategic / t_count
+    return delta / float(np.sqrt(1.0 - rho * rho))
 
 
 def byzantine_bound(truthful: VoterProfile, num_strategic: int,
@@ -624,10 +609,9 @@ def byzantine_bound(truthful: VoterProfile, num_strategic: int,
         raise MajorityAttack(
             f"{num_strategic} strategic vs {t_count} truthful voters: bound is vacuous"
         )
-    g = geometric_median(truthful.weighted(), tol_grad).point
+    g = geometric_median(truthful, tol_grad).point
     delta = float(np.max(np.linalg.norm(truthful.voters - g, axis=1)))
-    rho = num_strategic / t_count
-    return delta / float(np.sqrt(1.0 - rho * rho))
+    return _resilience_radius(delta, num_strategic, t_count)
 
 
 def hull_distance(points, z, max_iter: int = 20000) -> float:

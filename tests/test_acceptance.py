@@ -118,7 +118,7 @@ def test_criterion_05_byzantine_ball():
     check("criterion 5a (ball never escaped)", all_ok, "; ".join(details))
 
     prof = VoterProfile(sim.sample_profile(dist, 9, 123).voters)
-    g = sv.geometric_median(prof.weighted()).point
+    g = sv.geometric_median(prof).point
     delta = float(np.max(np.linalg.norm(prof.voters - g, axis=1)))
     radius0 = st.byzantine_bound(prof, 0)
     check("criterion 5b (zero strategic radius)", radius0 == delta,

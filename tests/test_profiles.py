@@ -55,6 +55,17 @@ def test_nonfinite_rejected():
         VoterProfile([[np.nan, 0.0]])
 
 
+def test_voter_profile_is_the_uniform_weighted_profile(rng):
+    x = rng.standard_normal((9, 3))
+    p = uniform_profile(x)
+    assert isinstance(VoterProfile(x), WeightedProfile)
+    assert type(p) is VoterProfile
+    w = WeightedProfile(x)
+    assert p.voters.tobytes() == w.voters.tobytes()
+    assert p.weights.tobytes() == w.weights.tobytes()
+    assert p.scale == w.scale
+
+
 def test_uniform_profile_weights():
     wp = uniform_profile([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
     np.testing.assert_allclose(wp.weights, 1.0 / 3.0)
@@ -68,11 +79,13 @@ def test_affine_dimension():
     assert affine_dimension(line) == 1
 
 
-def test_construction_copies_the_voters_once():
+@pytest.mark.parametrize("build", [uniform_profile, VoterProfile],
+                         ids=["uniform_profile", "VoterProfile"])
+def test_construction_copies_the_voters_once(build):
     x = np.random.default_rng(0).standard_normal((200_000, 10))
     tracemalloc.start()
     try:
-        p = uniform_profile(x)
+        p = build(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

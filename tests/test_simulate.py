@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from medianforge import simulate as sim
+from medianforge import strategy as st
 from medianforge.errors import MajorityAttack
 from medianforge.linalg import _openblas_thread_controls, spd_inv, spd_sqrt
 from medianforge.profiles import VoterProfile, uniform_profile
 from medianforge.solvers import geometric_median, loss_gradient
-from medianforge.strategy import AchievableSet, achievable_contains, skewness
+from medianforge.strategy import achievable_contains, skewness
 
 
 class TestDistributions:
@@ -73,9 +74,7 @@ class TestTheorem1Instance:
 
     def test_strategic_vote_achievable_for_large_v(self):
         inst = sim.build_theorem1_instance(20.0, 1000)
-        assert achievable_contains(
-            AchievableSet(inst.honest_profile), inst.strategic_vote
-        )
+        assert achievable_contains(inst.honest_profile, inst.strategic_vote)
 
     def test_gain_ratio_approaches_limit(self):
         rep = sim.theorem1_experiment(20.0, [400, 1600])
@@ -231,7 +230,7 @@ class TestConvergenceDiagnostics:
         # the isotropic reference median sits near the origin
         d = sim.PreferenceDistribution("isotropic-gaussian", 5)
         prof = sim.sample_profile(d, 20000, 99)
-        g = geometric_median(prof.weighted()).point
+        g = geometric_median(prof).point
         assert np.linalg.norm(g) <= 0.05
 
 
@@ -265,6 +264,23 @@ class TestByzantineExperiment:
         inflation = [1.0 / math.sqrt(1.0 - (v_s / 10.0) ** 2) for v_s in (1, 5, 9)]
         assert maxes[2] / maxes[0] > 0.5 * inflation[2] / inflation[0]
 
+    def test_one_truthful_solve_per_trial(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return geometric_median(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "geometric_median", counted)
+        monkeypatch.setattr(st, "geometric_median", counted)
+        dist = sim.PreferenceDistribution("isotropic-gaussian", 3)
+        tol = 1e-10
+        row = sim._byzantine_task((dist, 11, 5, 0, 7, tol))
+        # the truthful median and the median of the combined profile
+        assert len(calls) == 2
+        truthful = sim.sample_profile(dist, 11, sim._derived_seed(row["seed"], 0))
+        assert row["bound"] == st.byzantine_bound(truthful, 5, tol)
+
 
 def test_fit_isotropizing_skew_reduces_hessian_skewness():
     dist = sim.PreferenceDistribution("diagonal-gaussian", 5, sigmas=(1, 1, 1, 1, 4))
@@ -276,9 +292,8 @@ def test_fit_isotropizing_skew_reduces_hessian_skewness():
     assert plain_h[-1] / plain_h[0] > 4.0
     from medianforge.solvers import loss_hessian
 
-    wp = prof.weighted()
-    g = geometric_median(wp).point
-    h = loss_hessian(wp, g)
+    g = geometric_median(prof).point
+    h = loss_hessian(prof, g)
     scaled = uniform_profile(prof.voters @ sigma.T)
     g_s = geometric_median(scaled).point
     h_s = sigma @ loss_hessian(scaled, g_s) @ sigma

@@ -145,32 +145,29 @@ class TestHessianAtMedian:
 class TestAchievableSet:
     def test_contains_honest_median(self, rng):
         prof = VoterProfile(rng.standard_normal((15, 3)))
-        a = st.AchievableSet(prof)
-        assert a.radius_rule == pytest.approx(1.0 / 15.0)
-        g = geometric_median(prof.weighted()).point
-        assert st.achievable_contains(a, g)
+        g = geometric_median(prof).point
+        assert st.achievable_contains(prof, g)
 
     def test_far_point_excluded(self, rng):
         prof = VoterProfile(rng.standard_normal((15, 3)))
-        a = st.AchievableSet(prof)
-        assert not st.achievable_contains(a, np.array([100.0, 100.0, 100.0]))
+        assert not st.achievable_contains(prof, np.array([100.0, 100.0, 100.0]))
 
     def test_membership_fixed_point(self, rng):
         for _ in range(5):
             prof = VoterProfile(rng.standard_normal((12, 3)))
-            g = geometric_median(prof.weighted()).point
+            g = geometric_median(prof).point
             direction = rng.standard_normal(3)
-            z = st.boundary_point(prof.weighted(), g, direction, 1.0 / 12.0)
-            assert st.achievable_contains(st.AchievableSet(prof), z)
+            z = st.boundary_point(prof, g, direction, 1.0 / 12.0)
+            assert st.achievable_contains(prof, z)
             res = geometric_median(uniform_profile(np.vstack([prof.voters, z])))
             assert np.linalg.norm(res.point - z) <= max(res.additive_bound, 1e-9)
 
     def test_unreachable_level_is_a_bracket_failure(self, rng):
         # the loss gradient is an average of unit vectors: its norm never reaches 2
-        wp = VoterProfile(rng.standard_normal((12, 3))).weighted()
-        g = geometric_median(wp).point
+        prof = VoterProfile(rng.standard_normal((12, 3)))
+        g = geometric_median(prof).point
         with pytest.raises(BracketFailure):
-            st.boundary_point(wp, g, np.ones(3), level=2.0)
+            st.boundary_point(prof, g, np.ones(3), level=2.0)
 
 
 class TestBestResponse:
@@ -184,7 +181,7 @@ class TestBestResponse:
 
     def test_achievable_preference_captured_exactly(self, rng):
         prof = VoterProfile(rng.standard_normal((10, 2)))
-        g = geometric_median(prof.weighted()).point
+        g = geometric_median(prof).point
         rep = st.best_response(g, prof, seed=0)
         assert rep.exact_capture
         assert rep.strategic_dist <= 1e-8
@@ -196,17 +193,17 @@ class TestBestResponse:
             theta0 = rng.standard_normal(2) * 0.3
             rep = st.best_response(theta0, prof, seed=trial)
             assert rep.gain_alpha >= -1e-9
-            assert st.achievable_contains(st.AchievableSet(prof), rep.manipulated_median)
+            assert st.achievable_contains(prof, rep.manipulated_median)
 
     def test_paths_agree_on_small_instances(self, rng):
         worst = 0.0
         for trial in range(5):
             v = int(rng.integers(10, 50))
             prof = VoterProfile(rng.standard_normal((v, 2)))
-            g = geometric_median(prof.weighted()).point
+            g = geometric_median(prof).point
             u = rng.standard_normal(2)
-            z_b = st.boundary_point(prof.weighted(), g, u, 1.0 / v)
-            outward = v * loss_gradient(prof.weighted(), z_b)
+            z_b = st.boundary_point(prof, g, u, 1.0 / v)
+            outward = v * loss_gradient(prof, z_b)
             theta0 = z_b + (3.0 / v) * outward / np.linalg.norm(outward)
             rep = st.best_response(theta0, prof, seed=trial)
             proj = rep.candidates["projection"]["dist"]
@@ -217,8 +214,7 @@ class TestBestResponse:
     def test_blackbox_matches_vote_grid_oracle(self, rng):
         # exhaustive scan over strategic votes on a 2-d instance
         prof = VoterProfile(rng.standard_normal((8, 2)))
-        wp = prof.weighted()
-        g = geometric_median(wp).point
+        g = geometric_median(prof).point
         theta0 = g + np.array([0.35, -0.2])
         rep = st.best_response(theta0, prof, seed=3)
         span = np.linspace(-0.8, 0.8, 33)
@@ -235,7 +231,7 @@ class TestBestResponse:
     def test_gain_invariant_under_translation(self, rng):
         pts = rng.standard_normal((14, 2))
         prof = VoterProfile(pts)
-        g = geometric_median(prof.weighted()).point
+        g = geometric_median(prof).point
         theta0 = g + np.array([0.3, 0.1])
         s = np.diag([2.0, 1.0])
         rep0 = st.best_response(theta0, prof, s=s, seed=5)
@@ -263,7 +259,7 @@ class TestConditionChecker:
     def test_close_voter_fails_condition_one(self, rng):
         pts = rng.standard_normal((200, 5))
         prof = VoterProfile(pts)
-        g = geometric_median(prof.weighted()).point
+        g = geometric_median(prof).point
         beta = 0.5
         sabotage = np.vstack([pts, g + 0.1 * beta * np.ones(5) / math.sqrt(5.0)])
         rep = st.condition_checker(VoterProfile(sabotage), beta, seed=1)
@@ -273,13 +269,12 @@ class TestConditionChecker:
     def test_convexity_condition_implies_segment_inequality(self, rng):
         pts = rng.standard_normal((500, 5))
         prof = VoterProfile(pts)
-        wp = prof.weighted()
         h = st.hessian_at_median(prof)
         beta = 2.0 / (float(np.linalg.eigvalsh(h)[0]) * prof.count)
         rep = st.condition_checker(prof, beta, seed=2)
         assert rep.convexity_ok
-        g = geometric_median(wp).point
-        sq = lambda z: np.linalg.norm(loss_gradient(wp, z)) ** 2
+        g = geometric_median(prof).point
+        sq = lambda z: np.linalg.norm(loss_gradient(prof, z)) ** 2
         for _ in range(20):
             u, v = rng.standard_normal((2, 5))
             a = g + beta * u / np.linalg.norm(u) * rng.random()
@@ -291,7 +286,7 @@ class TestConditionChecker:
 class TestByzantineBound:
     def test_no_strategic_is_max_distance(self, rng):
         prof = VoterProfile(rng.standard_normal((6, 2)))
-        g = geometric_median(prof.weighted()).point
+        g = geometric_median(prof).point
         delta = np.max(np.linalg.norm(prof.voters - g, axis=1))
         assert st.byzantine_bound(prof, 0) == pytest.approx(float(delta))
 
@@ -307,7 +302,7 @@ class TestByzantineBound:
 
     def test_monte_carlo_never_escapes(self, rng):
         prof = VoterProfile(rng.standard_normal((11, 2)))
-        g = geometric_median(prof.weighted()).point
+        g = geometric_median(prof).point
         radius = st.byzantine_bound(prof, 5)
         for trial in range(50):
             attack = rng.standard_normal((5, 2)) * rng.uniform(1.0, 1e4)

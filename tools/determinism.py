@@ -1,0 +1,116 @@
+"""Write every --deterministic report and CSV of a fixed command set.
+
+Usage: python tools/determinism.py OUTDIR
+
+Runs the medianforge CLI from the src/ directory of the checkout that holds
+this script, once per command of a fixed set, each in a fresh interpreter
+with fixed inputs and seeds. OUTDIR receives the generated inputs and every
+report and CSV. The commands run inside OUTDIR on relative paths, so no
+report echoes where it was written, and two checkouts agree exactly when
+
+    python tools/determinism.py /tmp/a       # in one checkout
+    python tools/determinism.py /tmp/b       # in the other
+    diff -r /tmp/a /tmp/b
+
+prints nothing. The set: aggregate gm (uniform, weighted, triangle),
+aggregate skewed-gm (25x3 profile, triangle), best-response --preset thm1,
+and simulate byzantine (two configs, one at --parallel 2), theorem1,
+asymptotic (plain, and with a preference matrix plus median_skew) and
+convergence.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+DIAG_GAUSSIAN = {"kind": "diagonal-gaussian", "dim": 5, "sigmas": [1, 1, 1, 1, 4]}
+
+SIMULATE = {
+    "byzantine_isotropic": ({"experiment": "byzantine", "seed": 11, "V_T": 5, "V_S": 2,
+                             "trials": 8,
+                             "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, 2),
+    "byzantine_ball": ({"experiment": "byzantine", "seed": 12, "V_T": 3, "V_S": 1,
+                        "trials": 30,
+                        "distribution": {"kind": "uniform-ball", "dim": 2, "radius": 1.0}}, 1),
+    "theorem1": ({"experiment": "theorem1", "X": 20, "V_grid": [200, 400]}, 1),
+    "asymptotic": ({"experiment": "asymptotic", "seed": 13, "V_grid": [200], "trials": 2,
+                    "distribution": DIAG_GAUSSIAN}, 1),
+    "asymptotic_skewed": ({"experiment": "asymptotic", "seed": 13, "V_grid": [200],
+                           "trials": 2, "distribution": DIAG_GAUSSIAN,
+                           "preference_matrix": np.diag([2, 1, 1, 1, 0.5]).tolist(),
+                           "median_skew": np.diag([1, 1, 1, 1, 0.5]).tolist()}, 1),
+    "convergence": ({"experiment": "convergence", "seed": 14, "V_grid": [100, 200],
+                     "trials": 2, "distribution": {"kind": "isotropic-gaussian", "dim": 5}}, 1),
+}
+
+
+def write_csv(path, rows):
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in np.atleast_2d(rows):
+            fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")
+
+
+def write_inputs(out_dir):
+    inputs = os.path.join(out_dir, "inputs")
+    os.makedirs(inputs, exist_ok=True)
+    rng = np.random.default_rng(2026)
+    write_csv(os.path.join(inputs, "profile.csv"), rng.standard_normal((40, 3)))
+    write_csv(os.path.join(inputs, "weights.csv"), rng.uniform(0.5, 2.0, size=(40, 1)))
+    write_csv(os.path.join(inputs, "profile25.csv"),
+              rng.standard_normal((25, 3)) * [1.0, 2.0, 0.5])
+    write_csv(os.path.join(inputs, "triangle.csv"), [[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
+    write_csv(os.path.join(inputs, "skew3.csv"),
+              [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
+    write_csv(os.path.join(inputs, "skew2.csv"), np.diag([1.0, 0.5]))
+    for name, (cfg, _) in SIMULATE.items():
+        with open(os.path.join(inputs, f"{name}.json"), "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh, indent=2, sort_keys=True)
+
+
+def commands():
+    det = ["--deterministic"]
+    yield ["aggregate", "--input", "inputs/profile.csv", "--method", "gm",
+           "--output", "aggregate_gm_uniform.json", *det]
+    yield ["aggregate", "--input", "inputs/profile.csv", "--weights", "inputs/weights.csv",
+           "--method", "gm", "--output", "aggregate_gm_weighted.json", *det]
+    yield ["aggregate", "--input", "inputs/triangle.csv", "--method", "gm",
+           "--output", "aggregate_gm_triangle.json", *det]
+    yield ["aggregate", "--input", "inputs/profile25.csv", "--method", "skewed-gm",
+           "--skew-matrix", "inputs/skew3.csv", "--output", "aggregate_skewed_25x3.json",
+           *det]
+    yield ["aggregate", "--input", "inputs/triangle.csv", "--method", "skewed-gm",
+           "--skew-matrix", "inputs/skew2.csv", "--output", "aggregate_skewed_triangle.json",
+           *det]
+    yield ["best-response", "--preset", "thm1", "--X", "20", "--V", "200",
+           "--output", "best_response_thm1.json", *det]
+    for name, (_, parallel) in SIMULATE.items():
+        yield ["simulate", "--config", f"inputs/{name}.json", "--parallel", str(parallel),
+               "--output", f"simulate_{name}", *det]
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    out_dir = os.path.abspath(argv[1])
+    write_inputs(out_dir)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("MEDIANFORGE_SEED", None)
+    failed = 0
+    for cmd in commands():
+        proc = subprocess.run([sys.executable, "-m", "medianforge", *cmd], cwd=out_dir,
+                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True)
+        if proc.returncode != 0:
+            failed += 1
+            print(f"exit {proc.returncode}: medianforge {' '.join(cmd)}\n{proc.stderr}",
+                  file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
