@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import MedianForgeError, NotSPD, SolverFailure
 from .linalg import check_spd, one_blas_thread
-from .profiles import VoterProfile, WeightedProfile, affine_dimension, uniform_profile
+from .profiles import VoterProfile, WeightedProfile, uniform_profile
 from .reportio import (
     ParseError,
     dump_report,
@@ -89,7 +89,7 @@ def _cmd_aggregate(args) -> int:
             "loss": loss_eval(profile, point),
         }
         certs = {}
-        degenerate = affine_dimension(points) <= 1
+        degenerate = profile.affine_dim <= 1
     else:
         if args.method == "gm":
             res = geometric_median(profile, args.tol)

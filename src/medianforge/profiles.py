@@ -7,6 +7,7 @@ invariant under permutation of the input, not just up to rounding.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -15,11 +16,15 @@ from .errors import DimensionMismatch
 __all__ = ["VoterProfile", "WeightedProfile", "uniform_profile", "affine_dimension"]
 
 
-def _canonical_order(points: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+def _canonical_order(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Lexicographic order on (column 0, ..., column d-1, weight): the stable
+    argsort of column 0 when it has no tie (-0.0 == 0.0 is one), else lexsort."""
+    order = np.argsort(points[:, 0], kind="stable")
+    first = points[order, 0]
+    if not np.any(first[1:] == first[:-1]):
+        return order
     keys = [points[:, j] for j in range(points.shape[1] - 1, -1, -1)]
-    if weights is not None:
-        keys.insert(0, weights)
-    return np.lexsort(keys)
+    return np.lexsort([weights] + keys)
 
 
 def _profile_scale(points: np.ndarray) -> float:
@@ -85,6 +90,11 @@ class WeightedProfile:
     @property
     def dim(self) -> int:
         return self.voters.shape[1]
+
+    @cached_property
+    def affine_dim(self) -> int:
+        """affine_dimension of the voters, computed once per profile."""
+        return affine_dimension(self.voters)
 
 
 class VoterProfile(WeightedProfile):

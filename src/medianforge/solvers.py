@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AtVoterPoint, DimensionMismatch, SolverFailure
 from .linalg import check_spd, extreme_eigenvalues
-from .profiles import WeightedProfile, _profile_scale, affine_dimension
+from .profiles import WeightedProfile, _profile_scale
 
 __all__ = [
     "MedianResult",
@@ -72,11 +72,16 @@ def coordinatewise_median(profile: WeightedProfile) -> np.ndarray:
     """
     voters, weights = profile.voters, profile.weights
     out = np.empty(profile.dim)
+    # Equal weights sum alike in any order: one index, one selection per column.
+    # Unequal weights, and zeros (only the stable sort fixes their sign), sort.
+    equal = bool(np.all(weights == weights[0]))
+    idx = int(np.searchsorted(np.cumsum(weights), 0.5 - 1e-12))
     for j in range(profile.dim):
-        order = np.argsort(voters[:, j], kind="stable")
-        cum = np.cumsum(weights[order])
-        idx = int(np.searchsorted(cum, 0.5 - 1e-12))
-        out[j] = voters[order[idx], j]
+        out[j] = np.partition(voters[:, j], idx)[idx] if equal else 0.0
+        if out[j] == 0.0:
+            order = np.argsort(voters[:, j], kind="stable")
+            cum = np.cumsum(weights[order])
+            out[j] = voters[order[int(np.searchsorted(cum, 0.5 - 1e-12))], j]
     return out
 
 
@@ -263,7 +268,7 @@ def geometric_median(profile: WeightedProfile, tol_grad: float = DEFAULT_TOL_GRA
     if not tol_grad > 0.0:
         raise ValueError("tol_grad must be positive")
     voters, weights = profile.voters, profile.weights
-    degenerate = affine_dimension(voters) <= 1
+    degenerate = profile.affine_dim <= 1
     if init is None:
         init = coordinatewise_median(profile)
     final, iterations = _solve_gm_raw(voters, weights, tol_grad, init)
@@ -324,7 +329,7 @@ def skewed_geometric_median(
     if s.shape[0] != profile.dim:
         raise DimensionMismatch("skew matrix dimension does not match the profile")
     voters, weights = profile.voters, profile.weights
-    degenerate = affine_dimension(voters) <= 1
+    degenerate = profile.affine_dim <= 1
     lam_min, lam_max = extreme_eigenvalues(s)
     tol_y = tol_grad / lam_max
     # The rows keep the profile's canonical order, so the solve stays

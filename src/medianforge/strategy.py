@@ -20,7 +20,7 @@ from .errors import (
     SolverFailure,
 )
 from .linalg import check_spd, extreme_eigenvalues
-from .profiles import VoterProfile, WeightedProfile, affine_dimension, uniform_profile
+from .profiles import VoterProfile, WeightedProfile, uniform_profile
 from .solvers import (
     DEFAULT_TOL_GRAD,
     MedianResult,
@@ -407,7 +407,7 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     ties break lexicographically on the vote.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    if affine_dimension(honest.voters) < 2:
+    if honest.affine_dim < 2:
         raise DegenerateDimension("best response needs an honest profile of dimension >= 2")
     s_mat = np.eye(theta0.size) if s is None else check_spd(s, "preference matrix")
     if s_mat.shape[0] != theta0.size:
@@ -583,7 +583,7 @@ def condition_checker(honest: VoterProfile, beta: float, seed: int = 0,
 def hessian_at_median(profile: VoterProfile, tol: float = DEFAULT_TOL_GRAD) -> np.ndarray:
     """Loss Hessian at the computed geometric median (finite-voter estimate
     of the limiting Hessian)."""
-    if affine_dimension(profile.voters) < 2:
+    if profile.affine_dim < 2:
         raise DegenerateDimension("Hessian estimate needs a profile of dimension >= 2")
     g = geometric_median(profile, tol).point
     h = loss_hessian(profile, g)

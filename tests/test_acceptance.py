@@ -9,7 +9,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from medianforge import simulate as sim
 from medianforge import solvers as sv

@@ -3,10 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from medianforge import profiles
+from medianforge import solvers as sv
 from medianforge.errors import DimensionMismatch
 from medianforge.profiles import (
     VoterProfile,
     WeightedProfile,
+    _canonical_order,
     affine_dimension,
     uniform_profile,
 )
@@ -17,6 +20,31 @@ def test_canonical_order_is_permutation_invariant(rng):
     a = VoterProfile(pts)
     b = VoterProfile(pts[rng.permutation(12)])
     np.testing.assert_array_equal(a.voters, b.voters)
+
+
+def _lexsort_order(points, weights):
+    """The definition: lexicographic on column 0, ..., column d-1, weight."""
+    keys = [points[:, j] for j in range(points.shape[1] - 1, -1, -1)]
+    return np.lexsort([weights] + keys)
+
+
+@pytest.mark.parametrize("case", ["distinct", "ties_with_signed_zeros", "duplicate_rows"])
+def test_canonical_order_equals_lexsort(rng, case):
+    if case == "distinct":
+        pts = rng.standard_normal((50, 3))
+    elif case == "ties_with_signed_zeros":
+        pts = np.column_stack([rng.choice([-1.0, -0.0, 0.0, 2.0], 60),
+                               rng.integers(-1, 2, 60).astype(float),
+                               rng.standard_normal(60)])
+    else:
+        pts = np.repeat(rng.standard_normal((5, 2)), 4, axis=0)
+    w = rng.uniform(0.5, 2.0, size=len(pts))
+    np.testing.assert_array_equal(_canonical_order(pts, w), _lexsort_order(pts, w))
+
+
+def test_canonical_order_breaks_a_signed_zero_tie_on_later_columns():
+    pts = np.array([[0.0, 1.0], [-0.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(_canonical_order(pts, np.ones(3)), [1, 0, 2])
 
 
 def test_weighted_permutation_keeps_pairs(rng):
@@ -69,6 +97,18 @@ def test_voter_profile_is_the_uniform_weighted_profile(rng):
 def test_uniform_profile_weights():
     wp = uniform_profile([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
     np.testing.assert_allclose(wp.weights, 1.0 / 3.0)
+
+
+def test_affine_dimension_runs_once_per_profile(monkeypatch, rng):
+    calls = []
+    real = profiles.affine_dimension
+    monkeypatch.setattr(profiles, "affine_dimension",
+                        lambda points: calls.append(1) or real(points))
+    p = uniform_profile(rng.standard_normal((20, 3)))
+    sv.geometric_median(p)
+    sv.skewed_geometric_median(p, np.diag([1.0, 2.0, 3.0]))
+    assert len(calls) == 1
+    assert p.affine_dim == 3
 
 
 def test_affine_dimension():

@@ -7,7 +7,7 @@ from hypothesis import strategies as hs
 
 from medianforge import solvers as sv
 from medianforge.errors import AtVoterPoint
-from medianforge.profiles import VoterProfile, WeightedProfile, uniform_profile
+from medianforge.profiles import WeightedProfile, uniform_profile
 
 from conftest import fd_gradient, fd_jacobian, grid_refine_median, random_spd
 
@@ -68,6 +68,29 @@ class TestCoordinatewiseMedian:
     def test_weighted_median(self):
         wp = WeightedProfile([[1.0], [2.0], [3.0]], [0.6, 0.2, 0.2])
         assert sv.coordinatewise_median(wp)[0] == 1.0
+
+    @staticmethod
+    def stable_sort_median(profile):
+        """The definition: per column, the stable-sorted value whose
+        cumulative weight first reaches 1/2."""
+        out = np.empty(profile.dim)
+        for j in range(profile.dim):
+            order = np.argsort(profile.voters[:, j], kind="stable")
+            cum = np.cumsum(profile.weights[order])
+            out[j] = profile.voters[order[int(np.searchsorted(cum, 0.5 - 1e-12))], j]
+        return out
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 101, 200])
+    def test_equal_weights_match_stable_sort(self, rng, count):
+        for _ in range(20):
+            pts = np.column_stack([rng.standard_normal(count),
+                                   rng.integers(-2, 3, count).astype(float),
+                                   rng.choice([-0.0, 0.0], count),
+                                   rng.choice([-1.0, -0.0, 0.0, 1.0], count)])
+            wp = uniform_profile(pts)
+            got, want = sv.coordinatewise_median(wp), self.stable_sort_median(wp)
+            assert got.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestLossStack:

@@ -13,7 +13,7 @@ from medianforge.errors import (
     SolverFailure,
 )
 from medianforge.profiles import VoterProfile, uniform_profile
-from medianforge.solvers import geometric_median, loss_gradient, loss_hessian
+from medianforge.solvers import geometric_median, loss_gradient
 
 from conftest import random_spd
 
