@@ -107,9 +107,11 @@ def _cmd_aggregate(args) -> int:
             "grad_norm": res.grad_norm,
             "additive_bound": res.additive_bound,
         }
-    hull_tol = max(certs.get("additive_bound", 0.0), 1e-9)
+    # rounding alone puts a hull point about 1e-16 of the scale outside
+    floor = 1e-9 * profile.scale
+    hull_tol = max(certs.get("additive_bound", 0.0), floor)
     if not np.isfinite(hull_tol):
-        hull_tol = 1e-9
+        hull_tol = floor
     result["hull_member"] = bool(hull_distance(points, point) <= hull_tol)
     result["degenerate_dimension"] = bool(degenerate)
 

@@ -44,13 +44,14 @@ def _validate_points(points) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedProfile:
-    """Voters plus strictly positive per-voter weights summing to one."""
+    """Voters plus strictly positive per-voter weights summing to one.
+    Profiles compare by identity; scale is max(1, max |coordinate|)."""
 
     voters: np.ndarray
     weights: np.ndarray = field(default=None)
-    scale: float = field(default=None, compare=False)
+    scale: float = field(init=False)
 
     def __post_init__(self):
         a = _validate_points(self.voters)
@@ -109,7 +110,7 @@ def uniform_profile(points) -> VoterProfile:
     return VoterProfile(points)
 
 
-def affine_dimension(points, rel_tol: float = 1e-9) -> int:
+def affine_dimension(points) -> int:
     """Dimension of the affine span of the points."""
     a = _validate_points(points)
     if a.shape[0] == 1:
@@ -118,4 +119,4 @@ def affine_dimension(points, rel_tol: float = 1e-9) -> int:
     s = np.linalg.svd(centered, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > 1e-9 * s[0]))

@@ -223,15 +223,15 @@ def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
 
 
 def _theorem1_task(args):
-    x, v, tol = args
+    x, v = args
     inst = build_theorem1_instance(x, v)
     honest = inst.honest_profile
     achievable = achievable_contains(honest, inst.strategic_vote)
     joined = uniform_profile(np.vstack([honest.voters, inst.strategic_vote[None, :]]))
-    manipulated = geometric_median(joined, tol)
+    manipulated = geometric_median(joined)
     strategic_dist = float(np.linalg.norm(manipulated.point - inst.theta0))
     truthful_check = geometric_median(
-        uniform_profile(np.vstack([honest.voters, inst.theta0[None, :]])), tol
+        uniform_profile(np.vstack([honest.voters, inst.theta0[None, :]]))
     )
     ratio = inst.truthful_dist / strategic_dist
     return {
@@ -250,12 +250,11 @@ def _theorem1_task(args):
     }
 
 
-def theorem1_experiment(x: float, v_grid, tol: float = 1e-10,
-                        parallel: int = 1) -> ExperimentReport:
+def theorem1_experiment(x: float, v_grid, parallel: int = 1) -> ExperimentReport:
     """Measure gains of the closed-form strategic vote across voter counts."""
     if len(v_grid) < 1:
         raise ValueError("V_grid must list at least one voter count")
-    tasks = [(float(x), int(v), tol) for v in v_grid]
+    tasks = [(float(x), int(v)) for v in v_grid]
     rows = _run_tasks(_theorem1_task, tasks, parallel)
     summary = {
         "limit_ratio": (1.0 + x * x) / (4.0 * x),
@@ -268,11 +267,11 @@ def theorem1_experiment(x: float, v_grid, tol: float = 1e-10,
 # -- asymptotic strategyproofness sweep ----------------------------------------
 
 
-def _stress_gains(profile, pref, seed, trial_tol=1e-10):
+def _stress_gains(profile, pref, seed):
     """Place stress preferences just outside the achievable set and measure
     the strategic gain at each; returns (rows, skew_closed, skew_numeric)."""
     v_count = profile.count
-    g = geometric_median(profile, trial_tol).point
+    g = geometric_median(profile).point
     hess = loss_hessian(profile, g)
     pref_inv = spd_inv(pref)
     bound_matrix = pref_inv @ hess @ pref_inv
@@ -306,14 +305,14 @@ def _stress_gains(profile, pref, seed, trial_tol=1e-10):
 
 
 def _asymptotic_task(args):
-    dist, v_count, trial, seed, pref, median_skew, tol = args
+    dist, v_count, trial, seed, pref, median_skew = args
     trial_seed = _derived_seed(seed, 1, v_count, trial)
     row = {"V": v_count, "trial": trial, "seed": trial_seed}
     try:
         profile = sample_profile(dist, v_count, trial_seed)
         if median_skew is not None:
             profile = VoterProfile(profile.voters @ median_skew.T)
-        gains, skew_closed, skew_num = _stress_gains(profile, pref, trial_seed, tol)
+        gains, skew_closed, skew_num = _stress_gains(profile, pref, trial_seed)
         row.update(
             {
                 "skew_closed": skew_closed,
@@ -330,7 +329,7 @@ def _asymptotic_task(args):
 
 
 def asymptotic_experiment(config: ExperimentConfig, s=None, median_skew=None,
-                          tol: float = 1e-10, parallel: int = 1) -> ExperimentReport:
+                          parallel: int = 1) -> ExperimentReport:
     """Boundary-stress manipulation sweep against the skewness bound.
 
     With a median_skew matrix the aggregate is the skewed geometric median;
@@ -353,7 +352,7 @@ def asymptotic_experiment(config: ExperimentConfig, s=None, median_skew=None,
     # One C-ordered matrix for every task: BLAS rounding can depend on layout.
     pref = np.ascontiguousarray(pref)
     tasks = [
-        (dist, int(v_count), trial, config.seed, pref, sk, tol)
+        (dist, int(v_count), trial, config.seed, pref, sk)
         for v_count in config.V_grid
         for trial in range(config.trials)
     ]
@@ -389,13 +388,13 @@ def asymptotic_experiment(config: ExperimentConfig, s=None, median_skew=None,
 
 
 def _convergence_task(args):
-    dist, v_count, v_ref, trial, seed, tol = args
+    dist, v_count, v_ref, trial, seed = args
     trial_seed = _derived_seed(seed, 2, v_count, trial)
     ref_seed = _derived_seed(seed, 2, 0, trial)  # shared across the V grid
     profile = sample_profile(dist, v_count, trial_seed)
     reference = sample_profile(dist, v_ref, ref_seed)
-    g_v = geometric_median(profile, tol).point
-    g_ref = geometric_median(reference, tol).point
+    g_v = geometric_median(profile).point
+    g_ref = geometric_median(reference).point
     h_v = loss_hessian(profile, g_v)
     h_ref = loss_hessian(reference, g_ref)
     return {
@@ -408,15 +407,14 @@ def _convergence_task(args):
     }
 
 
-def convergence_diagnostics(config: ExperimentConfig, tol: float = 1e-10,
-                            parallel: int = 1) -> ExperimentReport:
+def convergence_diagnostics(config: ExperimentConfig, parallel: int = 1) -> ExperimentReport:
     """Decay of median and Hessian estimation error against a 10x reference."""
     dist = config.distribution
     if dist.smooth and dist.dim < 5:
         raise ValueError("convergence diagnostics need dim >= 5 under a smooth density")
     v_ref = 10 * max(config.V_grid)
     tasks = [
-        (dist, int(v), v_ref, t, config.seed, tol)
+        (dist, int(v), v_ref, t, config.seed)
         for v in config.V_grid
         for t in range(config.trials)
     ]
@@ -447,12 +445,12 @@ ATTACK_KINDS = ("radial-escape", "clustered", "mirrored")
 
 
 def _byzantine_task(args):
-    dist, v_t, v_s, trial, seed, tol = args
+    dist, v_t, v_s, trial, seed = args
     dim = dist.dim
     trial_seed = _derived_seed(seed, 3, v_t, v_s, trial)
     rng = np.random.default_rng(np.random.SeedSequence(trial_seed))
     truthful = sample_profile(dist, v_t, _derived_seed(trial_seed, 0))
-    g_t = geometric_median(truthful, tol).point
+    g_t = geometric_median(truthful).point
     delta = float(np.max(np.linalg.norm(truthful.voters - g_t, axis=1)))
     bound = _resilience_radius(delta, v_s, v_t)
 
@@ -473,7 +471,7 @@ def _byzantine_task(args):
         strategic = 2.0 * g_t - truthful.voters[picks]
 
     combined = uniform_profile(np.vstack([truthful.voters, strategic]))
-    g_all = geometric_median(combined, tol).point
+    g_all = geometric_median(combined).point
     displacement = float(np.linalg.norm(g_all - g_t))
     return {
         "V_T": v_t,
@@ -489,8 +487,7 @@ def _byzantine_task(args):
 
 
 def byzantine_experiment(truthful_dist: PreferenceDistribution, v_t: int, v_s: int,
-                         trials: int, seed: int, tol: float = 1e-10,
-                         parallel: int = 1) -> ExperimentReport:
+                         trials: int, seed: int, parallel: int = 1) -> ExperimentReport:
     """Adversarial placement trials against the resilience ball."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -499,7 +496,7 @@ def byzantine_experiment(truthful_dist: PreferenceDistribution, v_t: int, v_s: i
     if v_s >= v_t:
         raise MajorityAttack("strategic voters must be a strict minority")
     d = truthful_dist
-    tasks = [(d, int(v_t), int(v_s), t, seed, tol) for t in range(trials)]
+    tasks = [(d, int(v_t), int(v_s), t, seed) for t in range(trials)]
     rows = _run_tasks(_byzantine_task, tasks, parallel)
     displacements = np.array([r["displacement"] for r in rows])
     summary = {
@@ -515,7 +512,7 @@ def byzantine_experiment(truthful_dist: PreferenceDistribution, v_t: int, v_s: i
 
 
 def fit_isotropizing_skew(dist: PreferenceDistribution, samples: int = 2000,
-                          seed: int = 0, tol: float = 1e-8) -> np.ndarray:
+                          seed: int = 0) -> np.ndarray:
     """Diagonal skewing matrix that approximately isotropizes the skewed-loss
     Hessian of the distribution, found by direct search on a pilot sample.
 
@@ -529,7 +526,7 @@ def fit_isotropizing_skew(dist: PreferenceDistribution, samples: int = 2000,
     def objective(log_s):
         scale = np.exp(log_s - log_s.mean())
         scaled = uniform_profile(profile.voters * scale)
-        g = geometric_median(scaled, tol).point
+        g = geometric_median(scaled, 1e-8).point
         h_inner = loss_hessian(scaled, g)
         h_skewed = (scale[:, None] * h_inner) * scale[None, :]
         return skewness(h_skewed).value

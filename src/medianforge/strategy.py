@@ -20,9 +20,8 @@ from .errors import (
     SolverFailure,
 )
 from .linalg import check_spd, extreme_eigenvalues
-from .profiles import VoterProfile, WeightedProfile, uniform_profile
+from .profiles import VoterProfile, WeightedProfile, _profile_scale, uniform_profile
 from .solvers import (
-    DEFAULT_TOL_GRAD,
     MedianResult,
     _evaluate,
     _solve_gm_raw,
@@ -143,22 +142,21 @@ def numeric_skewness(s, starts: int = 64, iters: int = 400, seed: int = 0) -> fl
 # -- achievable set -----------------------------------------------------------
 
 
-def achievable_contains(honest: VoterProfile, z, atol: float = 1e-9) -> bool:
+def achievable_contains(honest: VoterProfile, z) -> bool:
     """Whether a single strategic voter can turn z into the geometric median:
     the honest-loss gradient (minimum-norm subgradient on voter points) has
-    Euclidean norm at most 1/V. The small absolute slack admits medians
+    Euclidean norm at most 1/V. An absolute slack of 1e-9 admits medians
     computed to a gradient tolerance, which sit that close to the boundary."""
     g = min_norm_subgradient(honest, np.asarray(z, dtype=float))
-    return bool(np.linalg.norm(g) <= 1.0 / honest.count + atol)
+    return bool(np.linalg.norm(g) <= 1.0 / honest.count + 1e-9)
 
 
-def boundary_point(honest_wp: WeightedProfile, center, direction, level: float,
-                   t_max: float = None) -> np.ndarray:
+def boundary_point(honest_wp: WeightedProfile, center, direction, level: float) -> np.ndarray:
     """Point along center + t * direction where the loss-gradient norm hits level.
 
     Brent root finding on the ray parameter; assumes the gradient norm is
-    below the level at the center. Raises BracketFailure when the norm stays
-    at or below the level out to t = 2^60 t_max.
+    below the level at the center. The bracket starts at t = max(1, twice the
+    farthest voter's distance) and doubles; BracketFailure after 60 doublings.
     """
     center = np.asarray(center, dtype=float)
     u = np.asarray(direction, dtype=float)
@@ -167,10 +165,8 @@ def boundary_point(honest_wp: WeightedProfile, center, direction, level: float,
     def excess(t):
         return np.linalg.norm(min_norm_subgradient(honest_wp, center + t * u)) - level
 
-    if t_max is None:
-        spread = float(np.max(np.linalg.norm(honest_wp.voters - center, axis=1)))
-        t_max = max(2.0 * spread, 1.0)
-    lo, hi = 0.0, t_max
+    spread = float(np.max(np.linalg.norm(honest_wp.voters - center, axis=1)))
+    lo, hi = 0.0, max(2.0 * spread, 1.0)
     f_hi = excess(hi)
     grow = 0
     while f_hi <= 0.0 and grow < 60:
@@ -220,10 +216,9 @@ def _pref_dist(x, y, s):
     return float(np.linalg.norm(s @ (np.asarray(x) - np.asarray(y))))
 
 
-def _median_with_vote(honest_voters: np.ndarray, vote: np.ndarray,
-                      tol_grad: float = DEFAULT_TOL_GRAD, init=None) -> MedianResult:
+def _median_with_vote(honest_voters: np.ndarray, vote: np.ndarray, init) -> MedianResult:
     pts = np.vstack([honest_voters, vote[None, :]])
-    return geometric_median(uniform_profile(pts), tol_grad, init=init)
+    return geometric_median(uniform_profile(pts), init=init)
 
 
 def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
@@ -350,8 +345,7 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
     return best[0]
 
 
-def _blackbox_response(theta0, honest_voters, s, seeds, restarts, rng, scale,
-                       g_honest, tol_grad):
+def _blackbox_response(theta0, honest_voters, s, seeds, restarts, rng, scale, g_honest):
     """Nelder-Mead simplex search over the strategic vote itself.
 
     Median solves are warm-started from the previous evaluation; the median
@@ -363,12 +357,11 @@ def _blackbox_response(theta0, honest_voters, s, seeds, restarts, rng, scale,
     stacked = np.vstack([honest_voters, np.zeros((1, d))])
     weights = np.full(v1, 1.0 / v1)
     warm = {"z": g_honest.copy()}
-    # the winning vote is re-solved at full precision by the caller
-    search_tol = max(tol_grad, 1e-8)
 
     def objective(vote):
         stacked[-1] = vote
-        z = _solve_gm_raw(stacked, weights, search_tol, warm["z"])[0].z
+        # the winning vote is re-solved at full precision by the caller
+        z = _solve_gm_raw(stacked, weights, 1e-8, warm["z"])[0].z
         warm["z"] = z
         return _pref_dist(z, theta0, s)
 
@@ -395,8 +388,7 @@ def _blackbox_response(theta0, honest_voters, s, seeds, restarts, rng, scale,
 
 
 def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
-                  seed: int = 0, tol_grad: float = DEFAULT_TOL_GRAD,
-                  extra_votes=None) -> StrategyReport:
+                  seed: int = 0, extra_votes=None) -> StrategyReport:
     """Search for the strategic vote minimizing the skewed distance of the
     manipulated median to theta0, via two cross-checked paths.
 
@@ -415,11 +407,11 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     radius = 1.0 / honest.count
     rng = np.random.default_rng(seed)
 
-    g_honest = geometric_median(honest, tol_grad).point
+    g_honest = geometric_median(honest).point
     candidates: dict[str, tuple[np.ndarray, MedianResult, float]] = {}
 
     def add(name, vote):
-        med = _median_with_vote(honest.voters, vote, tol_grad, init=g_honest)
+        med = _median_with_vote(honest.voters, vote, g_honest)
         candidates[name] = (vote, med, _pref_dist(med.point, theta0, s_mat))
 
     add("truthful", theta0)
@@ -437,7 +429,7 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
 
     nm_seeds = extra_seeds + [theta0, proj_vote, g_honest]
     nm_vote = _blackbox_response(theta0, honest.voters, s_mat, nm_seeds, restarts, rng,
-                                 honest.scale, g_honest, tol_grad)
+                                 honest.scale, g_honest)
     add("blackbox", nm_vote)
 
     def rank(item):
@@ -495,15 +487,13 @@ class ConditionReport:
         return self.smooth_ok and self.containment_ok and self.convexity_ok and self.skew_ok
 
 
-def condition_checker(honest: VoterProfile, beta: float, seed: int = 0,
-                      shell_dirs_per_dim: int = 64, ball_samples: int = 256,
-                      tol_grad: float = DEFAULT_TOL_GRAD) -> ConditionReport:
+def condition_checker(honest: VoterProfile, beta: float, seed: int = 0) -> ConditionReport:
     if not beta > 0.0:
         raise ValueError("beta must be positive")
     d = honest.dim
     v_count = honest.count
     rng = np.random.default_rng(seed)
-    g = geometric_median(honest, tol_grad).point
+    g = geometric_median(honest).point
 
     dists = np.linalg.norm(honest.voters - g, axis=1)
     min_dist = float(dists.min())
@@ -517,7 +507,7 @@ def condition_checker(honest: VoterProfile, beta: float, seed: int = 0,
 
     min_slope = np.inf
     if smooth_ok:
-        for u in sphere(shell_dirs_per_dim * d):
+        for u in sphere(64 * d):
             slope = float(u @ loss_gradient(honest, g + beta * u))
             if slope < min_slope:
                 min_slope = slope
@@ -531,8 +521,8 @@ def condition_checker(honest: VoterProfile, beta: float, seed: int = 0,
     max_skew = 0.0
     convexity_ok = skew_ok = False
     if smooth_ok:
-        directions = sphere(ball_samples)
-        radii = beta * rng.random(ball_samples) ** (1.0 / d)
+        directions = sphere(256)
+        radii = beta * rng.random(256) ** (1.0 / d)
         convexity_ok = True
         skew_ok = True
         try:
@@ -580,12 +570,12 @@ def condition_checker(honest: VoterProfile, beta: float, seed: int = 0,
 # -- resilience and impossibility ----------------------------------------------
 
 
-def hessian_at_median(profile: VoterProfile, tol: float = DEFAULT_TOL_GRAD) -> np.ndarray:
+def hessian_at_median(profile: VoterProfile) -> np.ndarray:
     """Loss Hessian at the computed geometric median (finite-voter estimate
     of the limiting Hessian)."""
     if profile.affine_dim < 2:
         raise DegenerateDimension("Hessian estimate needs a profile of dimension >= 2")
-    g = geometric_median(profile, tol).point
+    g = geometric_median(profile).point
     h = loss_hessian(profile, g)
     return check_spd(h, "Hessian at the median")
 
@@ -596,8 +586,7 @@ def _resilience_radius(delta: float, num_strategic: int, t_count: int) -> float:
     return delta / float(np.sqrt(1.0 - rho * rho))
 
 
-def byzantine_bound(truthful: VoterProfile, num_strategic: int,
-                    tol_grad: float = DEFAULT_TOL_GRAD) -> float:
+def byzantine_bound(truthful: VoterProfile, num_strategic: int) -> float:
     """Radius of the ball around the truthful median that no coalition of
     num_strategic extra voters can push the geometric median out of:
     (1 - (S/T)^2)^(-1/2) * max_t ||theta_t - Gm(truthful)||.
@@ -609,74 +598,35 @@ def byzantine_bound(truthful: VoterProfile, num_strategic: int,
         raise MajorityAttack(
             f"{num_strategic} strategic vs {t_count} truthful voters: bound is vacuous"
         )
-    g = geometric_median(truthful, tol_grad).point
+    g = geometric_median(truthful).point
     delta = float(np.max(np.linalg.norm(truthful.voters - g, axis=1)))
     return _resilience_radius(delta, num_strategic, t_count)
 
 
-def hull_distance(points, z, max_iter: int = 20000) -> float:
-    """Euclidean distance from z to the convex hull of the points.
+def hull_distance(points, z) -> float:
+    """Euclidean distance from z to the convex hull of the points, by one
+    nonnegative least-squares solve (Lawson and Hanson, Solving Least Squares
+    Problems, ch. 23).
 
-    A feasibility linear program (minimal largest coordinate residual of a
-    convex combination) supplies the starting weights; Frank-Wolfe steps with
-    away moves then minimize the exact Euclidean residual over the simplex.
+    With q_i = (x_i - z) / s and s = max(1, max |x_i - z|), the solve finds
+    lam >= 0 minimizing ||Q^T lam||^2 + (sum(lam) - 1)^2. Write lam = t w
+    with w on the simplex: the residual is t^2 r^2 + (t - 1)^2 with
+    r = ||Q^T w||, and its minimum over t, r^2 / (1 + r^2), grows with r. So
+    w = lam / sum(lam) weights the hull point nearest z, at distance
+    s ||Q^T lam|| / sum(lam). sum(lam) > 0, because a small t > 0 leaves a
+    residual below 1, the residual of lam = 0.
     """
-    pts = np.asarray(points, dtype=float)
-    z = np.asarray(z, dtype=float)
-    v_count, d = pts.shape
-    c = np.zeros(v_count + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * d, v_count + 1))
-    b_ub = np.zeros(2 * d)
-    a_ub[:d, :v_count] = pts.T
-    a_ub[:d, -1] = -1.0
-    b_ub[:d] = z
-    a_ub[d:, :v_count] = -pts.T
-    a_ub[d:, -1] = -1.0
-    b_ub[d:] = -z
-    a_eq = np.zeros((1, v_count + 1))
-    a_eq[0, :v_count] = 1.0
-    res = optimize.linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-        bounds=[(0, None)] * v_count + [(0, None)], method="highs",
-    )
-    if not res.success:
-        raise SolverFailure(f"hull distance LP failed: {res.message}")
-    lam = np.maximum(res.x[:v_count], 0.0)
-    lam /= lam.sum()
-
-    scale2 = max(1.0, float(np.max(np.abs(pts))) ** 2)
-    for _ in range(max_iter):
-        residual = pts.T @ lam - z
-        grad = pts @ residual  # gradient wrt lam of 0.5 ||residual||^2
-        toward = int(np.argmin(grad))
-        support = lam > 0.0
-        away_candidates = np.where(support)[0]
-        away = int(away_candidates[np.argmax(grad[away_candidates])])
-        fw_gap = float(lam @ grad - grad[toward])
-        if fw_gap <= 1e-16 * scale2:
-            break
-        if grad[away] - lam @ grad > fw_gap:
-            # away step: shift mass off the worst support atom
-            direction = lam.copy()
-            direction[away] -= 1.0
-            gamma_max = lam[away] / (1.0 - lam[away]) if lam[away] < 1.0 else 1.0
-            dvec = pts.T @ direction
-        else:
-            direction = -lam.copy()
-            direction[toward] += 1.0
-            gamma_max = 1.0
-            dvec = pts[toward] - pts.T @ lam
-        denom = float(dvec @ dvec)
-        if denom <= 0.0:
-            break
-        gamma = min(max(-float(residual @ dvec) / denom, 0.0), gamma_max)
-        if gamma <= 0.0:
-            break
-        lam = lam + gamma * direction
-        lam = np.maximum(lam, 0.0)
-        lam /= lam.sum()
-    return float(np.linalg.norm(pts.T @ lam - z))
+    diff = np.asarray(points, dtype=float) - np.asarray(z, dtype=float)
+    s = _profile_scale(diff)
+    a = np.ones((diff.shape[1] + 1, diff.shape[0]))
+    np.divide(diff.T, s, out=a[:-1])
+    e_last = np.zeros(a.shape[0])
+    e_last[-1] = 1.0
+    try:
+        lam, _ = optimize.nnls(a, e_last)
+    except RuntimeError as exc:
+        raise SolverFailure(f"hull distance NNLS failed: {exc}") from None
+    return float(s * np.linalg.norm(a[:-1] @ lam) / lam.sum())
 
 
 @dataclass(frozen=True)
@@ -688,7 +638,7 @@ class NoShoeReport:
     report: SkewnessReport
 
 
-def no_shoe_check(s_v, s_w, tol: float = 1e-9) -> NoShoeReport:
+def no_shoe_check(s_v, s_w) -> NoShoeReport:
     """Tune the limiting Hessian to voter v (H proportional to Sv^2 is the
     unique choice zeroing their skewness) and report voter w's leftover
     skewness Skew(Sw^-1 Sv^2 Sw^-1); positive iff Sv, Sw are not proportional.
@@ -698,4 +648,4 @@ def no_shoe_check(s_v, s_w, tol: float = 1e-9) -> NoShoeReport:
     b_inv = np.linalg.inv(b)
     m = b_inv @ a @ a @ b_inv
     rep = skewness(0.5 * (m + m.T))
-    return NoShoeReport(incompatible=rep.value > tol, skew_value=rep.value, report=rep)
+    return NoShoeReport(incompatible=rep.value > 1e-9, skew_value=rep.value, report=rep)

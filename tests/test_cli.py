@@ -49,6 +49,17 @@ class TestAggregate:
         assert doc["results"]["point"] == [0.0, 0.0, 0.0]
         assert doc["results"]["hull_member"] is False
 
+    @pytest.mark.parametrize("seed,method", [(0, "cw"), (6, "cw"), (7, "gm")])
+    def test_far_offset_median_is_a_hull_member(self, tmp_path, capsys, seed, method):
+        # the median lies inside the hull; its computed distance is about
+        # 1e-16 of the coordinates, far above an absolute 1e-9
+        x = np.random.default_rng(seed).standard_normal((40, 3)) * 1e9 + 5e9
+        path = str(tmp_path / "far.csv")
+        write_profile_csv(path, x)
+        code, out, _ = run_cli(["aggregate", "--input", path, "--method", method], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["hull_member"] is True
+
     def test_empty_file_exit_2(self, tmp_path, capsys):
         path = write_csv(tmp_path / "empty.csv", "")
         code, out, err = run_cli(["aggregate", "--input", path, "--method", "gm"], capsys)

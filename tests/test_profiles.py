@@ -94,6 +94,16 @@ def test_voter_profile_is_the_uniform_weighted_profile(rng):
     assert p.scale == w.scale
 
 
+def test_profiles_compare_by_identity_and_derive_their_scale(rng):
+    x = rng.standard_normal((9, 3)) * 4.0
+    p = uniform_profile(x)
+    assert (p == uniform_profile(x)) is False
+    assert (p == p) is True
+    assert p.scale == max(1.0, float(np.max(np.abs(x))))
+    with pytest.raises(TypeError):
+        WeightedProfile(x, scale=5.0)
+
+
 def test_uniform_profile_weights():
     wp = uniform_profile([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
     np.testing.assert_allclose(wp.weights, 1.0 / 3.0)

@@ -175,7 +175,7 @@ class TestAsymptoticExperiment:
         row = sim.asymptotic_experiment(cfg, median_skew=sk).rows[0]
         mapped = VoterProfile(sim.sample_profile(dist, 200, row["seed"]).voters @ sk.T)
         pref = np.ascontiguousarray(spd_sqrt(spd_inv(sk) @ spd_inv(sk)))
-        gains, skew_closed, skew_num = sim._stress_gains(mapped, pref, row["seed"], 1e-10)
+        gains, skew_closed, skew_num = sim._stress_gains(mapped, pref, row["seed"])
         assert row["gains"] == gains
         assert (row["skew_closed"], row["skew_numeric"]) == (skew_closed, skew_num)
 
@@ -274,12 +274,11 @@ class TestByzantineExperiment:
         monkeypatch.setattr(sim, "geometric_median", counted)
         monkeypatch.setattr(st, "geometric_median", counted)
         dist = sim.PreferenceDistribution("isotropic-gaussian", 3)
-        tol = 1e-10
-        row = sim._byzantine_task((dist, 11, 5, 0, 7, tol))
+        row = sim._byzantine_task((dist, 11, 5, 0, 7))
         # the truthful median and the median of the combined profile
         assert len(calls) == 2
         truthful = sim.sample_profile(dist, 11, sim._derived_seed(row["seed"], 0))
-        assert row["bound"] == st.byzantine_bound(truthful, 5, tol)
+        assert row["bound"] == st.byzantine_bound(truthful, 5)
 
 
 def test_fit_isotropizing_skew_reduces_hessian_skewness():

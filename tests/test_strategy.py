@@ -1,8 +1,9 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from medianforge import strategy as st
 from medianforge.errors import (
@@ -13,7 +14,7 @@ from medianforge.errors import (
     SolverFailure,
 )
 from medianforge.profiles import VoterProfile, uniform_profile
-from medianforge.solvers import geometric_median, loss_gradient
+from medianforge.solvers import coordinatewise_median, geometric_median, loss_gradient
 
 from conftest import random_spd
 
@@ -342,8 +343,56 @@ class TestHullDistance:
         dist = st.hull_distance(simplex, np.zeros(3))
         assert dist == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-6)
 
-    def test_lp_failure_is_a_solver_failure(self, monkeypatch):
-        failed = SimpleNamespace(success=False, message="infeasible")
-        monkeypatch.setattr(st.optimize, "linprog", lambda *args, **kwargs: failed)
+    def test_nnls_failure_is_a_solver_failure(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(st.optimize, "nnls", fail)
         with pytest.raises(SolverFailure):
             st.hull_distance(np.eye(3), np.zeros(3))
+
+    @pytest.mark.parametrize("seed,method", [(6, "cw"), (13, "cw"), (7, "gm"), (15, "gm")])
+    def test_medians_of_far_offset_profiles_are_inside(self, seed, method):
+        # a linear-program solver reported a solve error on these profiles
+        x = np.random.default_rng(seed).standard_normal((40, 3)) * 1e9 + 5e9
+        prof = uniform_profile(x)
+        z = coordinatewise_median(prof) if method == "cw" else geometric_median(prof).point
+        assert st.hull_distance(x, z) <= 1e-12 * prof.scale
+
+    def test_inside_points_at_small_scale(self):
+        # an absolute stopping test would leave these up to 4e-9 away
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            v_count, d = int(rng.integers(3, 40)), int(rng.integers(2, 8))
+            x = rng.standard_normal((v_count, d)) * 1e-6
+            z = rng.dirichlet(np.full(v_count, rng.choice([0.1, 1.0]))) @ x
+            assert st.hull_distance(x, z) <= 1e-15
+
+
+@hs.composite
+def hull_cases(draw):
+    """Points, a convex combination of them, an outside point with the unit
+    normal u of a hyperplane separating it from the points, and a factor."""
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    v_count, d = draw(hs.integers(1, 30)), draw(hs.integers(1, 6))
+    x = rng.standard_normal((v_count, d)) * rng.uniform(0.2, 5.0, d) + rng.uniform(-3, 3, d)
+    inside = rng.dirichlet(np.full(v_count, draw(hs.sampled_from([0.1, 1.0])))) @ x
+    u = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    outside = x.mean(axis=0) + u * (np.max((x - x.mean(axis=0)) @ u)
+                                    + draw(hs.floats(0.01, 10.0)))
+    return x, inside, outside, u, 10.0 ** draw(hs.floats(-3.0, 9.0))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(hull_cases())
+def test_hull_distance_bounds_and_scaling(case):
+    x, inside, outside, u, factor = case
+    scale = max(1.0, float(np.max(np.abs(x))))
+    assert st.hull_distance(x, inside) <= 1e-12 * scale
+    dist = st.hull_distance(x, outside)
+    separation = float(u @ outside - np.max(x @ u))
+    nearest_vertex = float(np.min(np.linalg.norm(x - outside, axis=1)))
+    assert separation - 1e-12 * scale <= dist <= nearest_vertex + 1e-12 * scale
+    scaled = st.hull_distance(factor * x, factor * outside)
+    assert scaled == pytest.approx(factor * dist, rel=1e-12)

@@ -13,7 +13,9 @@ report echoes where it was written, and two checkouts agree exactly when
     diff -r /tmp/a /tmp/b
 
 prints nothing. The set: aggregate gm (uniform, weighted, triangle),
-aggregate skewed-gm (25x3 profile, triangle), best-response --preset thm1,
+aggregate skewed-gm (25x3 profile, triangle), aggregate cw (uniform, and the
+eye(3) simplex, whose cw median lies outside the hull), aggregate avg
+(weighted), best-response --preset thm1,
 and simulate byzantine (two configs, one at --parallel 2), theorem1,
 asymptotic (plain, and with a preference matrix plus median_skew) and
 convergence.
@@ -64,6 +66,7 @@ def write_inputs(out_dir):
     write_csv(os.path.join(inputs, "profile25.csv"),
               rng.standard_normal((25, 3)) * [1.0, 2.0, 0.5])
     write_csv(os.path.join(inputs, "triangle.csv"), [[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
+    write_csv(os.path.join(inputs, "simplex.csv"), np.eye(3))
     write_csv(os.path.join(inputs, "skew3.csv"),
               [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
     write_csv(os.path.join(inputs, "skew2.csv"), np.diag([1.0, 0.5]))
@@ -86,6 +89,12 @@ def commands():
     yield ["aggregate", "--input", "inputs/triangle.csv", "--method", "skewed-gm",
            "--skew-matrix", "inputs/skew2.csv", "--output", "aggregate_skewed_triangle.json",
            *det]
+    yield ["aggregate", "--input", "inputs/profile.csv", "--method", "cw",
+           "--output", "aggregate_cw_uniform.json", *det]
+    yield ["aggregate", "--input", "inputs/profile.csv", "--weights", "inputs/weights.csv",
+           "--method", "avg", "--output", "aggregate_avg_weighted.json", *det]
+    yield ["aggregate", "--input", "inputs/simplex.csv", "--method", "cw",
+           "--output", "aggregate_cw_simplex.json", *det]
     yield ["best-response", "--preset", "thm1", "--X", "20", "--V", "200",
            "--output", "best_response_thm1.json", *det]
     for name, (_, parallel) in SIMULATE.items():
