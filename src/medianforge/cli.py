@@ -6,13 +6,15 @@ codes: 0 success, 2 input/validation error, 3 solver failure.
 """
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
 
 import numpy as np
 
-from .errors import MedianForgeError, NotSPD, SolverFailure
+from .errors import MedianForgeError, SolverFailure
 from .linalg import check_spd, one_blas_thread
 from .profiles import VoterProfile, WeightedProfile, uniform_profile
 from .reportio import (
@@ -25,6 +27,7 @@ from .reportio import (
     write_rows_csv,
 )
 from .simulate import (
+    STRESS_GAMMAS,
     ExperimentConfig,
     PreferenceDistribution,
     asymptotic_experiment,
@@ -47,18 +50,22 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 
-def _fallback_seed(value):
-    if value is not None:
-        return value
-    env = os.environ.get("MEDIANFORGE_SEED")
-    return int(env) if env else 0
+def _env_seed() -> int:
+    env = os.environ.get("MEDIANFORGE_SEED") or "0"
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError(f"MEDIANFORGE_SEED must be an integer, got {env!r}") from None
 
 
-def _emit(report, output):
-    if output:
-        dump_report(report, path=output)
-    else:
-        dump_report(report, stream=sys.stdout)
+def _emit(name, args, result, certs, **resolved):
+    """Write the report. Its inputs echo the parsed arguments, less those that
+    say where and how to write, with resolved values (say, a fallback seed) in
+    place of their raw ones."""
+    inputs = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func", "output", "deterministic")}
+    inputs.update(resolved)
+    dump_report(make_report(name, inputs, result, certs, args.deterministic), args.output)
 
 
 # -- aggregate ----------------------------------------------------------------
@@ -115,14 +122,7 @@ def _cmd_aggregate(args) -> int:
     result["hull_member"] = bool(hull_distance(points, point) <= hull_tol)
     result["degenerate_dimension"] = bool(degenerate)
 
-    inputs = {
-        "input": args.input,
-        "method": args.method,
-        "skew_matrix": args.skew_matrix,
-        "weights": args.weights,
-        "tol": args.tol,
-    }
-    _emit(make_report("aggregate", inputs, result, certs, args.deterministic), args.output)
+    _emit("aggregate", args, result, certs)
     return EXIT_OK
 
 
@@ -131,21 +131,12 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_skewness(args) -> int:
     matrix = read_matrix_csv(args.matrix)
-    rep = skewness(matrix)
-    result = {
-        "value": rep.value,
-        "lambda_min": rep.lambda_min,
-        "lambda_max": rep.lambda_max,
-        "lower_bound": rep.lower_bound,
-        "upper_bound": rep.upper_bound,
-        "certified": rep.certified,
-    }
+    result = dataclasses.asdict(skewness(matrix))
     if args.numeric_check:
         num = numeric_skewness(matrix)
         result["numeric_value"] = num
-        result["numeric_gap"] = abs(num - rep.value)
-    inputs = {"matrix": args.matrix, "numeric_check": bool(args.numeric_check)}
-    _emit(make_report("skewness", inputs, result, {}, args.deterministic), args.output)
+        result["numeric_gap"] = abs(num - result["value"])
+    _emit("skewness", args, result, {})
     return EXIT_OK
 
 
@@ -167,7 +158,7 @@ def _parse_theta0(text: str) -> np.ndarray:
 def _cmd_best_response(args) -> int:
     if args.restarts < 1:
         raise ParseError(f"--restarts must be >= 1, got {args.restarts}")
-    seed = _fallback_seed(args.seed)
+    seed = _env_seed() if args.seed is None else args.seed
     pref = None
     if args.pref_matrix:
         pref = check_spd(read_matrix_csv(args.pref_matrix), "preference matrix")
@@ -232,37 +223,11 @@ def _cmd_best_response(args) -> int:
         "manipulated_grad_norm": rep.manipulated_grad_norm,
         "manipulated_additive_bound": rep.manipulated_additive_bound,
     }
-    inputs = {
-        "input": args.input,
-        "theta0": args.theta0,
-        "pref_matrix": args.pref_matrix,
-        "restarts": args.restarts,
-        "seed": seed,
-        "preset": args.preset,
-        "X": args.X,
-        "V": args.V,
-    }
-    _emit(make_report("best-response", inputs, result, certs, args.deterministic),
-          args.output)
+    _emit("best-response", args, result, certs, seed=seed)
     return EXIT_OK
 
 
 # -- simulate -----------------------------------------------------------------
-
-
-def _distribution_from_config(cfg: dict) -> PreferenceDistribution:
-    if not isinstance(cfg, dict) or "kind" not in cfg or "dim" not in cfg:
-        raise ParseError("config distribution needs 'kind' and 'dim'")
-    try:
-        return PreferenceDistribution(
-            cfg["kind"],
-            int(cfg["dim"]),
-            sigmas=tuple(cfg["sigmas"]) if "sigmas" in cfg else None,
-            corner_x=cfg.get("X", cfg.get("corner_x")),
-            radius=cfg.get("radius"),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"bad distribution config: {exc}") from None
 
 
 THEOREM1_FIELDS = ["X", "V", "alpha_V", "truthful_dist", "strategic_dist", "ratio",
@@ -271,83 +236,78 @@ THEOREM1_FIELDS = ["X", "V", "alpha_V", "truthful_dist", "strategic_dist", "rati
 BYZANTINE_FIELDS = ["V_T", "V_S", "trial", "seed", "attack", "delta", "bound",
                     "displacement", "within_bound"]
 ASYMPTOTIC_FIELDS = ["V", "trial", "seed", "skew_closed", "skew_numeric",
-                     "gain_gamma_1.5", "gain_gamma_3.0", "gain_gamma_10.0",
-                     "max_gain", "error"]
+                     *(f"gain_gamma_{g}" for g in STRESS_GAMMAS), "max_gain", "error"]
 CONVERGENCE_FIELDS = ["V", "trial", "seed", "ref_seed", "median_err", "hessian_err"]
+EXPERIMENTS = ("asymptotic", "theorem1", "byzantine", "convergence")
 
 
-def _flatten_asymptotic(rows):
-    flat = []
-    for r in rows:
-        out = {k: r.get(k) for k in ("V", "trial", "seed", "skew_closed",
-                                     "skew_numeric", "max_gain", "error")}
-        for g in r.get("gains", []):
-            out[f"gain_gamma_{g['gamma']}"] = g["gain_alpha"]
-        flat.append(out)
-    return flat
+def _csv_rows(rows):
+    """Each stress gain of an asymptotic row becomes a column of its own."""
+    return [dict(r, **{f"gain_gamma_{g['gamma']}": g["gain_alpha"]
+                       for g in r.get("gains", ())}) for r in rows]
 
 
-def _run_experiment(kind, cfg, seed, args):
-    """Run one simulate config; returns (report, CSV fields, CSV rows)."""
+def _bind_experiment(kind, cfg, parallel):
+    """Read every value of a simulate config before any trial runs.
+
+    Returns the experiment call with its arguments bound, and its CSV fields.
+    A missing key raises KeyError; a malformed value, TypeError or ValueError.
+    """
+    seed = int(cfg["seed"]) if "seed" in cfg else _env_seed()
     if kind == "theorem1":
-        if "X" not in cfg or "V_grid" not in cfg:
-            raise ParseError(f"{args.config}: theorem1 needs 'X' and 'V_grid'")
-        report = theorem1_experiment(float(cfg["X"]), cfg["V_grid"], parallel=args.parallel)
-        return report, THEOREM1_FIELDS, report.rows
+        return functools.partial(theorem1_experiment, float(cfg["X"]),
+                                 [int(v) for v in cfg["V_grid"]],
+                                 parallel=parallel), THEOREM1_FIELDS
+    d = cfg["distribution"]
+    dist = PreferenceDistribution(d["kind"], int(d["dim"]),
+                                  sigmas=tuple(d["sigmas"]) if "sigmas" in d else None,
+                                  corner_x=d.get("X", d.get("corner_x")),
+                                  radius=d.get("radius"))
     if kind == "byzantine":
-        for key in ("V_T", "V_S", "trials", "distribution"):
-            if key not in cfg:
-                raise ParseError(f"{args.config}: byzantine needs {key!r}")
-        dist = _distribution_from_config(cfg["distribution"])
-        report = byzantine_experiment(dist, int(cfg["V_T"]), int(cfg["V_S"]),
-                                      int(cfg["trials"]), seed, parallel=args.parallel)
-        return report, BYZANTINE_FIELDS, report.rows
-    for key in ("distribution", "V_grid", "trials"):
-        if key not in cfg:
-            raise ParseError(f"{args.config}: {kind} needs {key!r}")
-    dist = _distribution_from_config(cfg["distribution"])
-    config = ExperimentConfig(
-        dist,
-        tuple(cfg["V_grid"]),
-        int(cfg["trials"]),
-        seed,
-        epsilon=float(cfg.get("epsilon", 0.1)),
-        delta=float(cfg.get("delta", 0.05)),
-    )
-    if kind == "asymptotic":
-        pref = np.asarray(cfg["preference_matrix"], dtype=float) \
-            if "preference_matrix" in cfg else None
-        skew = np.asarray(cfg["median_skew"], dtype=float) \
-            if "median_skew" in cfg else None
-        report = asymptotic_experiment(config, s=pref, median_skew=skew,
-                                       parallel=args.parallel)
-        return report, ASYMPTOTIC_FIELDS, _flatten_asymptotic(report.rows)
-    report = convergence_diagnostics(config, parallel=args.parallel)
-    return report, CONVERGENCE_FIELDS, report.rows
+        return functools.partial(byzantine_experiment, dist, int(cfg["V_T"]),
+                                 int(cfg["V_S"]), int(cfg["trials"]), seed,
+                                 parallel=parallel), BYZANTINE_FIELDS
+    config = ExperimentConfig(dist, tuple(cfg["V_grid"]), int(cfg["trials"]), seed,
+                              epsilon=float(cfg.get("epsilon", 0.1)),
+                              delta=float(cfg.get("delta", 0.05)))
+    if kind == "convergence":
+        return functools.partial(convergence_diagnostics, config,
+                                 parallel=parallel), CONVERGENCE_FIELDS
+    matrices = {arg: np.asarray(cfg[key], dtype=float)
+                for arg, key in (("s", "preference_matrix"), ("median_skew", "median_skew"))
+                if key in cfg}
+    return functools.partial(asymptotic_experiment, config, parallel=parallel,
+                             **matrices), ASYMPTOTIC_FIELDS
 
 
 def _cmd_simulate(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{args.config}: cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{args.config}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    if not isinstance(cfg, dict):
+        raise ParseError(f"{args.config}: config must be a JSON object")
 
     kind = cfg.get("experiment")
-    if kind not in ("asymptotic", "theorem1", "byzantine", "convergence"):
-        raise ParseError(
-            f"{args.config}: experiment must be one of asymptotic, theorem1, "
-            f"byzantine, convergence; got {kind!r}"
-        )
-    seed = int(cfg.get("seed", _fallback_seed(None)))
-    os.makedirs(args.output, exist_ok=True)
+    if kind not in EXPERIMENTS:
+        raise ParseError(f"{args.config}: experiment must be one of "
+                         f"{', '.join(EXPERIMENTS)}; got {kind!r}")
+    try:
+        experiment, fields = _bind_experiment(kind, cfg, args.parallel)
+    except KeyError as exc:
+        raise ParseError(f"{args.config}: {kind} needs {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{args.config}: {exc}") from None
+    try:
+        os.makedirs(args.output, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"{args.output}: cannot create directory: {exc}") from None
 
     try:
-        report, fields, csv_rows = _run_experiment(kind, cfg, seed, args)
-    except ParseError:
-        raise
+        report = experiment()
     except ValueError as exc:
         raise ParseError(f"{args.config}: {exc}") from None
 
@@ -355,15 +315,10 @@ def _cmd_simulate(args) -> int:
     csv_path = os.path.join(args.output, f"{kind}_trials.csv")
     # The worker count is scheduling detail, not an input: reports must be
     # byte-identical across --parallel settings.
-    doc = make_report(
-        f"simulate:{kind}",
-        {"config": cfg},
-        {"summary": report.summary, "rows": report.rows},
-        {},
-        args.deterministic,
-    )
-    dump_report(doc, path=json_path)
-    write_rows_csv(csv_path, fields, csv_rows)
+    dump_report(make_report(f"simulate:{kind}", {"config": cfg},
+                            {"summary": report.summary, "rows": report.rows}, {},
+                            args.deterministic), json_path)
+    write_rows_csv(csv_path, fields, _csv_rows(report.rows))
     print(f"wrote {json_path} and {csv_path}", file=sys.stderr)
 
     errors = sum(1 for r in report.rows if r.get("error"))
@@ -383,27 +338,28 @@ def build_parser() -> argparse.ArgumentParser:
         "and quantify how manipulable the aggregate is.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--deterministic", action="store_true",
+                        help="zero the report timestamp for byte-stable output")
+    report = argparse.ArgumentParser(add_help=False, parents=[common])
+    report.add_argument("--output", help="write the JSON report here instead of stdout")
 
-    agg = sub.add_parser("aggregate", help="aggregate a profile CSV")
+    agg = sub.add_parser("aggregate", parents=[report], help="aggregate a profile CSV")
     agg.add_argument("--input", required=True, help="profile CSV, one voter per row")
     agg.add_argument("--method", required=True, choices=["gm", "cw", "avg", "skewed-gm"])
     agg.add_argument("--skew-matrix", help="square CSV, required for skewed-gm")
     agg.add_argument("--weights", help="CSV with one positive weight per voter")
     agg.add_argument("--tol", type=float, default=1e-10, help="gradient-norm stop")
-    agg.add_argument("--output", help="write the JSON report here instead of stdout")
-    agg.add_argument("--deterministic", action="store_true",
-                     help="zero the report timestamp for byte-stable output")
     agg.set_defaults(func=_cmd_aggregate)
 
-    skw = sub.add_parser("skewness", help="skewness of an SPD matrix")
+    skw = sub.add_parser("skewness", parents=[report], help="skewness of an SPD matrix")
     skw.add_argument("--matrix", required=True, help="square CSV matrix")
     skw.add_argument("--numeric-check", action="store_true",
                      help="also run the sphere oracle and report the gap")
-    skw.add_argument("--output")
-    skw.add_argument("--deterministic", action="store_true")
     skw.set_defaults(func=_cmd_skewness)
 
-    br = sub.add_parser("best-response", help="strategic best response search")
+    br = sub.add_parser("best-response", parents=[report],
+                        help="strategic best response search")
     br.add_argument("--input", help="honest profile CSV")
     br.add_argument("--theta0", help="inline CSV like '0.1,0.2' or a one-row file")
     br.add_argument("--pref-matrix", help="SPD preference norm matrix CSV")
@@ -413,15 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     br.add_argument("--preset", choices=["thm1"], help="built-in instance generator")
     br.add_argument("--X", type=float, help="corner abscissa for --preset thm1")
     br.add_argument("--V", type=int, help="copies per corner for --preset thm1")
-    br.add_argument("--output")
-    br.add_argument("--deterministic", action="store_true")
     br.set_defaults(func=_cmd_best_response)
 
-    simp = sub.add_parser("simulate", help="run a Monte Carlo experiment")
+    simp = sub.add_parser("simulate", parents=[common], help="run a Monte Carlo experiment")
     simp.add_argument("--config", required=True, help="JSON experiment config")
     simp.add_argument("--parallel", type=int, default=1, help="worker processes")
     simp.add_argument("--output", required=True, help="output directory")
-    simp.add_argument("--deterministic", action="store_true")
     simp.set_defaults(func=_cmd_simulate)
 
     return parser
@@ -433,13 +386,10 @@ def main(argv=None) -> int:
     try:
         with one_blas_thread():
             return args.func(args)
-    except (ParseError, NotSPD) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except MedianForgeError as exc:
+    except (ParseError, MedianForgeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

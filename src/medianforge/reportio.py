@@ -7,6 +7,7 @@ Profiles are CSV files, one voter per row, with an optional header row
 
 import csv
 import json
+import sys
 from datetime import datetime, timezone
 
 import numpy as np
@@ -22,7 +23,7 @@ __all__ = [
     "write_rows_csv",
     "fmt_float",
     "make_report",
-    "report_json",
+    "dump_report",
 ]
 
 SCHEMA_VERSION = 1
@@ -52,13 +53,20 @@ def _read_rows(path: str) -> list[tuple[int, list[str]]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             raw = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read file: {exc}") from None
     rows = [(i + 1, [c.strip() for c in row]) for i, row in enumerate(raw)
             if any(c.strip() for c in row)]
     if not rows:
         raise ParseError(f"{path}:1: file is empty")
     return rows
+
+
+def _open_for_write(path: str, **kwargs):
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot write file: {exc}") from None
 
 
 def _is_numeric_row(cells: list[str]) -> bool:
@@ -115,7 +123,7 @@ def read_weights_csv(path: str, voter_count: int) -> np.ndarray:
 
 
 def write_profile_csv(path: str, points: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_for_write(path, newline="") as fh:
         writer = csv.writer(fh)
         for row in np.atleast_2d(points):
             writer.writerow([fmt_float(x) for x in row])
@@ -123,7 +131,7 @@ def write_profile_csv(path: str, points: np.ndarray) -> None:
 
 def write_rows_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
     """Long-form CSV, one row per trial; floats at 17 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_for_write(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
         writer.writeheader()
         for row in rows:
@@ -171,14 +179,11 @@ def make_report(command: str, inputs: dict, results: dict, certificates: dict = 
     }
 
 
-def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=True) + "\n"
-
-
-def dump_report(report: dict, path: str = None, stream=None) -> None:
-    text = report_json(report)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
+def dump_report(report: dict, path: str = None) -> None:
+    """Sorted, indented JSON to path, or to stdout when path is empty or None."""
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    if path:
+        with _open_for_write(path) as fh:
             fh.write(text)
-    elif stream is not None:
-        stream.write(text)
+    else:
+        sys.stdout.write(text)

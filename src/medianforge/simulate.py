@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, MajorityAttack, MedianForgeError
-from .linalg import one_blas_thread, spd_inv, spd_sqrt
+from .errors import BracketFailure, DimensionMismatch, MajorityAttack, MedianForgeError
+from .linalg import check_spd, one_blas_thread, spd_inv, spd_sqrt
 from .profiles import VoterProfile, uniform_profile
 from .solvers import geometric_median, loss_gradient, loss_hessian
 from .strategy import (
@@ -184,7 +184,10 @@ def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
     def grad_sum(z):
         return 4.0 * loss_gradient(corners, z)
 
-    ray = np.array([x**3, 1.0])
+    try:
+        ray = np.array([x**3, 1.0])
+    except OverflowError:
+        raise ValueError(f"corner abscissa {x!r} is too large: x**3 overflows") from None
     target = 1.0 / v
 
     def excess(c):
@@ -340,14 +343,15 @@ def asymptotic_experiment(config: ExperimentConfig, s=None, median_skew=None,
     dist = config.distribution
     if dist.smooth and dist.dim < 5:
         raise ValueError("asymptotic sweeps need dim >= 5 under a smooth density")
-    s_mat = np.eye(dist.dim) if s is None else np.asarray(s, dtype=float)
-    if median_skew is not None:
-        sk = np.asarray(median_skew, dtype=float)
+    s_mat = np.eye(dist.dim) if s is None else check_spd(s, "preference matrix")
+    sk = None if median_skew is None else check_spd(median_skew, "median_skew")
+    for m, name in ((s_mat, "preference matrix"), (sk, "median_skew")):
+        if m is not None and m.shape != (dist.dim, dist.dim):
+            raise DimensionMismatch(f"{name} has shape {m.shape}, dim is {dist.dim}")
+    pref = s_mat
+    if sk is not None:
         sk_inv = spd_inv(sk)
         pref = spd_sqrt(sk_inv @ s_mat @ s_mat @ sk_inv)
-    else:
-        sk = None
-        pref = s_mat
 
     # One C-ordered matrix for every task: BLAS rounding can depend on layout.
     pref = np.ascontiguousarray(pref)

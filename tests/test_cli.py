@@ -23,6 +23,10 @@ def triangle_csv(tmp_path):
     )
 
 
+DIAG5 = {"kind": "diagonal-gaussian", "dim": 5, "sigmas": [1, 1, 1, 1, 4]}
+THEOREM1 = {"experiment": "theorem1", "X": 20, "V_grid": [200]}
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -66,6 +70,14 @@ class TestAggregate:
         assert code == 2
         assert out == ""
         assert "empty" in err
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"\xff\xfe1,2\n")
+        code, out, err = run_cli(["aggregate", "--input", str(path), "--method", "gm"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert "cannot read file" in err and err.count("\n") == 1
 
     def test_bad_cell_has_line_number(self, tmp_path, capsys):
         path = write_csv(tmp_path / "bad.csv", "1,2\n3,oops\n")
@@ -147,6 +159,18 @@ class TestAggregate:
         assert out == ""
         doc = json.load(open(out_path))
         assert doc["provenance"]["tool"] == "medianforge"
+
+    def test_inputs_echo_the_arguments(self, triangle_csv, capsys):
+        code, out, _ = run_cli(
+            ["aggregate", "--input", triangle_csv, "--method", "gm", "--output", "",
+             "--deterministic"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["inputs"] == {
+            "input": triangle_csv, "method": "gm", "skew_matrix": None,
+            "weights": None, "tol": 1e-10,
+        }
 
     def test_degenerate_flagged(self, tmp_path, capsys):
         path = write_csv(tmp_path / "line.csv", "0,0\n1,1\n2,2\n3,3\n")
@@ -238,6 +262,13 @@ class TestBestResponseCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_preset_overflowing_x_exit_2(self, capsys):
+        code, out, err = run_cli(
+            ["best-response", "--preset", "thm1", "--X", "1e200", "--V", "10"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_seed_env_fallback(self, tmp_path, capsys, monkeypatch):
         prof = write_csv(tmp_path / "p.csv", "1,0\n-1,0\n0,2\n0,-2\n0.5,0.5\n")
         monkeypatch.setenv("MEDIANFORGE_SEED", "77")
@@ -246,6 +277,15 @@ class TestBestResponseCommand:
         )
         assert code == 0
         assert json.loads(out)["inputs"]["seed"] == 77
+
+
+    def test_bad_seed_env_exit_2(self, triangle_csv, capsys, monkeypatch):
+        monkeypatch.setenv("MEDIANFORGE_SEED", "abc")
+        code, out, err = run_cli(
+            ["best-response", "--input", triangle_csv, "--theta0", "2,2"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: MEDIANFORGE_SEED") and err.count("\n") == 1
 
 
 class TestSimulateCommand:
@@ -263,6 +303,15 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(
+            ["simulate", "--config", str(cfg), "--output", str(tmp_path / "o")], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_keys_exit_2(self, tmp_path, capsys):
         cfg = write_csv(tmp_path / "c.json", json.dumps({"experiment": "theorem1"}))
         code, _, err = run_cli(
@@ -277,7 +326,17 @@ class TestSimulateCommand:
          "distribution": {"kind": "isotropic-gaussian", "dim": 3}},
         {"experiment": "theorem1", "X": 5, "V_grid": [10]},
         {"experiment": "theorem1", "X": 20, "V_grid": []},
-    ], ids=["zero-trials", "negative-V_S", "theorem1-small-X", "theorem1-empty-grid"])
+        [1, 2],
+        {"experiment": "byzantine", "seed": "abc", "V_T": 5, "V_S": 1, "trials": 1,
+         "distribution": {"kind": "isotropic-gaussian", "dim": 3}},
+        {"experiment": "asymptotic", "V_grid": 5, "trials": 1, "distribution": DIAG5},
+        {"experiment": "theorem1", "X": 20, "V_grid": 5},
+        {"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": None,
+         "distribution": {"kind": "isotropic-gaussian", "dim": 3}},
+        {"experiment": "theorem1", "X": 1e200, "V_grid": [10]},
+    ], ids=["zero-trials", "negative-V_S", "theorem1-small-X", "theorem1-empty-grid",
+            "list", "seed-abc", "asymptotic-V_grid-5", "theorem1-V_grid-5",
+            "trials-null", "theorem1-overflowing-X"])
     def test_invalid_config_exit_2(self, cfg, tmp_path, capsys):
         path = write_csv(tmp_path / "c.json", json.dumps(cfg))
         code, out, err = run_cli(
@@ -285,6 +344,33 @@ class TestSimulateCommand:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("matrices", [
+        {"preference_matrix": np.diag([1.0, 1.0, -1.0, 1.0, 1.0]).tolist()},
+        {"preference_matrix": np.eye(2).tolist()},
+        {"median_skew": np.eye(2).tolist()},
+    ], ids=["non-spd-preference", "2x2-preference", "2x2-median-skew"])
+    def test_bad_matrix_exit_2_before_any_trial(self, matrices, tmp_path, capsys):
+        cfg = {"experiment": "asymptotic", "V_grid": [200], "trials": 1,
+               "distribution": DIAG5, **matrices}
+        path = write_csv(tmp_path / "c.json", json.dumps(cfg))
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(
+            ["simulate", "--config", path, "--output", str(out_dir)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out_dir / "asymptotic_report.json").exists()
+
+    def test_config_seed_overrides_a_bad_env_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MEDIANFORGE_SEED", "abc")
+        codes = []
+        for cfg in (THEOREM1, dict(THEOREM1, seed=3)):
+            path = write_csv(tmp_path / "c.json", json.dumps(cfg))
+            codes.append(run_cli(
+                ["simulate", "--config", path, "--output", str(tmp_path / "o")], capsys
+            )[0])
+        assert codes == [2, 0]
 
     def test_theorem1_run_and_csv(self, tmp_path, capsys):
         cfg = write_csv(
@@ -333,6 +419,24 @@ class TestSimulateCommand:
                 )
             )
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda d: ["aggregate", "--input", write_csv(d / "p.csv", "1,0\n0,1\n-1,-1\n"),
+               "--method", "gm", "--output", str(d / "missing" / "x.json")],
+    lambda d: ["skewness", "--matrix", write_csv(d / "m.csv", "1,0\n0,2\n"),
+               "--output", str(d / "missing" / "x.json")],
+    lambda d: ["simulate", "--config", write_csv(d / "c.json", json.dumps(THEOREM1)),
+               "--output", write_csv(d / "f", "")],
+    lambda d: ["simulate", "--config", write_csv(d / "c.json", json.dumps(THEOREM1)),
+               "--output", os.path.join(write_csv(d / "f", ""), "sub")],
+], ids=["aggregate-missing-dir", "skewness-missing-dir", "simulate-onto-file",
+        "simulate-under-file"])
+def test_unwritable_output_exit_2(make_argv, tmp_path, capsys):
+    code, out, err = run_cli(make_argv(tmp_path), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cannot" in err
 
 
 class TestRoundTrip:

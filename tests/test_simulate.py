@@ -6,7 +6,7 @@ import pytest
 
 from medianforge import simulate as sim
 from medianforge import strategy as st
-from medianforge.errors import MajorityAttack
+from medianforge.errors import DimensionMismatch, MajorityAttack, NotSPD
 from medianforge.linalg import _openblas_thread_controls, spd_inv, spd_sqrt
 from medianforge.profiles import VoterProfile, uniform_profile
 from medianforge.solvers import geometric_median, loss_gradient
@@ -72,6 +72,11 @@ class TestTheorem1Instance:
         with pytest.raises(ValueError):
             sim.build_theorem1_instance(4.0, 100)
 
+    def test_overflowing_x_rejected(self):
+        # x**3 overflows a float past about 5.6e102
+        with pytest.raises(ValueError, match="too large"):
+            sim.build_theorem1_instance(1e200, 10)
+
     def test_strategic_vote_achievable_for_large_v(self):
         inst = sim.build_theorem1_instance(20.0, 1000)
         assert achievable_contains(inst.honest_profile, inst.strategic_vote)
@@ -128,6 +133,22 @@ class TestAsymptoticExperiment:
         cfg = sim.ExperimentConfig(d, V_grid=(100,), trials=1, seed=0)
         with pytest.raises(ValueError):
             sim.asymptotic_experiment(cfg)
+
+    @pytest.mark.parametrize("kwargs,error", [
+        ({"s": np.diag([1.0, 1.0, -1.0, 1.0, 1.0])}, NotSPD),
+        ({"s": np.eye(2)}, DimensionMismatch),
+        ({"median_skew": np.eye(2)}, DimensionMismatch),
+        ({"median_skew": np.ones((5, 5))}, NotSPD),
+    ], ids=["non-spd-preference", "2x2-preference", "2x2-median-skew",
+            "singular-median-skew"])
+    def test_matrices_checked_before_any_trial(self, monkeypatch, kwargs, error):
+        calls = []
+        monkeypatch.setattr(sim, "_run_tasks", lambda *a: calls.append(a))
+        d = sim.PreferenceDistribution("diagonal-gaussian", 5, sigmas=(1, 1, 1, 1, 4))
+        cfg = sim.ExperimentConfig(d, V_grid=(200,), trials=1, seed=0)
+        with pytest.raises(error):
+            sim.asymptotic_experiment(cfg, **kwargs)
+        assert calls == []
 
     def test_parallel_matches_serial(self):
         d = sim.PreferenceDistribution("diagonal-gaussian", 5, sigmas=(1, 1, 1, 1, 2))

@@ -15,10 +15,10 @@ report echoes where it was written, and two checkouts agree exactly when
 prints nothing. The set: aggregate gm (uniform, weighted, triangle),
 aggregate skewed-gm (25x3 profile, triangle), aggregate cw (uniform, and the
 eye(3) simplex, whose cw median lies outside the hull), aggregate avg
-(weighted), best-response --preset thm1,
-and simulate byzantine (two configs, one at --parallel 2), theorem1,
-asymptotic (plain, and with a preference matrix plus median_skew) and
-convergence.
+(weighted), skewness --numeric-check, best-response (--preset thm1, and a
+profile with an inline theta0, a preference matrix and a seed), and simulate
+byzantine (two configs, one at --parallel 2), theorem1, asymptotic (plain,
+and with a preference matrix plus median_skew) and convergence.
 """
 
 import json
@@ -95,8 +95,13 @@ def commands():
            "--method", "avg", "--output", "aggregate_avg_weighted.json", *det]
     yield ["aggregate", "--input", "inputs/simplex.csv", "--method", "cw",
            "--output", "aggregate_cw_simplex.json", *det]
+    yield ["skewness", "--matrix", "inputs/skew3.csv", "--numeric-check",
+           "--output", "skewness_skew3.json", *det]
     yield ["best-response", "--preset", "thm1", "--X", "20", "--V", "200",
            "--output", "best_response_thm1.json", *det]
+    yield ["best-response", "--input", "inputs/profile.csv", "--theta0", "0.3,0.2,0.1",
+           "--pref-matrix", "inputs/skew3.csv", "--seed", "7",
+           "--output", "best_response_profile.json", *det]
     for name, (_, parallel) in SIMULATE.items():
         yield ["simulate", "--config", f"inputs/{name}.json", "--parallel", str(parallel),
                "--output", f"simulate_{name}", *det]
