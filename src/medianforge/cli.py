@@ -58,14 +58,14 @@ def _env_seed() -> int:
         raise ParseError(f"MEDIANFORGE_SEED must be an integer, got {env!r}") from None
 
 
-def _emit(name, args, result, certs, **resolved):
+def _emit(args, result, certs, **resolved):
     """Write the report. Its inputs echo the parsed arguments, less those that
     say where and how to write, with resolved values (say, a fallback seed) in
     place of their raw ones."""
     inputs = {k: v for k, v in vars(args).items()
               if k not in ("command", "func", "output", "deterministic")}
     inputs.update(resolved)
-    dump_report(make_report(name, inputs, result, certs, args.deterministic), args.output)
+    dump_report(make_report(inputs, result, certs, args.deterministic), args.output)
 
 
 # -- aggregate ----------------------------------------------------------------
@@ -122,7 +122,7 @@ def _cmd_aggregate(args) -> int:
     result["hull_member"] = bool(hull_distance(points, point) <= hull_tol)
     result["degenerate_dimension"] = bool(degenerate)
 
-    _emit("aggregate", args, result, certs)
+    _emit(args, result, certs)
     return EXIT_OK
 
 
@@ -136,7 +136,7 @@ def _cmd_skewness(args) -> int:
         num = numeric_skewness(matrix)
         result["numeric_value"] = num
         result["numeric_gap"] = abs(num - result["value"])
-    _emit("skewness", args, result, {})
+    _emit(args, result, {})
     return EXIT_OK
 
 
@@ -223,7 +223,7 @@ def _cmd_best_response(args) -> int:
         "manipulated_grad_norm": rep.manipulated_grad_norm,
         "manipulated_additive_bound": rep.manipulated_additive_bound,
     }
-    _emit("best-response", args, result, certs, seed=seed)
+    _emit(args, result, certs, seed=seed)
     return EXIT_OK
 
 
@@ -247,27 +247,36 @@ def _csv_rows(rows):
                        for g in r.get("gains", ())}) for r in rows]
 
 
+def _integer(name, value):
+    """A config count: an int, or a float with no fraction; never a bool."""
+    if isinstance(value, bool) or not (isinstance(value, int) or
+                                       isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _bind_experiment(kind, cfg, parallel):
     """Read every value of a simulate config before any trial runs.
 
     Returns the experiment call with its arguments bound, and its CSV fields.
     A missing key raises KeyError; a malformed value, TypeError or ValueError.
     """
-    seed = int(cfg["seed"]) if "seed" in cfg else _env_seed()
+    seed = _integer("seed", cfg["seed"]) if "seed" in cfg else _env_seed()
     if kind == "theorem1":
         return functools.partial(theorem1_experiment, float(cfg["X"]),
-                                 [int(v) for v in cfg["V_grid"]],
+                                 [_integer("V_grid entry", v) for v in cfg["V_grid"]],
                                  parallel=parallel), THEOREM1_FIELDS
     d = cfg["distribution"]
-    dist = PreferenceDistribution(d["kind"], int(d["dim"]),
+    dist = PreferenceDistribution(d["kind"], _integer("dim", d["dim"]),
                                   sigmas=tuple(d["sigmas"]) if "sigmas" in d else None,
                                   corner_x=d.get("X", d.get("corner_x")),
                                   radius=d.get("radius"))
     if kind == "byzantine":
-        return functools.partial(byzantine_experiment, dist, int(cfg["V_T"]),
-                                 int(cfg["V_S"]), int(cfg["trials"]), seed,
+        v_t, v_s, trials = (_integer(key, cfg[key]) for key in ("V_T", "V_S", "trials"))
+        return functools.partial(byzantine_experiment, dist, v_t, v_s, trials, seed,
                                  parallel=parallel), BYZANTINE_FIELDS
-    config = ExperimentConfig(dist, tuple(cfg["V_grid"]), int(cfg["trials"]), seed,
+    config = ExperimentConfig(dist, tuple(_integer("V_grid entry", v) for v in cfg["V_grid"]),
+                              _integer("trials", cfg["trials"]), seed,
                               epsilon=float(cfg.get("epsilon", 0.1)),
                               delta=float(cfg.get("delta", 0.05)))
     if kind == "convergence":
@@ -315,7 +324,7 @@ def _cmd_simulate(args) -> int:
     csv_path = os.path.join(args.output, f"{kind}_trials.csv")
     # The worker count is scheduling detail, not an input: reports must be
     # byte-identical across --parallel settings.
-    dump_report(make_report(f"simulate:{kind}", {"config": cfg},
+    dump_report(make_report({"config": cfg},
                             {"summary": report.summary, "rows": report.rows}, {},
                             args.deterministic), json_path)
     write_rows_csv(csv_path, fields, _csv_rows(report.rows))

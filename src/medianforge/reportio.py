@@ -161,7 +161,7 @@ def _jsonable(obj):
     return obj
 
 
-def make_report(command: str, inputs: dict, results: dict, certificates: dict = None,
+def make_report(inputs: dict, results: dict, certificates: dict = None,
                 deterministic: bool = False) -> dict:
     """Versioned report document: inputs echo, results, certificates, provenance."""
     timestamp = (

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import BracketFailure, DimensionMismatch, MajorityAttack, MedianForgeError
 from .linalg import check_spd, one_blas_thread, spd_inv, spd_sqrt
 from .profiles import VoterProfile, uniform_profile
-from .solvers import geometric_median, loss_gradient, loss_hessian
+from .solvers import _solve_gm, geometric_median, loss_gradient, loss_hessian
 from .strategy import (
     _resilience_radius,
     achievable_contains,
@@ -454,7 +454,7 @@ def _byzantine_task(args):
     trial_seed = _derived_seed(seed, 3, v_t, v_s, trial)
     rng = np.random.default_rng(np.random.SeedSequence(trial_seed))
     truthful = sample_profile(dist, v_t, _derived_seed(trial_seed, 0))
-    g_t = geometric_median(truthful).point
+    g_t = _solve_gm(truthful)[0].z
     delta = float(np.max(np.linalg.norm(truthful.voters - g_t, axis=1)))
     bound = _resilience_radius(delta, v_s, v_t)
 
@@ -475,7 +475,7 @@ def _byzantine_task(args):
         strategic = 2.0 * g_t - truthful.voters[picks]
 
     combined = uniform_profile(np.vstack([truthful.voters, strategic]))
-    g_all = geometric_median(combined).point
+    g_all = _solve_gm(combined)[0].z
     displacement = float(np.linalg.norm(g_all - g_t))
     return {
         "V_T": v_t,
@@ -555,5 +555,7 @@ def _run_tasks(fn, tasks, parallel):
         if parallel is None or parallel <= 1 or len(tasks) <= 1:
             return [fn(t) for t in tasks]
         workers = min(parallel, len(tasks))
+        # 16 chunks a worker: ms tasks share round trips; under 16 a worker go singly
+        chunk = max(1, len(tasks) // (16 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks, chunksize=1))
+            return list(pool.map(fn, tasks, chunksize=chunk))

@@ -10,6 +10,7 @@ gradient norm can be driven to ~1e-10; the Hessian of the final pass turns
 it into an additive distance certificate.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,7 @@ class _Pass:
         self.weights = weights
         self.diffs = z - voters
         self.dists = np.sqrt(np.einsum("ij,ij->i", self.diffs, self.diffs))
-        self.nearest = int(np.argmin(self.dists))
+        self.nearest = self.dists.argmin()
         self.at_voter = self.dists[self.nearest] <= VOTER_POINT_RTOL * scale
         self.rest = None
         if not self.at_voter:
@@ -113,10 +114,10 @@ class _Pass:
             self.w0 = float(weights[~self.rest].sum())
             self.c = weights[self.rest] / self.dists[self.rest]
             pull = self.c @ self.diffs[self.rest]
-            self.pn = np.linalg.norm(pull)
+            self.pn = math.sqrt(pull.dot(pull))
             self.g = (np.zeros(z.size) if self.pn <= self.w0
                       else pull * ((self.pn - self.w0) / self.pn))
-        self.gn = np.linalg.norm(self.g)
+        self.gn = math.sqrt(self.g.dot(self.g))
 
     @property
     def loss(self) -> float:
@@ -126,9 +127,9 @@ class _Pass:
         """Weiszfeld point; on a voter point, its Vardi-Zhang blend with z,
         or z itself once w0 outweighs the pull."""
         if self.rest is None:
-            # np.linalg.norm rounds some rows one ulp away from the einsum
-            # norms; the recorded stress-sweep gain floors depend on it.
-            c = self.weights / np.linalg.norm(self.diffs, axis=1)
+            # np.linalg.norm's row norms spelled out: some round one ulp off the
+            # einsum norms, and the recorded stress-sweep floors depend on that.
+            c = self.weights / np.sqrt(np.add.reduce(self.diffs * self.diffs, axis=1))
             return (c @ self.voters) / c.sum()
         if self.pn <= self.w0:
             return self.z
@@ -256,6 +257,15 @@ def _solve_gm_raw(voters, weights, tol_grad, init):
     return p, iterations
 
 
+def _solve_gm(profile: WeightedProfile, tol_grad=DEFAULT_TOL_GRAD, init=None):
+    """Core solve from `init`, else the coordinate-wise median: (final pass, iterations)."""
+    if not tol_grad > 0.0:
+        raise ValueError("tol_grad must be positive")
+    if init is None:
+        init = coordinatewise_median(profile)
+    return _solve_gm_raw(profile.voters, profile.weights, tol_grad, init)
+
+
 def geometric_median(profile: WeightedProfile, tol_grad: float = DEFAULT_TOL_GRAD,
                      init=None) -> MedianResult:
     """Geometric median with an additive-error certificate.
@@ -265,20 +275,14 @@ def geometric_median(profile: WeightedProfile, tol_grad: float = DEFAULT_TOL_GRA
     profile spans an affine space of dimension <= 1 the minimizer may be
     non-unique; a valid minimizer is still returned, flagged degenerate.
     """
-    if not tol_grad > 0.0:
-        raise ValueError("tol_grad must be positive")
-    voters, weights = profile.voters, profile.weights
-    degenerate = profile.affine_dim <= 1
-    if init is None:
-        init = coordinatewise_median(profile)
-    final, iterations = _solve_gm_raw(voters, weights, tol_grad, init)
+    final, iterations = _solve_gm(profile, tol_grad, init)
     return MedianResult(
         point=final.z,
         loss=final.loss,
         grad_norm=float(final.gn),
         additive_bound=final.additive_bound(tol_grad),
         iterations=iterations,
-        degenerate=degenerate,
+        degenerate=profile.affine_dim <= 1,
     )
 
 

@@ -334,9 +334,14 @@ class TestSimulateCommand:
         {"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": None,
          "distribution": {"kind": "isotropic-gaussian", "dim": 3}},
         {"experiment": "theorem1", "X": 1e200, "V_grid": [10]},
+        *({"experiment": "byzantine", "V_T": 3, "V_S": 1, "trials": trials,
+           "distribution": {"kind": "isotropic-gaussian", "dim": 3}}
+          for trials in (2.9, True, "3", math.inf)),
+        {"experiment": "theorem1", "X": 20, "V_grid": [200.5]},
     ], ids=["zero-trials", "negative-V_S", "theorem1-small-X", "theorem1-empty-grid",
             "list", "seed-abc", "asymptotic-V_grid-5", "theorem1-V_grid-5",
-            "trials-null", "theorem1-overflowing-X"])
+            "trials-null", "theorem1-overflowing-X", "trials-2.9", "trials-true",
+            "trials-string", "trials-infinite", "theorem1-V_grid-200.5"])
     def test_invalid_config_exit_2(self, cfg, tmp_path, capsys):
         path = write_csv(tmp_path / "c.json", json.dumps(cfg))
         code, out, err = run_cli(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from medianforge import simulate as sim
+from medianforge import solvers as sv
 from medianforge import strategy as st
 from medianforge.errors import DimensionMismatch, MajorityAttack, NotSPD
 from medianforge.linalg import _openblas_thread_controls, spd_inv, spd_sqrt
@@ -268,6 +269,14 @@ class TestByzantineExperiment:
         for r in rep.rows:
             assert r["displacement"] <= 3.0 * r["delta"] / (2.0 * math.sqrt(2.0)) + 1e-9
 
+    def test_rows_independent_of_chunked_dispatch(self):
+        # 200 tasks on 2 workers go in chunks of 6
+        d = sim.PreferenceDistribution("isotropic-gaussian", 3)
+        serial = sim.byzantine_experiment(d, 3, 1, trials=200, seed=9, parallel=1)
+        pooled = sim.byzantine_experiment(d, 3, 1, trials=200, seed=9, parallel=2)
+        assert pooled.rows == serial.rows
+        assert [r["trial"] for r in pooled.rows] == list(range(200))
+
     def test_majority_rejected(self):
         d = sim.PreferenceDistribution("isotropic-gaussian", 3)
         with pytest.raises(MajorityAttack):
@@ -287,13 +296,15 @@ class TestByzantineExperiment:
 
     def test_one_truthful_solve_per_trial(self, monkeypatch):
         calls = []
+        solve = sv._solve_gm
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return geometric_median(*args, **kwargs)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(sim, "geometric_median", counted)
-        monkeypatch.setattr(st, "geometric_median", counted)
+        # every median of a profile, certified or not, goes through _solve_gm
+        monkeypatch.setattr(sim, "_solve_gm", counted)
+        monkeypatch.setattr(sv, "_solve_gm", counted)
         dist = sim.PreferenceDistribution("isotropic-gaussian", 3)
         row = sim._byzantine_task((dist, 11, 5, 0, 7))
         # the truthful median and the median of the combined profile

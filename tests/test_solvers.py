@@ -212,6 +212,22 @@ class TestGeometricMedian:
         assert res.grad_norm <= 1e-10 and np.isfinite(res.additive_bound)
         assert len(passes) <= res.iterations + 2
 
+    def test_pass_norms_are_linalg_norm_bitwise(self, rng):
+        # The pass skips np.linalg.norm's wrapper but must keep its rounding:
+        # the recorded stress-sweep floors depend on the step's row norms.
+        for _ in range(40):
+            v, d = int(rng.integers(3, 300)), int(rng.integers(2, 12))
+            voters = rng.standard_normal((v, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            wp = WeightedProfile(voters, rng.dirichlet(np.ones(v)))
+            p = sv._evaluate(wp, voters.mean(axis=0) + rng.standard_normal(d))
+            assert not p.at_voter and p.gn == np.linalg.norm(p.g)
+            c = wp.weights / np.linalg.norm(p.diffs, axis=1)
+            np.testing.assert_array_equal(p.step(), (c @ wp.voters) / c.sum())
+            on = sv._evaluate(wp, wp.voters[int(rng.integers(v))])
+            assert on.at_voter
+            assert on.pn == np.linalg.norm(on.c @ on.diffs[on.rest])
+            assert on.gn == np.linalg.norm(on.g)
+
     def test_weighted_pull(self):
         wp = WeightedProfile([[0.0, 0.0], [10.0, 0.0]], [0.75, 0.25])
         res = sv.geometric_median(wp)
