@@ -150,9 +150,12 @@ def _parse_theta0(text: str) -> np.ndarray:
             raise ParseError(f"{text}:1: theta0 file must contain exactly one row")
         return arr[0]
     try:
-        return np.array([float(x) for x in text.split(",")])
+        theta0 = np.array([float(x) for x in text.split(",")])
     except ValueError:
         raise ParseError(f"theta0 {text!r} is neither a file nor inline CSV") from None
+    if not np.all(np.isfinite(theta0)):
+        raise ParseError(f"theta0 {text!r} has non-finite entries")
+    return theta0
 
 
 def _cmd_best_response(args) -> int:
@@ -183,46 +186,27 @@ def _cmd_best_response(args) -> int:
             "g_V": inst.g_v,
             "closed_form_vote": inst.strategic_vote,
             "analytic_truthful_dist": inst.truthful_dist,
-            "paper_gain_bound": (args.X**2 - 8 * args.X + 1) / (8 * args.X),
+            "paper_gain_bound": inst.paper_gain_bound,
         }
     else:
         if not args.input or not args.theta0:
             raise ParseError("best-response requires --input and --theta0 (or --preset)")
         honest = VoterProfile(read_profile_csv(args.input))
         theta0 = _parse_theta0(args.theta0)
-        if theta0.size != honest.dim:
-            raise ParseError("theta0 dimension does not match the profile")
 
     rep = best_response(theta0, honest, s=pref, restarts=args.restarts, seed=seed,
                         extra_votes=extra_votes)
+    result = dataclasses.asdict(rep)
+    certs = {k: result.pop(k) for k in ("manipulated_grad_norm", "manipulated_additive_bound")}
     gain = rep.gain_alpha
-    analytic_truthful = None
     if preset_info is not None:
         # Certified analytic truthful distance; the numeric one carries the
         # solver certificate error, which matters at this scale.
-        analytic_truthful = preset_info["analytic_truthful_dist"]
         if rep.strategic_dist > 0.0:
-            gain = analytic_truthful / rep.strategic_dist - 1.0
-
-    result = {
-        "theta0": rep.theta0,
-        "truthful_median": rep.truthful_median,
-        "strategic_vote": rep.strategic_vote,
-        "manipulated_median": rep.manipulated_median,
-        "truthful_dist": rep.truthful_dist,
-        "strategic_dist": rep.strategic_dist,
-        "gain_alpha": gain,
-        "gain_alpha_numeric_truthful": rep.gain_alpha,
-        "exact_capture": rep.exact_capture,
-        "gain_is_lower_bound": True,
-        "candidates": rep.candidates,
-    }
-    if preset_info is not None:
+            gain = preset_info["analytic_truthful_dist"] / rep.strategic_dist - 1.0
         result["preset"] = preset_info
-    certs = {
-        "manipulated_grad_norm": rep.manipulated_grad_norm,
-        "manipulated_additive_bound": rep.manipulated_additive_bound,
-    }
+    result.update(gain_alpha=gain, gain_alpha_numeric_truthful=rep.gain_alpha,
+                  gain_is_lower_bound=True)
     _emit(args, result, certs, seed=seed)
     return EXIT_OK
 

@@ -167,6 +167,18 @@ class Theorem1Instance:
     def truthful_dist(self) -> float:
         return float(np.linalg.norm(self.theta0 - self.g_v))
 
+    @property
+    def limit_ratio(self) -> float:
+        """(1 + X^2) / 4X, the truthful-to-strategic distance ratio as V grows."""
+        x = self.corner_x
+        return (1.0 + x * x) / (4.0 * x)
+
+    @property
+    def paper_gain_bound(self) -> float:
+        """(X^2 - 8X + 1) / 8X, the paper's lower bound on the gain."""
+        x = self.corner_x
+        return (x * x - 8.0 * x + 1.0) / (8.0 * x)
+
 
 def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
     """Construct the worst-case instance for corner abscissa x >= 8.
@@ -231,8 +243,8 @@ def _theorem1_task(args):
     honest = inst.honest_profile
     achievable = achievable_contains(honest, inst.strategic_vote)
     joined = uniform_profile(np.vstack([honest.voters, inst.strategic_vote[None, :]]))
-    manipulated = geometric_median(joined)
-    strategic_dist = float(np.linalg.norm(manipulated.point - inst.theta0))
+    manipulated = _solve_gm(joined)[0].z
+    strategic_dist = float(np.linalg.norm(manipulated - inst.theta0))
     truthful_check = geometric_median(
         uniform_profile(np.vstack([honest.voters, inst.theta0[None, :]]))
     )
@@ -248,8 +260,8 @@ def _theorem1_task(args):
         "vote_achievable": bool(achievable),
         "truthful_median_err": float(np.linalg.norm(truthful_check.point - inst.g_v)),
         "truthful_median_bound": truthful_check.additive_bound,
-        "limit_ratio": (1.0 + x * x) / (4.0 * x),
-        "paper_gain_bound": (x * x - 8.0 * x + 1.0) / (8.0 * x),
+        "limit_ratio": inst.limit_ratio,
+        "paper_gain_bound": inst.paper_gain_bound,
     }
 
 
@@ -260,7 +272,7 @@ def theorem1_experiment(x: float, v_grid, parallel: int = 1) -> ExperimentReport
     tasks = [(float(x), int(v)) for v in v_grid]
     rows = _run_tasks(_theorem1_task, tasks, parallel)
     summary = {
-        "limit_ratio": (1.0 + x * x) / (4.0 * x),
+        "limit_ratio": rows[-1]["limit_ratio"],
         "final_ratio": rows[-1]["ratio"],
         "min_gain": min(r["gain_alpha"] for r in rows),
     }
@@ -274,8 +286,8 @@ def _stress_gains(profile, pref, seed):
     """Place stress preferences just outside the achievable set and measure
     the strategic gain at each; returns (rows, skew_closed, skew_numeric)."""
     v_count = profile.count
-    g = geometric_median(profile).point
-    hess = loss_hessian(profile, g)
+    final = _solve_gm(profile)[0]
+    g, hess = final.z, final.hessian()
     pref_inv = spd_inv(pref)
     bound_matrix = pref_inv @ hess @ pref_inv
     bound_matrix = 0.5 * (bound_matrix + bound_matrix.T)
@@ -397,17 +409,14 @@ def _convergence_task(args):
     ref_seed = _derived_seed(seed, 2, 0, trial)  # shared across the V grid
     profile = sample_profile(dist, v_count, trial_seed)
     reference = sample_profile(dist, v_ref, ref_seed)
-    g_v = geometric_median(profile).point
-    g_ref = geometric_median(reference).point
-    h_v = loss_hessian(profile, g_v)
-    h_ref = loss_hessian(reference, g_ref)
+    at_v, at_ref = _solve_gm(profile)[0], _solve_gm(reference)[0]
     return {
         "V": v_count,
         "trial": trial,
         "seed": trial_seed,
         "ref_seed": ref_seed,
-        "median_err": float(np.linalg.norm(g_v - g_ref)),
-        "hessian_err": float(np.max(np.abs(h_v - h_ref))),
+        "median_err": float(np.linalg.norm(at_v.z - at_ref.z)),
+        "hessian_err": float(np.max(np.abs(at_v.hessian() - at_ref.hessian()))),
     }
 
 
@@ -530,8 +539,7 @@ def fit_isotropizing_skew(dist: PreferenceDistribution, samples: int = 2000,
     def objective(log_s):
         scale = np.exp(log_s - log_s.mean())
         scaled = uniform_profile(profile.voters * scale)
-        g = geometric_median(scaled, 1e-8).point
-        h_inner = loss_hessian(scaled, g)
+        h_inner = _solve_gm(scaled, 1e-8)[0].hessian()
         h_skewed = (scale[:, None] * h_inner) * scale[None, :]
         return skewness(h_skewed).value
 

@@ -8,6 +8,11 @@ Weiszfeld step (safe at voter-point collisions) reuses the same z - voters.
 Damped Newton takes over once the subgradient is small, so the terminal
 gradient norm can be driven to ~1e-10; the Hessian of the final pass turns
 it into an additive distance certificate.
+
+Consumers that need the median and the curvature there, but no certificate,
+read both from the final pass of `_solve_gm`: its z, hessian() and
+third_deriv(). The loss_* functions build one pass at a given point, so
+loss_hessian(profile, geometric_median(profile).point) has the same bits.
 """
 
 import math
@@ -88,7 +93,7 @@ def coordinatewise_median(profile: WeightedProfile) -> np.ndarray:
 
 class _Pass:
     """One distance pass at z: diffs = z - voters, their row norms, and what
-    the solver reads from them.
+    the solver and its consumers read from them.
 
     g is the minimum-norm element of the loss subdifferential: the gradient
     away from voter points, and on one the pull of the other voters shrunk
@@ -152,6 +157,18 @@ class _Pass:
         h -= self.diffs.T @ (self.diffs * (c / self.dists**2)[:, None])
         return h
 
+    def third_deriv(self) -> np.ndarray:
+        self.require_smooth()
+        u = self.diffs / self.dists[:, None]
+        c = self.weights / self.dists**2
+        t = 3.0 * np.einsum("v,vi,vj,vk->ijk", c, u, u, u)
+        cu = (c[:, None] * u).sum(axis=0)
+        eye = np.eye(self.z.size)
+        t -= np.einsum("ij,k->ijk", eye, cu)
+        t -= np.einsum("ik,j->ijk", eye, cu)
+        t -= np.einsum("jk,i->ijk", eye, cu)
+        return t
+
     def additive_bound(self, tol_grad) -> float:
         """tol_grad / lambda_min of the loss Hessian at z; +inf where that fails."""
         try:
@@ -180,17 +197,7 @@ def loss_hessian(profile: WeightedProfile, z) -> np.ndarray:
 
 
 def loss_third_deriv(profile: WeightedProfile, z) -> np.ndarray:
-    p = _evaluate(profile, z)
-    p.require_smooth()
-    u = p.diffs / p.dists[:, None]
-    c = profile.weights / p.dists**2
-    t = 3.0 * np.einsum("v,vi,vj,vk->ijk", c, u, u, u)
-    cu = (c[:, None] * u).sum(axis=0)
-    eye = np.eye(profile.dim)
-    t -= np.einsum("ij,k->ijk", eye, cu)
-    t -= np.einsum("ik,j->ijk", eye, cu)
-    t -= np.einsum("jk,i->ijk", eye, cu)
-    return t
+    return _evaluate(profile, z).third_deriv()
 
 
 def min_norm_subgradient(profile: WeightedProfile, z) -> np.ndarray:

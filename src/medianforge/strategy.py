@@ -24,11 +24,10 @@ from .profiles import VoterProfile, WeightedProfile, _profile_scale, uniform_pro
 from .solvers import (
     MedianResult,
     _evaluate,
+    _solve_gm,
     _solve_gm_raw,
     geometric_median,
     loss_gradient,
-    loss_hessian,
-    loss_third_deriv,
     min_norm_subgradient,
 )
 
@@ -207,7 +206,6 @@ class StrategyReport:
     truthful_dist: float
     strategic_dist: float
     gain_alpha: float
-    preference_norm: np.ndarray
     exact_capture: bool = False
     candidates: dict = field(default_factory=dict)
 
@@ -399,6 +397,8 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     ties break lexicographically on the vote.
     """
     theta0 = np.asarray(theta0, dtype=float)
+    if theta0.shape != (honest.dim,):
+        raise DimensionMismatch("theta0 dimension does not match the profile")
     if honest.affine_dim < 2:
         raise DegenerateDimension("best response needs an honest profile of dimension >= 2")
     s_mat = np.eye(theta0.size) if s is None else check_spd(s, "preference matrix")
@@ -407,7 +407,7 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     radius = 1.0 / honest.count
     rng = np.random.default_rng(seed)
 
-    g_honest = geometric_median(honest).point
+    g_honest = _solve_gm(honest)[0].z
     candidates: dict[str, tuple[np.ndarray, MedianResult, float]] = {}
 
     def add(name, vote):
@@ -451,7 +451,6 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
         truthful_dist=truthful_dist,
         strategic_dist=dist,
         gain_alpha=float(gain),
-        preference_norm=s_mat,
         exact_capture=exact_capture,
         candidates={k: {"vote": v[0], "median": v[1].point, "dist": v[2]}
                     for k, v in candidates.items()},
@@ -493,7 +492,7 @@ def condition_checker(honest: VoterProfile, beta: float, seed: int = 0) -> Condi
     d = honest.dim
     v_count = honest.count
     rng = np.random.default_rng(seed)
-    g = geometric_median(honest).point
+    g = _solve_gm(honest)[0].z
 
     dists = np.linalg.norm(honest.voters - g, axis=1)
     min_dist = float(dists.min())
@@ -528,9 +527,8 @@ def condition_checker(honest: VoterProfile, beta: float, seed: int = 0) -> Condi
         try:
             for u, r in zip(directions, radii):
                 z = g + r * u
-                grad = loss_gradient(honest, z)
-                hess = loss_hessian(honest, z)
-                third = loss_third_deriv(honest, z)
+                p = _evaluate(honest, z)
+                grad, hess, third = p.gradient(), p.hessian(), p.third_deriv()
                 m = hess @ hess + third @ grad
                 eig = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
                 if eig < min_curv:
@@ -575,9 +573,7 @@ def hessian_at_median(profile: VoterProfile) -> np.ndarray:
     of the limiting Hessian)."""
     if profile.affine_dim < 2:
         raise DegenerateDimension("Hessian estimate needs a profile of dimension >= 2")
-    g = geometric_median(profile).point
-    h = loss_hessian(profile, g)
-    return check_spd(h, "Hessian at the median")
+    return check_spd(_solve_gm(profile)[0].hessian(), "Hessian at the median")
 
 
 def _resilience_radius(delta: float, num_strategic: int, t_count: int) -> float:
@@ -598,7 +594,7 @@ def byzantine_bound(truthful: VoterProfile, num_strategic: int) -> float:
         raise MajorityAttack(
             f"{num_strategic} strategic vs {t_count} truthful voters: bound is vacuous"
         )
-    g = geometric_median(truthful).point
+    g = _solve_gm(truthful)[0].z
     delta = float(np.max(np.linalg.norm(truthful.voters - g, axis=1)))
     return _resilience_radius(delta, num_strategic, t_count)
 

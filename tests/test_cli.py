@@ -236,6 +236,14 @@ class TestBestResponseCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("theta0", ["nan,0", "inf,0"])
+    def test_non_finite_theta0_exit_2(self, triangle_csv, theta0, capsys):
+        code, out, err = run_cli(
+            ["best-response", "--input", triangle_csv, "--theta0", theta0], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: theta0") and err.count("\n") == 1
+
     def test_preset_small_x_exit_2(self, capsys):
         code, out, err = run_cli(
             ["best-response", "--preset", "thm1", "--X", "5", "--V", "10"], capsys

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -329,3 +330,28 @@ def test_fit_isotropizing_skew_reduces_hessian_skewness():
     g_s = geometric_median(scaled).point
     h_s = sigma @ loss_hessian(scaled, g_s) @ sigma
     assert skewness(h_s).value < 0.25 * skewness(h).value
+
+
+class TestConsumersReadTheSolve:
+    """Callers that read no certificate take the median, and the curvature
+    there, from the final pass of one solve."""
+
+    def test_no_certified_solve_outside_the_vote_median(self, monkeypatch):
+        certified = sv.geometric_median
+
+        def vote_median_only(*args, **kwargs):
+            # best_response reports the certificate of each candidate's median
+            if sys._getframe(1).f_code.co_name != "_median_with_vote":
+                raise AssertionError("geometric_median called for an uncertified median")
+            return certified(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "geometric_median", vote_median_only)
+        monkeypatch.setattr(st, "geometric_median", vote_median_only)
+        iso = sim.PreferenceDistribution("isotropic-gaussian", 3)
+        prof = sim.sample_profile(iso, 400, 5)
+        sim._convergence_task((iso, 100, 1000, 0, 14))
+        sim._stress_gains(sim.sample_profile(iso, 30, 2), np.eye(3), 2)
+        sim.fit_isotropizing_skew(iso, samples=100, seed=1)
+        st.hessian_at_median(prof)
+        st.byzantine_bound(prof, 10)
+        st.condition_checker(prof, 0.05)

@@ -9,12 +9,19 @@ from medianforge import strategy as st
 from medianforge.errors import (
     BracketFailure,
     DegenerateDimension,
+    DimensionMismatch,
     MajorityAttack,
     NotSPD,
     SolverFailure,
 )
+from medianforge.linalg import check_spd
 from medianforge.profiles import VoterProfile, uniform_profile
-from medianforge.solvers import coordinatewise_median, geometric_median, loss_gradient
+from medianforge.solvers import (
+    coordinatewise_median,
+    geometric_median,
+    loss_gradient,
+    loss_hessian,
+)
 
 from conftest import random_spd
 
@@ -142,6 +149,11 @@ class TestHessianAtMedian:
         with pytest.raises(DegenerateDimension):
             st.hessian_at_median(VoterProfile(np.outer(np.arange(4.0), [1.0, 1.0])))
 
+    def test_same_bits_as_a_fresh_pass_at_the_certified_median(self, rng):
+        prof = VoterProfile(rng.standard_normal((300, 4)) * [1.0, 2.0, 1.0, 0.5])
+        fresh = check_spd(loss_hessian(prof, geometric_median(prof).point))
+        assert st.hessian_at_median(prof).tobytes() == fresh.tobytes()
+
 
 class TestAchievableSet:
     def test_contains_honest_median(self, rng):
@@ -244,6 +256,12 @@ class TestBestResponse:
         line = np.outer(np.arange(5.0), [1.0, 0.0])
         with pytest.raises(DegenerateDimension):
             st.best_response(np.array([0.0, 1.0]), VoterProfile(line))
+
+    def test_theta0_of_wrong_length_rejected(self):
+        triangle = VoterProfile(np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]]))
+        for theta0 in (np.zeros(3), np.zeros(1), np.zeros((1, 2))):
+            with pytest.raises(DimensionMismatch):
+                st.best_response(theta0, triangle)
 
 
 class TestConditionChecker:
