@@ -50,12 +50,20 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 
+def _seed(value: int, source: str) -> int:
+    """A seed as numpy takes it: a nonnegative integer."""
+    if value < 0:
+        raise ParseError(f"{source} must be a nonnegative integer, got {value}")
+    return value
+
+
 def _env_seed() -> int:
     env = os.environ.get("MEDIANFORGE_SEED") or "0"
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise ParseError(f"MEDIANFORGE_SEED must be an integer, got {env!r}") from None
+    return _seed(seed, "MEDIANFORGE_SEED")
 
 
 def _emit(args, result, certs, **resolved):
@@ -161,7 +169,7 @@ def _parse_theta0(text: str) -> np.ndarray:
 def _cmd_best_response(args) -> int:
     if args.restarts < 1:
         raise ParseError(f"--restarts must be >= 1, got {args.restarts}")
-    seed = _env_seed() if args.seed is None else args.seed
+    seed = _env_seed() if args.seed is None else _seed(args.seed, "--seed")
     pref = None
     if args.pref_matrix:
         pref = check_spd(read_matrix_csv(args.pref_matrix), "preference matrix")
@@ -245,7 +253,7 @@ def _bind_experiment(kind, cfg, parallel):
     Returns the experiment call with its arguments bound, and its CSV fields.
     A missing key raises KeyError; a malformed value, TypeError or ValueError.
     """
-    seed = _integer("seed", cfg["seed"]) if "seed" in cfg else _env_seed()
+    seed = _seed(_integer("seed", cfg["seed"]), "seed") if "seed" in cfg else _env_seed()
     if kind == "theorem1":
         return functools.partial(theorem1_experiment, float(cfg["X"]),
                                  [_integer("V_grid entry", v) for v in cfg["V_grid"]],

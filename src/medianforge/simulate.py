@@ -18,10 +18,10 @@ from .profiles import VoterProfile, uniform_profile
 from .solvers import _solve_gm, geometric_median, loss_gradient, loss_hessian
 from .strategy import (
     _resilience_radius,
+    _sphere_objective,
     achievable_contains,
     best_response,
     boundary_point,
-    numeric_skewness,
     skewness,
 )
 
@@ -153,7 +153,6 @@ class Theorem1Instance:
     g_v: np.ndarray
     theta0: np.ndarray
     strategic_vote: np.ndarray
-    hessian: np.ndarray
 
     @property
     def honest_profile(self) -> VoterProfile:
@@ -181,13 +180,13 @@ class Theorem1Instance:
 
 
 def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
-    """Construct the worst-case instance for corner abscissa x >= 8.
+    """Construct the worst-case instance for a finite corner abscissa x >= 8.
 
     The corner loss here is the plain sum of the four distances; its gradient
     norm along the ray c * (x^3, 1) is driven to 1/V by bisection on (0, 1].
     """
-    if x < 8.0:
-        raise ValueError("the construction needs corner abscissa >= 8")
+    if not 8.0 <= x < math.inf:
+        raise ValueError(f"the construction needs a finite corner abscissa X >= 8, got {x!r}")
     v = int(v_per_corner)
     if v < 1:
         raise ValueError("need at least one copy per corner")
@@ -233,7 +232,6 @@ def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
         g_v=g_v,
         theta0=theta0,
         strategic_vote=strategic_vote,
-        hessian=hessian,
     )
 
 
@@ -284,7 +282,8 @@ def theorem1_experiment(x: float, v_grid, parallel: int = 1) -> ExperimentReport
 
 def _stress_gains(profile, pref, seed):
     """Place stress preferences just outside the achievable set and measure
-    the strategic gain at each; returns (rows, skew_closed, skew_numeric)."""
+    the strategic gain at each; returns (rows, skew_closed, skew_numeric),
+    skew_numeric being the sphere objective at the closed form's maximizer."""
     v_count = profile.count
     final = _solve_gm(profile)[0]
     g, hess = final.z, final.hessian()
@@ -292,13 +291,13 @@ def _stress_gains(profile, pref, seed):
     bound_matrix = pref_inv @ hess @ pref_inv
     bound_matrix = 0.5 * (bound_matrix + bound_matrix.T)
     skew_closed = skewness(bound_matrix)
-    skew_num = numeric_skewness(bound_matrix, starts=16, iters=200, seed=seed)
 
     # Worst-case direction: the skewness supremum is attained on the mixture
     # of extreme eigenvectors weighted by inverse square-root eigenvalues;
     # steer the boundary point so the outward pull aligns with it.
     w, q = np.linalg.eigh(bound_matrix)
     x_star = q[:, 0] / math.sqrt(w[0]) + q[:, -1] / math.sqrt(w[-1])
+    skew_num = float(_sphere_objective(bound_matrix, x_star) - 1.0)
     pull_dir = np.linalg.solve(hess, pref_inv @ x_star)
     z_b = boundary_point(profile, g, pull_dir, 1.0 / v_count)
     outward = v_count * loss_gradient(profile, z_b)
@@ -404,20 +403,24 @@ def asymptotic_experiment(config: ExperimentConfig, s=None, median_skew=None,
 
 
 def _convergence_task(args):
-    dist, v_count, v_ref, trial, seed = args
-    trial_seed = _derived_seed(seed, 2, v_count, trial)
-    ref_seed = _derived_seed(seed, 2, 0, trial)  # shared across the V grid
-    profile = sample_profile(dist, v_count, trial_seed)
-    reference = sample_profile(dist, v_ref, ref_seed)
-    at_v, at_ref = _solve_gm(profile)[0], _solve_gm(reference)[0]
-    return {
-        "V": v_count,
-        "trial": trial,
-        "seed": trial_seed,
-        "ref_seed": ref_seed,
-        "median_err": float(np.linalg.norm(at_v.z - at_ref.z)),
-        "hessian_err": float(np.max(np.abs(at_v.hessian() - at_ref.hessian()))),
-    }
+    """Rows of one trial, one per V of the grid, against one reference solve."""
+    dist, v_grid, v_ref, trial, seed = args
+    ref_seed = _derived_seed(seed, 2, 0, trial)
+    at_ref = _solve_gm(sample_profile(dist, v_ref, ref_seed))[0]
+    ref_hessian = at_ref.hessian()
+    rows = []
+    for v_count in v_grid:
+        trial_seed = _derived_seed(seed, 2, v_count, trial)
+        at_v = _solve_gm(sample_profile(dist, v_count, trial_seed))[0]
+        rows.append({
+            "V": v_count,
+            "trial": trial,
+            "seed": trial_seed,
+            "ref_seed": ref_seed,
+            "median_err": float(np.linalg.norm(at_v.z - at_ref.z)),
+            "hessian_err": float(np.max(np.abs(at_v.hessian() - ref_hessian))),
+        })
+    return rows
 
 
 def convergence_diagnostics(config: ExperimentConfig, parallel: int = 1) -> ExperimentReport:
@@ -425,19 +428,16 @@ def convergence_diagnostics(config: ExperimentConfig, parallel: int = 1) -> Expe
     dist = config.distribution
     if dist.smooth and dist.dim < 5:
         raise ValueError("convergence diagnostics need dim >= 5 under a smooth density")
+    if len(config.V_grid) < 2:
+        raise ValueError("convergence diagnostics need at least two V_grid entries")
     v_ref = 10 * max(config.V_grid)
-    tasks = [
-        (dist, int(v), v_ref, t, config.seed)
-        for v in config.V_grid
-        for t in range(config.trials)
-    ]
-    rows = _run_tasks(_convergence_task, tasks, parallel)
+    tasks = [(dist, config.V_grid, v_ref, t, config.seed) for t in range(config.trials)]
+    # rows of each V across the trials, in grid order
+    by_v = list(zip(*_run_tasks(_convergence_task, tasks, parallel)))
+    rows = [r for sub in by_v for r in sub]
 
-    med_errs, hess_errs = [], []
-    for v in config.V_grid:
-        sub = [r for r in rows if r["V"] == v]
-        med_errs.append(float(np.median([r["median_err"] for r in sub])))
-        hess_errs.append(float(np.median([r["hessian_err"] for r in sub])))
+    med_errs = [float(np.median([r["median_err"] for r in sub])) for sub in by_v]
+    hess_errs = [float(np.median([r["hessian_err"] for r in sub])) for sub in by_v]
     logs_v = np.log(np.asarray(config.V_grid, dtype=float))
     med_slope = float(np.polyfit(logs_v, np.log(med_errs), 1)[0])
     hess_slope = float(np.polyfit(logs_v, np.log(hess_errs), 1)[0])

@@ -90,7 +90,13 @@ def skewness(s) -> SkewnessReport:
     )
 
 
-def numeric_skewness(s, starts: int = 64, iters: int = 400, seed: int = 0) -> float:
+def _sphere_objective(a, x):
+    """||x|| ||Ax|| / (x^T A x), the ratio whose supremum less 1 is Skew(A)."""
+    ax = a @ x
+    return np.linalg.norm(x) * np.linalg.norm(ax) / (x @ ax)
+
+
+def numeric_skewness(s, seed: int = 0) -> float:
     """Sphere oracle: multi-start projected-gradient ascent of ||Sx||/(x^T S x).
 
     Independent of the closed form; used to cross-validate it.
@@ -99,15 +105,11 @@ def numeric_skewness(s, starts: int = 64, iters: int = 400, seed: int = 0) -> fl
     d = a.shape[0]
     rng = np.random.default_rng(seed)
 
-    def objective(x):
-        sx = a @ x
-        return np.linalg.norm(x) * np.linalg.norm(sx) / (x @ sx)
-
     def ascend(x):
         x = x / np.linalg.norm(x)
         step = 0.5
-        f = objective(x)
-        for _ in range(iters):
+        f = _sphere_objective(a, x)
+        for _ in range(400):
             sx = a @ x
             nsx = np.linalg.norm(sx)
             quad = x @ sx
@@ -118,7 +120,7 @@ def numeric_skewness(s, starts: int = 64, iters: int = 400, seed: int = 0) -> fl
                 break
             cand = x + step * grad
             cand /= np.linalg.norm(cand)
-            fc = objective(cand)
+            fc = _sphere_objective(a, cand)
             if fc > f:
                 x, f = cand, fc
                 step = min(step * 1.3, 4.0)
@@ -129,7 +131,7 @@ def numeric_skewness(s, starts: int = 64, iters: int = 400, seed: int = 0) -> fl
         return f
 
     best = 0.0
-    inits = [rng.standard_normal(d) for _ in range(starts)]
+    inits = [rng.standard_normal(d) for _ in range(64)]
     inits.extend(np.eye(d))
     for x0 in inits:
         if np.linalg.norm(x0) == 0.0:

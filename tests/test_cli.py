@@ -251,6 +251,15 @@ class TestBestResponseCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_preset_non_finite_x_exit_2(self, x, capsys):
+        code, out, err = run_cli(
+            ["best-response", "--preset", "thm1", "--X", x, "--V", "10"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --preset thm1: the construction needs a finite corner " \
+                      f"abscissa X >= 8, got {x}\n"
+
     def test_zero_restarts_exit_2(self, triangle_csv, capsys):
         code, out, err = run_cli(
             ["best-response", "--input", triangle_csv, "--theta0", "2,2",
@@ -288,12 +297,21 @@ class TestBestResponseCommand:
 
 
     def test_bad_seed_env_exit_2(self, triangle_csv, capsys, monkeypatch):
-        monkeypatch.setenv("MEDIANFORGE_SEED", "abc")
+        for env in ("abc", "-1"):
+            monkeypatch.setenv("MEDIANFORGE_SEED", env)
+            code, out, err = run_cli(
+                ["best-response", "--input", triangle_csv, "--theta0", "2,2"], capsys
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith("error: MEDIANFORGE_SEED") and err.count("\n") == 1
+
+    def test_negative_seed_exit_2(self, triangle_csv, capsys):
         code, out, err = run_cli(
-            ["best-response", "--input", triangle_csv, "--theta0", "2,2"], capsys
+            ["best-response", "--input", triangle_csv, "--theta0", "2,2", "--seed", "-1"],
+            capsys,
         )
         assert (code, out) == (2, "")
-        assert err.startswith("error: MEDIANFORGE_SEED") and err.count("\n") == 1
+        assert err == "error: --seed must be a nonnegative integer, got -1\n"
 
 
 class TestSimulateCommand:
@@ -327,36 +345,46 @@ class TestSimulateCommand:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("cfg", [
-        {"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": 0,
-         "distribution": {"kind": "isotropic-gaussian", "dim": 3}},
-        {"experiment": "byzantine", "V_T": 5, "V_S": -1, "trials": 3,
-         "distribution": {"kind": "isotropic-gaussian", "dim": 3}},
-        {"experiment": "theorem1", "X": 5, "V_grid": [10]},
-        {"experiment": "theorem1", "X": 20, "V_grid": []},
-        [1, 2],
-        {"experiment": "byzantine", "seed": "abc", "V_T": 5, "V_S": 1, "trials": 1,
-         "distribution": {"kind": "isotropic-gaussian", "dim": 3}},
-        {"experiment": "asymptotic", "V_grid": 5, "trials": 1, "distribution": DIAG5},
-        {"experiment": "theorem1", "X": 20, "V_grid": 5},
-        {"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": None,
-         "distribution": {"kind": "isotropic-gaussian", "dim": 3}},
-        {"experiment": "theorem1", "X": 1e200, "V_grid": [10]},
-        *({"experiment": "byzantine", "V_T": 3, "V_S": 1, "trials": trials,
-           "distribution": {"kind": "isotropic-gaussian", "dim": 3}}
+    # each case with a word its error line must contain
+    @pytest.mark.parametrize("cfg,names", [
+        ({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": 0,
+          "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, "trials"),
+        ({"experiment": "byzantine", "V_T": 5, "V_S": -1, "trials": 3,
+          "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, "V_S"),
+        ({"experiment": "theorem1", "X": 5, "V_grid": [10]}, "X >= 8"),
+        ({"experiment": "theorem1", "X": 20, "V_grid": []}, "V_grid"),
+        ([1, 2], "JSON object"),
+        ({"experiment": "byzantine", "seed": "abc", "V_T": 5, "V_S": 1, "trials": 1,
+          "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, "seed"),
+        ({"experiment": "asymptotic", "V_grid": 5, "trials": 1, "distribution": DIAG5}, ""),
+        ({"experiment": "theorem1", "X": 20, "V_grid": 5}, ""),
+        ({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": None,
+          "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, "trials"),
+        ({"experiment": "theorem1", "X": 1e200, "V_grid": [10]}, "too large"),
+        *(({"experiment": "byzantine", "V_T": 3, "V_S": 1, "trials": trials,
+            "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, "trials")
           for trials in (2.9, True, "3", math.inf)),
-        {"experiment": "theorem1", "X": 20, "V_grid": [200.5]},
+        ({"experiment": "theorem1", "X": 20, "V_grid": [200.5]}, "V_grid entry"),
+        ({"experiment": "byzantine", "seed": -3, "V_T": 5, "V_S": 1, "trials": 1,
+          "distribution": {"kind": "isotropic-gaussian", "dim": 3}},
+         "seed must be a nonnegative integer, got -3"),
+        *(({"experiment": "theorem1", "X": x, "V_grid": [10]},
+           f"finite corner abscissa X >= 8, got {x}") for x in (math.nan, math.inf)),
+        ({"experiment": "convergence", "V_grid": [100], "trials": 1,
+          "distribution": {"kind": "isotropic-gaussian", "dim": 5}}, "two V_grid entries"),
     ], ids=["zero-trials", "negative-V_S", "theorem1-small-X", "theorem1-empty-grid",
             "list", "seed-abc", "asymptotic-V_grid-5", "theorem1-V_grid-5",
             "trials-null", "theorem1-overflowing-X", "trials-2.9", "trials-true",
-            "trials-string", "trials-infinite", "theorem1-V_grid-200.5"])
-    def test_invalid_config_exit_2(self, cfg, tmp_path, capsys):
+            "trials-string", "trials-infinite", "theorem1-V_grid-200.5", "seed--3",
+            "theorem1-X-nan", "theorem1-X-inf", "convergence-V_grid-one"])
+    def test_invalid_config_exit_2(self, cfg, names, tmp_path, capsys):
         path = write_csv(tmp_path / "c.json", json.dumps(cfg))
         code, out, err = run_cli(
             ["simulate", "--config", path, "--output", str(tmp_path / "o")], capsys
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert names in err
 
     @pytest.mark.parametrize("matrices", [
         {"preference_matrix": np.diag([1.0, 1.0, -1.0, 1.0, 1.0]).tolist()},

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from medianforge import simulate as sim
 from medianforge import solvers as sv
 from medianforge import strategy as st
 from medianforge.errors import DimensionMismatch, MajorityAttack, NotSPD
-from medianforge.linalg import _openblas_thread_controls, spd_inv, spd_sqrt
+from medianforge.linalg import _openblas_thread_controls, one_blas_thread, spd_inv, spd_sqrt
 from medianforge.profiles import VoterProfile, uniform_profile
 from medianforge.solvers import geometric_median, loss_gradient
 from medianforge.strategy import achievable_contains, skewness
@@ -74,6 +75,12 @@ class TestTheorem1Instance:
         with pytest.raises(ValueError):
             sim.build_theorem1_instance(4.0, 100)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_x_rejected(self, x):
+        # NaN fails every comparison, and inf**3 does not overflow
+        with pytest.raises(ValueError, match="finite corner abscissa X >= 8, got"):
+            sim.build_theorem1_instance(x, 100)
+
     def test_overflowing_x_rejected(self):
         # x**3 overflows a float past about 5.6e102
         with pytest.raises(ValueError, match="too large"):
@@ -135,6 +142,22 @@ class TestAsymptoticExperiment:
         cfg = sim.ExperimentConfig(d, V_grid=(100,), trials=1, seed=0)
         with pytest.raises(ValueError):
             sim.asymptotic_experiment(cfg)
+
+    def test_skew_numeric_is_the_objective_at_the_closed_form_maximizer(self, monkeypatch):
+        # criterion-6 trials 0-3; the gains are not under test, so skip their search
+        def oracle(*args, **kwargs):
+            raise AssertionError("the sphere oracle ran inside a trial")
+
+        monkeypatch.setattr(st, "numeric_skewness", oracle)
+        monkeypatch.setattr(sim, "numeric_skewness", oracle, raising=False)
+        monkeypatch.setattr(sim, "best_response", lambda *a, **k: SimpleNamespace(
+            gain_alpha=0.0, truthful_dist=0.0, strategic_dist=0.0))
+        d = sim.PreferenceDistribution("diagonal-gaussian", 5, sigmas=(1, 1, 1, 1, 4))
+        for trial in range(4):
+            seed = sim._derived_seed(2026, 1, 1000, trial)
+            _, closed, numeric = sim._stress_gains(sim.sample_profile(d, 1000, seed),
+                                                   np.eye(5), seed)
+            assert numeric == pytest.approx(closed, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("kwargs,error", [
         ({"s": np.diag([1.0, 1.0, -1.0, 1.0, 1.0])}, NotSPD),
@@ -249,6 +272,46 @@ class TestConvergenceDiagnostics:
         assert all(b < a for a, b in zip(hess, hess[1:]))
         assert rep.summary["V_ref"] == 40000
 
+    def test_one_reference_solve_per_trial(self, monkeypatch):
+        calls = []
+        solve = sv._solve_gm
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "_solve_gm", counted)
+        d = sim.PreferenceDistribution("isotropic-gaussian", 5)
+        cfg = sim.ExperimentConfig(d, V_grid=(100, 200, 400), trials=3, seed=14)
+        rows = sim.convergence_diagnostics(cfg).rows
+        assert len(calls) == 3 * (1 + 3)
+        # the rows of one task per (V, trial), each solving its own reference,
+        # under the same BLAS pin as the tasks
+        expected = []
+        with one_blas_thread():
+            for v in cfg.V_grid:
+                for t in range(cfg.trials):
+                    trial_seed = sim._derived_seed(14, 2, v, t)
+                    ref_seed = sim._derived_seed(14, 2, 0, t)
+                    at_v = solve(sim.sample_profile(d, v, trial_seed))[0]
+                    at_ref = solve(sim.sample_profile(d, 4000, ref_seed))[0]
+                    expected.append({
+                        "V": v, "trial": t, "seed": trial_seed, "ref_seed": ref_seed,
+                        "median_err": float(np.linalg.norm(at_v.z - at_ref.z)),
+                        "hessian_err": float(np.max(np.abs(at_v.hessian()
+                                                           - at_ref.hessian()))),
+                    })
+        assert rows == expected
+
+    def test_single_voter_count_rejected_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sim, "_run_tasks", lambda *a: calls.append(a))
+        d = sim.PreferenceDistribution("isotropic-gaussian", 5)
+        cfg = sim.ExperimentConfig(d, V_grid=(100,), trials=1, seed=0)
+        with pytest.raises(ValueError, match="two V_grid entries"):
+            sim.convergence_diagnostics(cfg)
+        assert calls == []
+
     def test_reference_is_stable_by_symmetry(self):
         # the isotropic reference median sits near the origin
         d = sim.PreferenceDistribution("isotropic-gaussian", 5)
@@ -349,7 +412,7 @@ class TestConsumersReadTheSolve:
         monkeypatch.setattr(st, "geometric_median", vote_median_only)
         iso = sim.PreferenceDistribution("isotropic-gaussian", 3)
         prof = sim.sample_profile(iso, 400, 5)
-        sim._convergence_task((iso, 100, 1000, 0, 14))
+        sim._convergence_task((iso, (100,), 1000, 0, 14))
         sim._stress_gains(sim.sample_profile(iso, 30, 2), np.eye(3), 2)
         sim.fit_isotropizing_skew(iso, samples=100, seed=1)
         st.hessian_at_median(prof)

@@ -18,7 +18,10 @@ eye(3) simplex, whose cw median lies outside the hull), aggregate avg
 (weighted), skewness --numeric-check, best-response (--preset thm1, and a
 profile with an inline theta0, a preference matrix and a seed), and simulate
 byzantine (two configs, one at --parallel 2), theorem1, asymptotic (plain,
-and with a preference matrix plus median_skew) and convergence.
+and with a preference matrix plus median_skew) and convergence (two configs;
+the second, three V values by three trials, runs at --parallel 2, where each
+worker task returns the rows of one trial, so its bytes also pin how those
+rows are put back in order).
 """
 
 import json
@@ -48,6 +51,9 @@ SIMULATE = {
                            "median_skew": np.diag([1, 1, 1, 1, 0.5]).tolist()}, 1),
     "convergence": ({"experiment": "convergence", "seed": 14, "V_grid": [100, 200],
                      "trials": 2, "distribution": {"kind": "isotropic-gaussian", "dim": 5}}, 1),
+    "convergence_pooled": ({"experiment": "convergence", "seed": 14,
+                            "V_grid": [100, 200, 400], "trials": 3,
+                            "distribution": {"kind": "isotropic-gaussian", "dim": 5}}, 2),
 }
 
 
