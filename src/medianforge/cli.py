@@ -239,42 +239,56 @@ def _csv_rows(rows):
                        for g in r.get("gains", ())}) for r in rows]
 
 
-def _integer(name, value):
+def _integer(value):
     """A config count: an int, or a float with no fraction; never a bool."""
     if isinstance(value, bool) or not (isinstance(value, int) or
                                        isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _integers(values):
+    return tuple(_integer(v) for v in values)
+
+
+def _read(cfg, key, convert):
+    """cfg[key] through convert; a malformed value raises ValueError naming key."""
+    try:
+        return convert(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def _distribution(d):
+    optional = {key: _read(d, key, convert)
+                for key, convert in (("sigmas", tuple), ("radius", float)) if key in d}
+    return PreferenceDistribution(d["kind"], _read(d, "dim", _integer), **optional)
 
 
 def _bind_experiment(kind, cfg, parallel):
     """Read every value of a simulate config before any trial runs.
 
     Returns the experiment call with its arguments bound, and its CSV fields.
-    A missing key raises KeyError; a malformed value, TypeError or ValueError.
+    A missing key raises KeyError; a malformed value, ValueError naming it.
     """
-    seed = _seed(_integer("seed", cfg["seed"]), "seed") if "seed" in cfg else _env_seed()
+    seed = _seed(_read(cfg, "seed", _integer), "seed") if "seed" in cfg else _env_seed()
     if kind == "theorem1":
-        return functools.partial(theorem1_experiment, float(cfg["X"]),
-                                 [_integer("V_grid entry", v) for v in cfg["V_grid"]],
+        return functools.partial(theorem1_experiment, _read(cfg, "X", float),
+                                 _read(cfg, "V_grid", _integers),
                                  parallel=parallel), THEOREM1_FIELDS
-    d = cfg["distribution"]
-    dist = PreferenceDistribution(d["kind"], _integer("dim", d["dim"]),
-                                  sigmas=tuple(d["sigmas"]) if "sigmas" in d else None,
-                                  corner_x=d.get("X", d.get("corner_x")),
-                                  radius=d.get("radius"))
+    dist = _read(cfg, "distribution", _distribution)
     if kind == "byzantine":
-        v_t, v_s, trials = (_integer(key, cfg[key]) for key in ("V_T", "V_S", "trials"))
+        v_t, v_s, trials = (_read(cfg, key, _integer) for key in ("V_T", "V_S", "trials"))
         return functools.partial(byzantine_experiment, dist, v_t, v_s, trials, seed,
                                  parallel=parallel), BYZANTINE_FIELDS
-    config = ExperimentConfig(dist, tuple(_integer("V_grid entry", v) for v in cfg["V_grid"]),
-                              _integer("trials", cfg["trials"]), seed,
-                              epsilon=float(cfg.get("epsilon", 0.1)),
-                              delta=float(cfg.get("delta", 0.05)))
+    floats = {key: _read(cfg, key, float) for key in ("epsilon", "delta") if key in cfg}
+    config = ExperimentConfig(dist, _read(cfg, "V_grid", _integers),
+                              _read(cfg, "trials", _integer), seed, **floats)
     if kind == "convergence":
         return functools.partial(convergence_diagnostics, config,
                                  parallel=parallel), CONVERGENCE_FIELDS
-    matrices = {arg: np.asarray(cfg[key], dtype=float)
+    as_matrix = functools.partial(np.asarray, dtype=float)
+    matrices = {arg: _read(cfg, key, as_matrix)
                 for arg, key in (("s", "preference_matrix"), ("median_skew", "median_skew"))
                 if key in cfg}
     return functools.partial(asymptotic_experiment, config, parallel=parallel,

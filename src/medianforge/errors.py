@@ -31,8 +31,7 @@ class MajorityAttack(MedianForgeError):
 
 class BracketFailure(MedianForgeError):
     """Root bracketing failed: no sign change of the bracketed function was
-    found, e.g. a requested gradient-norm level the loss never reaches along a
-    ray, or a construction that needs a larger voter count."""
+    found, e.g. a gradient-norm level the loss never reaches along a ray."""
 
 
 class SolverFailure(MedianForgeError):

@@ -7,12 +7,13 @@ be replayed in isolation from the indices recorded in its row.
 """
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, DimensionMismatch, MajorityAttack, MedianForgeError
+from .errors import AtVoterPoint, DimensionMismatch, MajorityAttack, MedianForgeError
 from .linalg import check_spd, one_blas_thread, spd_inv, spd_sqrt
 from .profiles import VoterProfile, uniform_profile
 from .solvers import _solve_gm, geometric_median, loss_gradient, loss_hessian
@@ -39,7 +40,7 @@ __all__ = [
     "fit_isotropizing_skew",
 ]
 
-DIST_KINDS = ("isotropic-gaussian", "diagonal-gaussian", "four-corner", "uniform-ball")
+DIST_KINDS = ("isotropic-gaussian", "diagonal-gaussian", "uniform-ball")
 
 STRESS_GAMMAS = (1.5, 3.0, 10.0)
 
@@ -49,13 +50,12 @@ class PreferenceDistribution:
     """I.i.d. sampler for voter preference vectors.
 
     kinds: isotropic-gaussian, diagonal-gaussian (per-axis sigmas),
-    four-corner (the discrete (+-X, +-1) atoms, dim 2), uniform-ball.
+    uniform-ball (radius).
     """
 
     kind: str
     dim: int
     sigmas: tuple = None
-    corner_x: float = None
     radius: float = None
 
     def __post_init__(self):
@@ -69,18 +69,8 @@ class PreferenceDistribution:
             if not all(s > 0 for s in self.sigmas):
                 raise ValueError("sigmas must be positive")
             object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-        if self.kind == "four-corner":
-            if self.dim != 2:
-                raise ValueError("four-corner lives in dimension 2")
-            if self.corner_x is None or not self.corner_x > 0:
-                raise ValueError("four-corner needs a positive corner abscissa")
         if self.kind == "uniform-ball" and (self.radius is None or not self.radius > 0):
             raise ValueError("uniform-ball needs a positive radius")
-
-    @property
-    def smooth(self) -> bool:
-        """True when the density is continuous (everything but four-corner)."""
-        return self.kind != "four-corner"
 
 
 @dataclass(frozen=True)
@@ -116,11 +106,9 @@ def _corner_atoms(x: float) -> np.ndarray:
 
 
 def sample_profile(dist: PreferenceDistribution, v_count: int, seed: int) -> VoterProfile:
-    """Draw v_count i.i.d. voters (four-corner: v_count copies of each atom)."""
+    """Draw v_count i.i.d. voters."""
     if v_count < 1:
         raise ValueError("need at least one voter")
-    if dist.kind == "four-corner":
-        return VoterProfile(np.repeat(_corner_atoms(dist.corner_x), v_count, axis=0))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if dist.kind == "isotropic-gaussian":
         pts = rng.standard_normal((v_count, dist.dim))
@@ -156,11 +144,7 @@ class Theorem1Instance:
 
     @property
     def honest_profile(self) -> VoterProfile:
-        return sample_profile(
-            PreferenceDistribution("four-corner", 2, corner_x=self.corner_x),
-            self.v_per_corner,
-            seed=0,
-        )
+        return VoterProfile(np.repeat(_corner_atoms(self.corner_x), self.v_per_corner, axis=0))
 
     @property
     def truthful_dist(self) -> float:
@@ -184,9 +168,12 @@ def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
 
     The corner loss here is the plain sum of the four distances; its gradient
     norm along the ray c * (x^3, 1) is driven to 1/V by bisection on (0, 1].
+    At c = 1 the four corners lie almost along -x, so the norm is about 4 > 1/V.
     """
     if not 8.0 <= x < math.inf:
         raise ValueError(f"the construction needs a finite corner abscissa X >= 8, got {x!r}")
+    if x > sys.float_info.max ** (1.0 / 6.0):  # beyond, the gradient on the ray reads 0
+        raise ValueError(f"corner abscissa {x!r} is too large: (x**3)**2 overflows")
     v = int(v_per_corner)
     if v < 1:
         raise ValueError("need at least one copy per corner")
@@ -195,19 +182,12 @@ def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
     def grad_sum(z):
         return 4.0 * loss_gradient(corners, z)
 
-    try:
-        ray = np.array([x**3, 1.0])
-    except OverflowError:
-        raise ValueError(f"corner abscissa {x!r} is too large: x**3 overflows") from None
+    ray = np.array([x**3, 1.0])
     target = 1.0 / v
 
     def excess(c):
         return np.linalg.norm(grad_sum(c * ray)) - target
 
-    if excess(1.0) <= 0.0:
-        raise BracketFailure(
-            f"gradient norm at the bracket end is below 1/V={target:.3e}; increase V"
-        )
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -352,7 +332,7 @@ def asymptotic_experiment(config: ExperimentConfig, s=None, median_skew=None,
     unchanged by the mapping, and the bound matrix is orthogonally similar).
     """
     dist = config.distribution
-    if dist.smooth and dist.dim < 5:
+    if dist.dim < 5:
         raise ValueError("asymptotic sweeps need dim >= 5 under a smooth density")
     s_mat = np.eye(dist.dim) if s is None else check_spd(s, "preference matrix")
     sk = None if median_skew is None else check_spd(median_skew, "median_skew")
@@ -406,27 +386,31 @@ def _convergence_task(args):
     """Rows of one trial, one per V of the grid, against one reference solve."""
     dist, v_grid, v_ref, trial, seed = args
     ref_seed = _derived_seed(seed, 2, 0, trial)
-    at_ref = _solve_gm(sample_profile(dist, v_ref, ref_seed))[0]
-    ref_hessian = at_ref.hessian()
-    rows = []
-    for v_count in v_grid:
-        trial_seed = _derived_seed(seed, 2, v_count, trial)
-        at_v = _solve_gm(sample_profile(dist, v_count, trial_seed))[0]
-        rows.append({
-            "V": v_count,
-            "trial": trial,
-            "seed": trial_seed,
-            "ref_seed": ref_seed,
-            "median_err": float(np.linalg.norm(at_v.z - at_ref.z)),
-            "hessian_err": float(np.max(np.abs(at_v.hessian() - ref_hessian))),
-        })
+    rows, v_count = [], v_ref  # v_count: the voter count being solved
+    try:
+        at_ref = _solve_gm(sample_profile(dist, v_ref, ref_seed))[0]
+        ref_hessian = at_ref.hessian()
+        for v_count in v_grid:
+            trial_seed = _derived_seed(seed, 2, v_count, trial)
+            at_v = _solve_gm(sample_profile(dist, v_count, trial_seed))[0]
+            rows.append({
+                "V": v_count,
+                "trial": trial,
+                "seed": trial_seed,
+                "ref_seed": ref_seed,
+                "median_err": float(np.linalg.norm(at_v.z - at_ref.z)),
+                "hessian_err": float(np.max(np.abs(at_v.hessian() - ref_hessian))),
+            })
+    except AtVoterPoint:
+        raise AtVoterPoint(f"convergence V={v_count} trial {trial}: the median lies on a "
+                           "voter's point, where the loss Hessian is undefined") from None
     return rows
 
 
 def convergence_diagnostics(config: ExperimentConfig, parallel: int = 1) -> ExperimentReport:
     """Decay of median and Hessian estimation error against a 10x reference."""
     dist = config.distribution
-    if dist.smooth and dist.dim < 5:
+    if dist.dim < 5:
         raise ValueError("convergence diagnostics need dim >= 5 under a smooth density")
     if len(config.V_grid) < 2:
         raise ValueError("convergence diagnostics need at least two V_grid entries")
@@ -502,6 +486,8 @@ def _byzantine_task(args):
 def byzantine_experiment(truthful_dist: PreferenceDistribution, v_t: int, v_s: int,
                          trials: int, seed: int, parallel: int = 1) -> ExperimentReport:
     """Adversarial placement trials against the resilience ball."""
+    if v_t < 1:
+        raise ValueError(f"V_T must be >= 1, got {v_t}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if v_s < 0:

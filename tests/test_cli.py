@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from medianforge import solvers
 from medianforge.cli import main
 from medianforge.reportio import fmt_float, read_profile_csv, write_profile_csv
 
@@ -178,6 +179,14 @@ class TestAggregate:
         assert code == 0
         assert json.loads(out)["results"]["degenerate_dimension"] is True
 
+    def test_solver_failure_exit_3(self, triangle_csv, capsys, monkeypatch):
+        monkeypatch.setattr(solvers, "MAX_ITERATIONS", 0)
+        code, out, err = run_cli(
+            ["aggregate", "--input", triangle_csv, "--method", "gm"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("solver failure: ") and err.count("\n") == 1
+
 
 class TestSkewnessCommand:
     def test_identity(self, tmp_path, capsys):
@@ -235,6 +244,22 @@ class TestBestResponseCommand:
             ["best-response", "--input", prof, "--theta0", "1,2,3"], capsys
         )
         assert code == 2
+
+    def test_theta0_file(self, triangle_csv, tmp_path, capsys):
+        one = write_csv(tmp_path / "one.csv", "0.5,0.5\n")
+        code, out, _ = run_cli(
+            ["best-response", "--input", triangle_csv, "--theta0", one, "--restarts", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["theta0"] == [0.5, 0.5]
+        two = write_csv(tmp_path / "two.csv", "0.5,0.5\n0,0\n")
+        for theta0 in (two, "a,b"):
+            code, out, err = run_cli(
+                ["best-response", "--input", triangle_csv, "--theta0", theta0], capsys
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("theta0", ["nan,0", "inf,0"])
     def test_non_finite_theta0_exit_2(self, triangle_csv, theta0, capsys):
@@ -356,15 +381,17 @@ class TestSimulateCommand:
         ([1, 2], "JSON object"),
         ({"experiment": "byzantine", "seed": "abc", "V_T": 5, "V_S": 1, "trials": 1,
           "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, "seed"),
-        ({"experiment": "asymptotic", "V_grid": 5, "trials": 1, "distribution": DIAG5}, ""),
-        ({"experiment": "theorem1", "X": 20, "V_grid": 5}, ""),
+        ({"experiment": "asymptotic", "V_grid": 5, "trials": 1, "distribution": DIAG5},
+         "V_grid: "),
+        ({"experiment": "theorem1", "X": 20, "V_grid": 5}, "V_grid: "),
         ({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": None,
           "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, "trials"),
         ({"experiment": "theorem1", "X": 1e200, "V_grid": [10]}, "too large"),
         *(({"experiment": "byzantine", "V_T": 3, "V_S": 1, "trials": trials,
             "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, "trials")
           for trials in (2.9, True, "3", math.inf)),
-        ({"experiment": "theorem1", "X": 20, "V_grid": [200.5]}, "V_grid entry"),
+        ({"experiment": "theorem1", "X": 20, "V_grid": [200.5]},
+         "V_grid: expected an integer, got 200.5"),
         ({"experiment": "byzantine", "seed": -3, "V_T": 5, "V_S": 1, "trials": 1,
           "distribution": {"kind": "isotropic-gaussian", "dim": 3}},
          "seed must be a nonnegative integer, got -3"),
@@ -372,11 +399,26 @@ class TestSimulateCommand:
            f"finite corner abscissa X >= 8, got {x}") for x in (math.nan, math.inf)),
         ({"experiment": "convergence", "V_grid": [100], "trials": 1,
           "distribution": {"kind": "isotropic-gaussian", "dim": 5}}, "two V_grid entries"),
+        ({"experiment": "asymptotic", "V_grid": [200], "trials": 1,
+          "distribution": dict(DIAG5, sigmas=5)}, "distribution: sigmas: "),
+        ({"experiment": "asymptotic", "V_grid": [200], "trials": 1, "distribution": "x"},
+         "distribution: "),
+        ({"experiment": "asymptotic", "V_grid": [200], "trials": 1, "distribution": DIAG5,
+          "epsilon": "abc"}, "epsilon: "),
+        ({"experiment": "theorem1", "X": "abc", "V_grid": [10]}, "X: "),
+        *(({"experiment": kind, "V_T": 5, "V_S": 1, "V_grid": [100, 200], "trials": 1,
+            "distribution": {"kind": "four-corner", "dim": 2, "X": 8}},
+           "unknown distribution kind 'four-corner'")
+          for kind in ("byzantine", "asymptotic", "convergence")),
+        ({"experiment": "byzantine", "V_T": 0, "V_S": 0, "trials": 1,
+          "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, "V_T must be >= 1"),
     ], ids=["zero-trials", "negative-V_S", "theorem1-small-X", "theorem1-empty-grid",
             "list", "seed-abc", "asymptotic-V_grid-5", "theorem1-V_grid-5",
             "trials-null", "theorem1-overflowing-X", "trials-2.9", "trials-true",
             "trials-string", "trials-infinite", "theorem1-V_grid-200.5", "seed--3",
-            "theorem1-X-nan", "theorem1-X-inf", "convergence-V_grid-one"])
+            "theorem1-X-nan", "theorem1-X-inf", "convergence-V_grid-one", "sigmas-5",
+            "distribution-string", "epsilon-abc", "theorem1-X-abc", "four-corner",
+            "four-corner-asymptotic", "four-corner-convergence", "byzantine-V_T-0"])
     def test_invalid_config_exit_2(self, cfg, names, tmp_path, capsys):
         path = write_csv(tmp_path / "c.json", json.dumps(cfg))
         code, out, err = run_cli(
@@ -402,6 +444,32 @@ class TestSimulateCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (out_dir / "asymptotic_report.json").exists()
+
+    def test_failed_trials_exit_3(self, tmp_path, capsys):
+        # two voters in d=5: every trial fails, and the run still writes its report
+        cfg = {"experiment": "asymptotic", "seed": 0, "V_grid": [2], "trials": 2,
+               "distribution": {"kind": "isotropic-gaussian", "dim": 5}}
+        path = write_csv(tmp_path / "c.json", json.dumps(cfg))
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(
+            ["simulate", "--config", path, "--output", str(out_dir)], capsys
+        )
+        assert (code, out) == (3, "")
+        assert "2/2 trials failed" in err
+        doc = json.load(open(out_dir / "asymptotic_report.json"))
+        assert doc["results"]["summary"] == {"2": {"completed": 0}}
+
+    def test_convergence_median_on_a_voter_exit_2(self, tmp_path, capsys):
+        # at seed 6, the V=4 median of trial 0 lies on a voter (so does V=3 of trial 1)
+        cfg = {"experiment": "convergence", "seed": 6, "V_grid": [3, 4], "trials": 3,
+               "distribution": {"kind": "isotropic-gaussian", "dim": 5}}
+        path = write_csv(tmp_path / "c.json", json.dumps(cfg))
+        code, out, err = run_cli(
+            ["simulate", "--config", path, "--output", str(tmp_path / "o")], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: convergence V=4 trial 0: the median lies on a voter's "
+                       "point, where the loss Hessian is undefined\n")
 
     def test_config_seed_overrides_a_bad_env_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MEDIANFORGE_SEED", "abc")

@@ -24,8 +24,8 @@ class TestDistributions:
             sim.PreferenceDistribution("isotropic-gaussian", 1)
         with pytest.raises(ValueError):
             sim.PreferenceDistribution("diagonal-gaussian", 3, sigmas=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            sim.PreferenceDistribution("four-corner", 3, corner_x=8.0)
+        with pytest.raises(ValueError, match="unknown distribution kind 'four-corner'"):
+            sim.PreferenceDistribution("four-corner", 2)
 
     def test_same_seed_same_profile(self):
         d = sim.PreferenceDistribution("uniform-ball", 4, radius=2.0)
@@ -36,11 +36,10 @@ class TestDistributions:
         assert not np.array_equal(a.voters, c.voters)
 
     def test_four_corner_atoms(self):
-        d = sim.PreferenceDistribution("four-corner", 2, corner_x=8.0)
-        prof = sim.sample_profile(d, 1, 0)
+        prof = sim.build_theorem1_instance(8.0, 5).honest_profile
         expected = {(-8.0, -1.0), (-8.0, 1.0), (8.0, -1.0), (8.0, 1.0)}
         assert {tuple(v) for v in prof.voters} == expected
-        assert sim.sample_profile(d, 5, 0).count == 20
+        assert prof.count == 20
 
     def test_gaussian_mean_concentration(self):
         d = sim.PreferenceDistribution("isotropic-gaussian", 5)
@@ -82,9 +81,10 @@ class TestTheorem1Instance:
             sim.build_theorem1_instance(x, 100)
 
     def test_overflowing_x_rejected(self):
-        # x**3 overflows a float past about 5.6e102
-        with pytest.raises(ValueError, match="too large"):
-            sim.build_theorem1_instance(1e200, 10)
+        # (x**3)**2 overflows a float past about 2.4e51, x**3 past about 5.6e102
+        for x in (1e60, 1e200):
+            with pytest.raises(ValueError, match="too large"):
+                sim.build_theorem1_instance(x, 10)
 
     def test_strategic_vote_achievable_for_large_v(self):
         inst = sim.build_theorem1_instance(20.0, 1000)
