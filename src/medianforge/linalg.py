@@ -60,6 +60,9 @@ def extreme_eigenvalues(m) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
+# read by an OpenBLAS when it loads
+_THREAD_VAR = "OPENBLAS_NUM_THREADS"
+
 # numpy and scipy each bundle their own OpenBLAS, under different symbol names
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -96,14 +99,18 @@ def _openblas_thread_controls() -> list:
 
 @contextmanager
 def one_blas_thread():
-    """Run the block with every loaded OpenBLAS at one thread, then restore
-    the previous counts.
+    """Run the block with every OpenBLAS at one thread, then restore the
+    previous counts.
 
     The linear algebra here is on d x d matrices and short vectors, too small
     to gain from threads; with one pool worker per core, the idle OpenBLAS
     threads of one worker spin on the core the other needs. Pool workers
     forked inside the block inherit the count, which also makes results
-    independent of the worker count. Does nothing where no OpenBLAS is found.
+    independent of the worker count. OPENBLAS_NUM_THREADS is 1 for the
+    block, so an OpenBLAS first loaded inside it, as scipy's is on the first
+    use of scipy.optimize, starts at one thread; one first loaded by this
+    process stays at one thread after the block. Sets no count where no
+    OpenBLAS is loaded.
     """
     # After a fork, setting a count makes OpenBLAS start its thread pool
     # again, and new pool threads spin for a while: set only counts that
@@ -112,8 +119,14 @@ def one_blas_thread():
              if (count := get()) != 1]
     for set_, _ in saved:
         set_(1)
+    env = os.environ.get(_THREAD_VAR)
+    os.environ[_THREAD_VAR] = "1"
     try:
         yield
     finally:
+        if env is None:
+            os.environ.pop(_THREAD_VAR, None)
+        else:
+            os.environ[_THREAD_VAR] = env
         for set_, count in saved:
             set_(count)

@@ -8,7 +8,6 @@ be replayed in isolation from the indices recorded in its row.
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,8 +202,18 @@ def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
     theta0 = g_v + grad_at_g / math.sqrt(v)
     hessian = 4.0 * loss_hessian(corners, np.zeros(2))
     hhg = hessian @ (hessian @ g_v)
-    coeff = (g_v @ (hessian @ hhg)) / (hhg @ hhg)
-    strategic_vote = theta0 - (2.0 / math.sqrt(v)) * coeff * hhg
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        coeff = (g_v @ (hessian @ hhg)) / (hhg @ hhg)
+        strategic_vote = theta0 - (2.0 / math.sqrt(v)) * coeff * hhg
+    # Far below the overflow bound, float64 loses the instance: the offset of
+    # theta0 from g_V rounds away, or the bisection ends at alpha = 0 and
+    # coeff is 0/0.
+    if not all(np.all(np.isfinite(a)) for a in (g_v, theta0, strategic_vote)):
+        raise ValueError(f"corner abscissa X={x!r} is too large: the instance "
+                         "has non-finite entries")
+    if np.array_equal(theta0, g_v):
+        raise ValueError(f"corner abscissa X={x!r} is too large at V={v}: "
+                         "theta0 rounds onto g_V")
     return Theorem1Instance(
         corner_x=float(x),
         v_per_corner=v,
@@ -551,5 +560,7 @@ def _run_tasks(fn, tasks, parallel):
         workers = min(parallel, len(tasks))
         # 16 chunks a worker: ms tasks share round trips; under 16 a worker go singly
         chunk = max(1, len(tasks) // (16 * workers))
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=chunk))

@@ -2,13 +2,13 @@
 
 Reported strategic gains are empirical: the optimizers search over strategic
 votes, so every gain is a lower bound on the true worst case over all votes
-and preference placements.
+and preference placements. scipy.optimize is imported by the searches that
+call it, so importing this module loads no part of scipy.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     AtVoterPoint,
@@ -159,6 +159,8 @@ def boundary_point(honest_wp: WeightedProfile, center, direction, level: float) 
     below the level at the center. The bracket starts at t = max(1, twice the
     farthest voter's distance) and doubles; BracketFailure after 60 doublings.
     """
+    from scipy import optimize
+
     center = np.asarray(center, dtype=float)
     u = np.asarray(direction, dtype=float)
     u = u / np.linalg.norm(u)
@@ -230,6 +232,8 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
     candidate is pulled back onto the boundary and polished by sliding along
     it in the direction that shrinks the skewed distance.
     """
+    from scipy import optimize
+
     d = theta0.size
     ss = s @ s
 
@@ -352,6 +356,8 @@ def _blackbox_response(theta0, honest_voters, s, seeds, restarts, rng, scale, g_
     moves only within a small neighborhood as the vote varies, so each
     evaluation takes a handful of Newton steps.
     """
+    from scipy import optimize
+
     d = theta0.size
     v1 = honest_voters.shape[0] + 1
     stacked = np.vstack([honest_voters, np.zeros((1, d))])
@@ -614,6 +620,8 @@ def hull_distance(points, z) -> float:
     s ||Q^T lam|| / sum(lam). sum(lam) > 0, because a small t > 0 leaves a
     residual below 1, the residual of lam = 0.
     """
+    from scipy import optimize
+
     diff = np.asarray(points, dtype=float) - np.asarray(z, dtype=float)
     s = _profile_scale(diff)
     a = np.ones((diff.shape[1] + 1, diff.shape[0]))

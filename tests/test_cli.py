@@ -311,6 +311,16 @@ class TestBestResponseCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("x,reason", [("1e25", "theta0 rounds onto g_V"),
+                                          ("1e40", "non-finite entries")])
+    def test_preset_x_lost_to_rounding_exit_2(self, x, reason, capsys):
+        code, out, err = run_cli(
+            ["best-response", "--preset", "thm1", "--X", x, "--V", "50"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"X={float(x)!r} is too large" in err and reason in err
+
     def test_seed_env_fallback(self, tmp_path, capsys, monkeypatch):
         prof = write_csv(tmp_path / "p.csv", "1,0\n-1,0\n0,2\n0,-2\n0.5,0.5\n")
         monkeypatch.setenv("MEDIANFORGE_SEED", "77")
@@ -387,6 +397,10 @@ class TestSimulateCommand:
         ({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": None,
           "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, "trials"),
         ({"experiment": "theorem1", "X": 1e200, "V_grid": [10]}, "too large"),
+        ({"experiment": "theorem1", "X": 1e25, "V_grid": [50]},
+         "X=1e+25 is too large at V=50: theta0 rounds onto g_V"),
+        ({"experiment": "theorem1", "X": 1e40, "V_grid": [50]},
+         "X=1e+40 is too large: the instance has non-finite entries"),
         *(({"experiment": "byzantine", "V_T": 3, "V_S": 1, "trials": trials,
             "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, "trials")
           for trials in (2.9, True, "3", math.inf)),
@@ -414,7 +428,8 @@ class TestSimulateCommand:
           "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, "V_T must be >= 1"),
     ], ids=["zero-trials", "negative-V_S", "theorem1-small-X", "theorem1-empty-grid",
             "list", "seed-abc", "asymptotic-V_grid-5", "theorem1-V_grid-5",
-            "trials-null", "theorem1-overflowing-X", "trials-2.9", "trials-true",
+            "trials-null", "theorem1-overflowing-X", "theorem1-X-1e25", "theorem1-X-1e40",
+            "trials-2.9", "trials-true",
             "trials-string", "trials-infinite", "theorem1-V_grid-200.5", "seed--3",
             "theorem1-X-nan", "theorem1-X-inf", "convergence-V_grid-one", "sigmas-5",
             "distribution-string", "epsilon-abc", "theorem1-X-abc", "four-corner",

@@ -1,6 +1,10 @@
 import math
 import os
+import re
+import subprocess
 import sys
+import textwrap
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -85,6 +89,17 @@ class TestTheorem1Instance:
         for x in (1e60, 1e200):
             with pytest.raises(ValueError, match="too large"):
                 sim.build_theorem1_instance(x, 10)
+
+    @pytest.mark.parametrize("x,reason", [(1e25, "theta0 rounds onto g_V"),
+                                          (1e40, "non-finite entries")])
+    def test_x_lost_to_rounding_rejected(self, x, reason):
+        # far below the overflow bound: at 1e25 theta0 == g_V, at 1e40 the
+        # vote's coefficient is 0/0; both are refused without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            match = re.escape(f"X={x!r} is too large") + f".*{reason}"
+            with pytest.raises(ValueError, match=match):
+                sim.build_theorem1_instance(x, 50)
 
     def test_strategic_vote_achievable_for_large_v(self):
         inst = sim.build_theorem1_instance(20.0, 1000)
@@ -231,7 +246,54 @@ def _blas_threads(_task=None):
     return os.getpid(), [get() for get, _ in _openblas_thread_controls()]
 
 
+def _fresh_python(code, **env):
+    """Run code in a new interpreter that imports this medianforge; env
+    entries set (a string) or remove (None) variables. Returns stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))
+    full = {k: v for k, v in os.environ.items() if k not in env}
+    full.update({k: v for k, v in env.items() if v is not None})
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=full,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_loads_no_scipy_optimize_or_linalg():
+    out = _fresh_python("""
+        import sys
+        import medianforge, medianforge.cli
+        print(sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules))
+    """)
+    assert out == "[]\n"
+
+
 class TestOpenBLASPin:
+    @pytest.mark.parametrize("env", [None, "3"], ids=["unset", "preset-3"])
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_library_first_loaded_in_the_block_starts_at_one_thread(self, parallel, env):
+        if not _openblas_thread_controls():
+            pytest.skip("no OpenBLAS loaded")
+        # scipy's OpenBLAS is mapped only once the task imports scipy.optimize:
+        # in the pool workers at parallel=2, in this interpreter at parallel=1
+        out = _fresh_python(f"""
+            import os, sys
+            from medianforge import simulate
+            from medianforge.linalg import _openblas_thread_controls
+            assert "scipy.linalg" not in sys.modules
+
+            def task(_):
+                from scipy import optimize
+                return [get() for get, _ in _openblas_thread_controls()]
+
+            if __name__ == "__main__":
+                print(simulate._run_tasks(task, [0, 1], {parallel}))
+                print(os.environ.get("OPENBLAS_NUM_THREADS"))
+        """, OPENBLAS_NUM_THREADS=env)
+        counts, after = out.splitlines()
+        assert counts == "[[1, 1], [1, 1]]"
+        assert after == str(env)
+
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_tasks_run_on_one_thread_and_the_count_is_restored(self, parallel):
         controls = _openblas_thread_controls()

@@ -365,7 +365,7 @@ class TestHullDistance:
         def fail(*args, **kwargs):
             raise RuntimeError("Maximum number of iterations reached.")
 
-        monkeypatch.setattr(st.optimize, "nnls", fail)
+        monkeypatch.setattr("scipy.optimize.nnls", fail)
         with pytest.raises(SolverFailure):
             st.hull_distance(np.eye(3), np.zeros(3))
 
