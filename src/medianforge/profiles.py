@@ -17,9 +17,9 @@ __all__ = ["VoterProfile", "WeightedProfile", "uniform_profile", "affine_dimensi
 
 
 def _canonical_order(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Lexicographic order on (column 0, ..., column d-1, weight): the stable
-    argsort of column 0 when it has no tie (-0.0 == 0.0 is one), else lexsort."""
-    order = np.argsort(points[:, 0], kind="stable")
+    """Lexicographic order on (column 0, ..., column d-1, weight): the argsort
+    of column 0, unique when it has no tie (-0.0 == 0.0 is one), else lexsort."""
+    order = np.argsort(points[:, 0])
     first = points[order, 0]
     if not np.any(first[1:] == first[:-1]):
         return order
@@ -31,6 +31,23 @@ def _profile_scale(points: np.ndarray) -> float:
     """max(1, max |coordinate|), without an abs(points) temporary the size
     of the voters."""
     return max(1.0, float(points.max()), -float(points.min()))
+
+
+def _lower_median(voters: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per column, the smallest value whose cumulative weight reaches 1/2."""
+    out = np.empty(voters.shape[1])
+    # Equal weights sum alike in any order: one index, one selection per column.
+    # Unequal weights, and zeros (only the stable sort fixes their sign), sort.
+    equal = bool(np.all(weights == weights[0]))
+    idx = int(np.searchsorted(np.cumsum(weights), 0.5 - 1e-12))
+    for j in range(voters.shape[1]):
+        out[j] = np.partition(voters[:, j], idx)[idx] if equal else 0.0
+        if out[j] == 0.0:
+            order = np.argsort(voters[:, j], kind="stable")
+            cum = np.cumsum(weights[order])
+            out[j] = voters[order[int(np.searchsorted(cum, 0.5 - 1e-12))], j]
+    out.setflags(write=False)
+    return out
 
 
 def _validate_points(points) -> np.ndarray:
@@ -97,6 +114,11 @@ class WeightedProfile:
         """affine_dimension of the voters, computed once per profile."""
         return affine_dimension(self.voters)
 
+    @cached_property
+    def _cw_median(self) -> np.ndarray:
+        """Read-only coordinate-wise lower median, computed once per profile."""
+        return _lower_median(self.voters, self.weights)
+
 
 class VoterProfile(WeightedProfile):
     """A finite multiset of d-dimensional preference vectors, one voter one
@@ -111,11 +133,21 @@ def uniform_profile(points) -> VoterProfile:
 
 
 def affine_dimension(points) -> int:
-    """Dimension of the affine span of the points."""
+    """Dimension of the affine span: the count of singular values s of the
+    centred points above 1e-9 * s[0]. The d x d Gram matrix answers "all d"
+    first: its rounding error, at most about V * d * eps * s[0]**2, is far
+    below the margin 1e-6 * s[0]**2 of its test for any profile that fits in
+    memory, and sqrt(1e-6) is 10**6 times 1e-9, so the SVD would count all d
+    too. Otherwise, or where a Gram entry could over- or underflow (centred
+    coordinates beyond 1e140 or all below 1e-140), the SVD counts."""
     a = _validate_points(points)
     if a.shape[0] == 1:
         return 0
     centered = a - a.mean(axis=0)
+    if 1e-140 < max(centered.max(), -centered.min()) < 1e140:
+        lam = np.linalg.eigvalsh(centered.T @ centered)
+        if lam[0] >= 1e-6 * lam[-1]:
+            return a.shape[1]
     s = np.linalg.svd(centered, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0

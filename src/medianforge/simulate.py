@@ -15,7 +15,8 @@ import numpy as np
 from .errors import AtVoterPoint, DimensionMismatch, MajorityAttack, MedianForgeError
 from .linalg import check_spd, one_blas_thread, spd_inv, spd_sqrt
 from .profiles import VoterProfile, uniform_profile
-from .solvers import _solve_gm, geometric_median, loss_gradient, loss_hessian
+from .solvers import (_solve_gm, geometric_median, loss_gradient, loss_hessian,
+                      min_norm_subgradient)
 from .strategy import (
     _resilience_radius,
     _sphere_objective,
@@ -178,8 +179,8 @@ def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
         raise ValueError("need at least one copy per corner")
     corners = uniform_profile(_corner_atoms(x))
 
-    def grad_sum(z):
-        return 4.0 * loss_gradient(corners, z)
+    def grad_sum(z):  # min-norm: from X ~ 1e15 points of the ray can read as corners
+        return 4.0 * min_norm_subgradient(corners, z)
 
     ray = np.array([x**3, 1.0])
     target = 1.0 / v
@@ -214,6 +215,8 @@ def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
     if np.array_equal(theta0, g_v):
         raise ValueError(f"corner abscissa X={x!r} is too large at V={v}: "
                          "theta0 rounds onto g_V")
+    if corners.affine_dim < 2:  # the rank test reads (+-X, +-1) as a line from X ~ 1e9
+        raise ValueError(f"corner abscissa X={x!r} is too large: the corners read as collinear")
     return Theorem1Instance(
         corner_x=float(x),
         v_per_corner=v,

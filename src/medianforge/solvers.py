@@ -74,21 +74,10 @@ def coordinatewise_median(profile: WeightedProfile) -> np.ndarray:
 
     The lower median is the smallest value whose cumulative weight reaches
     1/2; for an even number of equal weights this picks the lower of the two
-    middle values rather than their midpoint.
+    middle values rather than their midpoint. The profile computes it once;
+    each call returns a fresh copy.
     """
-    voters, weights = profile.voters, profile.weights
-    out = np.empty(profile.dim)
-    # Equal weights sum alike in any order: one index, one selection per column.
-    # Unequal weights, and zeros (only the stable sort fixes their sign), sort.
-    equal = bool(np.all(weights == weights[0]))
-    idx = int(np.searchsorted(np.cumsum(weights), 0.5 - 1e-12))
-    for j in range(profile.dim):
-        out[j] = np.partition(voters[:, j], idx)[idx] if equal else 0.0
-        if out[j] == 0.0:
-            order = np.argsort(voters[:, j], kind="stable")
-            cum = np.cumsum(weights[order])
-            out[j] = voters[order[int(np.searchsorted(cum, 0.5 - 1e-12))], j]
-    return out
+    return profile._cw_median.copy()
 
 
 class _Pass:

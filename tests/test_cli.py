@@ -312,7 +312,10 @@ class TestBestResponseCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("x,reason", [("1e25", "theta0 rounds onto g_V"),
-                                          ("1e40", "non-finite entries")])
+                                          ("1e40", "non-finite entries"),
+                                          ("1e10", "the corners read as collinear"),
+                                          ("1e15", "theta0 rounds onto g_V"),
+                                          ("1e20", "theta0 rounds onto g_V")])
     def test_preset_x_lost_to_rounding_exit_2(self, x, reason, capsys):
         code, out, err = run_cli(
             ["best-response", "--preset", "thm1", "--X", x, "--V", "50"], capsys
@@ -426,6 +429,8 @@ class TestSimulateCommand:
           for kind in ("byzantine", "asymptotic", "convergence")),
         ({"experiment": "byzantine", "V_T": 0, "V_S": 0, "trials": 1,
           "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, "V_T must be >= 1"),
+        *(({"experiment": "theorem1", "X": x, "V_grid": [50]}, f"X={x!r} is too large")
+          for x in (1e10, 1e15, 1e20)),
     ], ids=["zero-trials", "negative-V_S", "theorem1-small-X", "theorem1-empty-grid",
             "list", "seed-abc", "asymptotic-V_grid-5", "theorem1-V_grid-5",
             "trials-null", "theorem1-overflowing-X", "theorem1-X-1e25", "theorem1-X-1e40",
@@ -433,7 +438,8 @@ class TestSimulateCommand:
             "trials-string", "trials-infinite", "theorem1-V_grid-200.5", "seed--3",
             "theorem1-X-nan", "theorem1-X-inf", "convergence-V_grid-one", "sigmas-5",
             "distribution-string", "epsilon-abc", "theorem1-X-abc", "four-corner",
-            "four-corner-asymptotic", "four-corner-convergence", "byzantine-V_T-0"])
+            "four-corner-asymptotic", "four-corner-convergence", "byzantine-V_T-0",
+            "theorem1-X-1e10", "theorem1-X-1e15", "theorem1-X-1e20"])
     def test_invalid_config_exit_2(self, cfg, names, tmp_path, capsys):
         path = write_csv(tmp_path / "c.json", json.dumps(cfg))
         code, out, err = run_cli(

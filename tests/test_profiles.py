@@ -1,7 +1,11 @@
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from medianforge import profiles
 from medianforge import solvers as sv
@@ -39,6 +43,20 @@ def test_canonical_order_equals_lexsort(rng, case):
     else:
         pts = np.repeat(rng.standard_normal((5, 2)), 4, axis=0)
     w = rng.uniform(0.5, 2.0, size=len(pts))
+    np.testing.assert_array_equal(_canonical_order(pts, w), _lexsort_order(pts, w))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), count=hs.integers(1, 300), dim=hs.integers(1, 6),
+       ties=hs.booleans(), signed_zeros=hs.booleans())
+def test_canonical_order_is_the_stable_lexsort(seed, count, dim, ties, signed_zeros):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((count, dim))
+    if ties:
+        pts[:, : min(dim, 2)] = rng.integers(-3, 4, (count, min(dim, 2)))
+    if signed_zeros and count >= 2:
+        pts[rng.choice(count, 2, replace=False), 0] = [-0.0, 0.0]
+    w = rng.uniform(0.5, 2.0, size=count)
     np.testing.assert_array_equal(_canonical_order(pts, w), _lexsort_order(pts, w))
 
 
@@ -119,6 +137,105 @@ def test_affine_dimension_runs_once_per_profile(monkeypatch, rng):
     sv.skewed_geometric_median(p, np.diag([1.0, 2.0, 3.0]))
     assert len(calls) == 1
     assert p.affine_dim == 3
+
+
+def test_coordinatewise_median_runs_once_per_profile(monkeypatch, rng):
+    x = rng.standard_normal((40, 3))
+    skew = np.diag([1.0, 2.0, 3.0])
+    want = [_bits(sv.geometric_median(uniform_profile(x))),
+            _bits(sv.skewed_geometric_median(uniform_profile(x), skew))]
+    calls = []
+    real = profiles._lower_median
+    monkeypatch.setattr(profiles, "_lower_median",
+                        lambda voters, weights: calls.append(1) or real(voters, weights))
+    p = uniform_profile(x)
+    got = [_bits(sv.geometric_median(p)), _bits(sv.skewed_geometric_median(p, skew))]
+    assert len(calls) == 1
+    assert got == want
+
+
+def test_coordinatewise_median_returns_a_fresh_copy(rng):
+    x = rng.standard_normal((41, 3))
+    p = uniform_profile(x)
+    first = sv.coordinatewise_median(p)
+    want = first.copy()
+    first[:] = 1e6
+    assert sv.coordinatewise_median(p).tobytes() == want.tobytes()
+    assert _bits(sv.geometric_median(p)) == _bits(sv.geometric_median(uniform_profile(x)))
+
+
+def _bits(result):
+    return (result.point.tobytes(), result.loss, result.grad_norm, result.additive_bound,
+            result.iterations, result.degenerate)
+
+
+def _svd_rank(points):
+    """The definition: singular values of the centred points above 1e-9 * s[0]."""
+    if len(points) == 1:
+        return 0
+    s = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+    return 0 if s[0] == 0.0 else int(np.sum(s > 1e-9 * s[0]))
+
+
+def _with_singular_values(rng, count, dim, sing):
+    """count points in dim whose centred matrix has the singular values sing
+    (at most min(count - 1, dim) of them), offset from the origin."""
+    k = len(sing)
+    a = rng.standard_normal((count, k))
+    q, _ = np.linalg.qr(a - a.mean(axis=0))  # columns orthogonal to the ones vector
+    r, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return (q * sing) @ r[:k] + rng.standard_normal(dim)
+
+
+def _rank_and_path(points):
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        rank = affine_dimension(points)
+    return rank, svd.called
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), dim=hs.integers(2, 12), count=hs.integers(1, 300))
+def test_affine_dimension_is_the_svd_count(seed, dim, count):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((count, dim)) * rng.uniform(0.1, 10.0, dim)
+    assert affine_dimension(pts) == _svd_rank(pts)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), dim=hs.integers(2, 12), extra=hs.integers(1, 288))
+def test_full_rank_sets_take_the_gram_path(seed, dim, extra):
+    rng = np.random.default_rng(seed)
+    pts = _with_singular_values(rng, dim + extra, dim, rng.uniform(0.05, 1.0, dim))
+    assert _rank_and_path(pts) == (dim, False)
+    assert _svd_rank(pts) == dim
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), dim=hs.integers(2, 12), count=hs.integers(2, 300),
+       log_ratio=hs.floats(-12.0, -2.0))
+def test_nearly_flat_sets_fall_back_to_the_svd(seed, dim, count, log_ratio):
+    # the second singular value is 1e-12 to 1e-2 of the first, the rest below it
+    rng = np.random.default_rng(seed)
+    k = min(count - 1, dim)
+    sing = np.concatenate([[1.0, 10.0**log_ratio],
+                           10.0**log_ratio * rng.uniform(1e-3, 1.0, max(k - 2, 0))])[:k]
+    pts = _with_singular_values(rng, count, dim, sing)
+    rank, took_svd = _rank_and_path(pts)
+    assert rank == _svd_rank(pts)
+    if k < dim or sing[-1] < 1e-4:
+        assert took_svd
+
+
+def test_affine_dimension_at_extreme_scales(rng):
+    # squared, these coordinates overflow or fall into the subnormals
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in [-300.0, *np.arange(-170.0, -150.0, 0.25), 155.0, 200.0, 300.0]:
+            for d in (2, 3, 4):
+                line = np.outer(rng.standard_normal(40), rng.standard_normal(d)) * 10.0**e
+                assert affine_dimension(line) == 1 == _svd_rank(line)
+                full = rng.standard_normal((40, d)) * 10.0**e
+                assert affine_dimension(full) == d == _svd_rank(full)
 
 
 def test_affine_dimension():

@@ -91,10 +91,14 @@ class TestTheorem1Instance:
                 sim.build_theorem1_instance(x, 10)
 
     @pytest.mark.parametrize("x,reason", [(1e25, "theta0 rounds onto g_V"),
-                                          (1e40, "non-finite entries")])
+                                          (1e40, "non-finite entries"),
+                                          (1e10, "the corners read as collinear"),
+                                          (1e15, "theta0 rounds onto g_V"),
+                                          (1e20, "theta0 rounds onto g_V")])
     def test_x_lost_to_rounding_rejected(self, x, reason):
-        # far below the overflow bound: at 1e25 theta0 == g_V, at 1e40 the
-        # vote's coefficient is 0/0; both are refused without a warning
+        # far below the overflow bound: from 1e15 theta0 == g_V, at 1e40 the
+        # vote's coefficient is 0/0, and from 1e9 the rank test reads the
+        # corners as collinear; all are refused without a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             match = re.escape(f"X={x!r} is too large") + f".*{reason}"

@@ -12,16 +12,18 @@ report echoes where it was written, and two checkouts agree exactly when
     python tools/determinism.py /tmp/b       # in the other
     diff -r /tmp/a /tmp/b
 
-prints nothing. The set: aggregate gm (uniform, weighted, triangle),
-aggregate skewed-gm (25x3 profile, triangle), aggregate cw (uniform, and the
-eye(3) simplex, whose cw median lies outside the hull), aggregate avg
-(weighted), skewness --numeric-check, best-response (--preset thm1, and a
-profile with an inline theta0, a preference matrix and a seed), and simulate
-byzantine (two configs, one at --parallel 2), theorem1, asymptotic (plain,
-and with a preference matrix plus median_skew) and convergence (two configs;
-the second, three V values by three trials, runs at --parallel 2, where each
-worker task returns the rows of one trial, so its bytes also pin how those
-rows are put back in order).
+prints nothing. The set: aggregate gm (uniform, weighted, triangle, a collinear
+profile whose rank the SVD fallback reads as 1, so the report says
+degenerate_dimension true, and a profile with tied first coordinates, which the
+lexsort path orders), aggregate skewed-gm (25x3 profile, triangle), aggregate
+cw (uniform, and the eye(3) simplex, whose cw median lies outside the hull),
+aggregate avg (weighted), skewness --numeric-check, best-response (--preset
+thm1, and a profile with an inline theta0, a preference matrix and a seed), and
+simulate byzantine (two configs, one at --parallel 2), theorem1, asymptotic
+(plain, and with a preference matrix plus median_skew) and convergence (two
+configs; the second, three V values by three trials, runs at --parallel 2,
+where each worker task returns the rows of one trial, so its bytes also pin how
+those rows are put back in order).
 """
 
 import json
@@ -71,6 +73,11 @@ def write_inputs(out_dir):
     write_csv(os.path.join(inputs, "weights.csv"), rng.uniform(0.5, 2.0, size=(40, 1)))
     write_csv(os.path.join(inputs, "profile25.csv"),
               rng.standard_normal((25, 3)) * [1.0, 2.0, 0.5])
+    write_csv(os.path.join(inputs, "collinear.csv"),
+              np.outer(rng.standard_normal(30), [1.0, -2.0, 0.5]) + [3.0, 1.0, -1.0])
+    tied = rng.standard_normal((40, 3))
+    tied[:, 0] = rng.integers(-2, 3, 40)
+    write_csv(os.path.join(inputs, "tied.csv"), tied)
     write_csv(os.path.join(inputs, "triangle.csv"), [[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
     write_csv(os.path.join(inputs, "simplex.csv"), np.eye(3))
     write_csv(os.path.join(inputs, "skew3.csv"),
@@ -89,6 +96,10 @@ def commands():
            "--method", "gm", "--output", "aggregate_gm_weighted.json", *det]
     yield ["aggregate", "--input", "inputs/triangle.csv", "--method", "gm",
            "--output", "aggregate_gm_triangle.json", *det]
+    yield ["aggregate", "--input", "inputs/collinear.csv", "--method", "gm",
+           "--output", "aggregate_gm_collinear.json", *det]
+    yield ["aggregate", "--input", "inputs/tied.csv", "--method", "gm",
+           "--output", "aggregate_gm_tied.json", *det]
     yield ["aggregate", "--input", "inputs/profile25.csv", "--method", "skewed-gm",
            "--skew-matrix", "inputs/skew3.csv", "--output", "aggregate_skewed_25x3.json",
            *det]
