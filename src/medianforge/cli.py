@@ -66,6 +66,15 @@ def _env_seed() -> int:
     return _seed(seed, "MEDIANFORGE_SEED")
 
 
+def _build(path, make, *args):
+    """make(*args); a ValueError, say from coordinates too large to square,
+    becomes a ParseError naming path."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _emit(args, result, certs, **resolved):
     """Write the report. Its inputs echo the parsed arguments, less those that
     say where and how to write, with resolved values (say, a fallback seed) in
@@ -87,9 +96,9 @@ def _cmd_aggregate(args) -> int:
         raise ParseError("method skewed-gm requires --skew-matrix")
     if args.weights:
         weights = read_weights_csv(args.weights, points.shape[0])
-        profile = WeightedProfile.from_raw_weights(points, weights)
+        profile = _build(args.input, WeightedProfile.from_raw_weights, points, weights)
     else:
-        profile = uniform_profile(points)
+        profile = _build(args.input, uniform_profile, points)
 
     skew = None
     if args.skew_matrix:
@@ -104,14 +113,12 @@ def _cmd_aggregate(args) -> int:
             "loss": loss_eval(profile, point),
         }
         certs = {}
-        degenerate = profile.affine_dim <= 1
     else:
         if args.method == "gm":
             res = geometric_median(profile, args.tol)
         else:
             res = skewed_geometric_median(profile, skew, args.tol)
         point = res.point
-        degenerate = res.degenerate
         result = {
             "point": res.point,
             "method": args.method,
@@ -128,7 +135,7 @@ def _cmd_aggregate(args) -> int:
     if not np.isfinite(hull_tol):
         hull_tol = floor
     result["hull_member"] = bool(hull_distance(points, point) <= hull_tol)
-    result["degenerate_dimension"] = bool(degenerate)
+    result["degenerate_dimension"] = profile.affine_dim <= 1
 
     _emit(args, result, certs)
     return EXIT_OK
@@ -199,11 +206,14 @@ def _cmd_best_response(args) -> int:
     else:
         if not args.input or not args.theta0:
             raise ParseError("best-response requires --input and --theta0 (or --preset)")
-        honest = VoterProfile(read_profile_csv(args.input))
+        honest = _build(args.input, VoterProfile, read_profile_csv(args.input))
         theta0 = _parse_theta0(args.theta0)
 
-    rep = best_response(theta0, honest, s=pref, restarts=args.restarts, seed=seed,
-                        extra_votes=extra_votes)
+    try:
+        rep = best_response(theta0, honest, s=pref, restarts=args.restarts, seed=seed,
+                            extra_votes=extra_votes)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     result = dataclasses.asdict(rep)
     certs = {k: result.pop(k) for k in ("manipulated_grad_norm", "manipulated_additive_bound")}
     gain = rep.gain_alpha

@@ -6,6 +6,7 @@ same order regardless of input ordering, which makes all aggregates exactly
 invariant under permutation of the input, not just up to rounding.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,7 +65,10 @@ def _validate_points(points) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class WeightedProfile:
     """Voters plus strictly positive per-voter weights summing to one.
-    Profiles compare by identity; scale is max(1, max |coordinate|)."""
+    Profiles compare by identity; scale is max(1, max |coordinate|). Voters
+    whose squared distance from the middle of the cube [lo, hi]^d of their
+    coordinates could overflow, d * ((hi - lo) / 2)**2, are rejected: the
+    solver would read infinite distances as a zero gradient."""
 
     voters: np.ndarray
     weights: np.ndarray = field(default=None)
@@ -72,6 +76,11 @@ class WeightedProfile:
 
     def __post_init__(self):
         a = _validate_points(self.voters)
+        hi, lo = float(a.max()), float(a.min())
+        half = 0.5 * (hi - lo)
+        if not math.isfinite(a.shape[1] * half * half):
+            raise ValueError(f"coordinate {hi if hi >= -lo else lo!r} is too large: "
+                             "squared distances overflow")
         if self.weights is None:
             w = np.full(a.shape[0], 1.0 / a.shape[0])
         else:
@@ -91,7 +100,7 @@ class WeightedProfile:
         w.setflags(write=False)
         object.__setattr__(self, "voters", a)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "scale", _profile_scale(a))
+        object.__setattr__(self, "scale", max(1.0, hi, -lo))
 
     @staticmethod
     def from_raw_weights(points, raw_weights) -> "WeightedProfile":
@@ -134,21 +143,11 @@ def uniform_profile(points) -> VoterProfile:
 
 def affine_dimension(points) -> int:
     """Dimension of the affine span: the count of singular values s of the
-    centred points above 1e-9 * s[0]. The d x d Gram matrix answers "all d"
-    first: its rounding error, at most about V * d * eps * s[0]**2, is far
-    below the margin 1e-6 * s[0]**2 of its test for any profile that fits in
-    memory, and sqrt(1e-6) is 10**6 times 1e-9, so the SVD would count all d
-    too. Otherwise, or where a Gram entry could over- or underflow (centred
-    coordinates beyond 1e140 or all below 1e-140), the SVD counts."""
+    centred points above 1e-9 * s[0]."""
     a = _validate_points(points)
     if a.shape[0] == 1:
         return 0
-    centered = a - a.mean(axis=0)
-    if 1e-140 < max(centered.max(), -centered.min()) < 1e140:
-        lam = np.linalg.eigvalsh(centered.T @ centered)
-        if lam[0] >= 1e-6 * lam[-1]:
-            return a.shape[1]
-    s = np.linalg.svd(centered, compute_uv=False)
+    s = np.linalg.svd(a - a.mean(axis=0), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > 1e-9 * s[0]))

@@ -66,11 +66,12 @@ class PreferenceDistribution:
         if self.kind == "diagonal-gaussian":
             if self.sigmas is None or len(self.sigmas) != self.dim:
                 raise ValueError("diagonal-gaussian needs one sigma per dimension")
-            if not all(s > 0 for s in self.sigmas):
-                raise ValueError("sigmas must be positive")
+            if not all(0 < s < math.inf for s in self.sigmas):
+                raise ValueError("sigmas must be finite and positive")
             object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-        if self.kind == "uniform-ball" and (self.radius is None or not self.radius > 0):
-            raise ValueError("uniform-ball needs a positive radius")
+        if self.kind == "uniform-ball" and (self.radius is None
+                                            or not 0 < self.radius < math.inf):
+            raise ValueError("uniform-ball needs a finite positive radius")
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,8 @@ class ExperimentConfig:
         object.__setattr__(self, "V_grid", grid)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)

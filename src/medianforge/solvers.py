@@ -61,7 +61,6 @@ class MedianResult:
     grad_norm: float
     additive_bound: float
     iterations: int
-    degenerate: bool = False
 
 
 def average(profile: WeightedProfile) -> np.ndarray:
@@ -267,9 +266,11 @@ def geometric_median(profile: WeightedProfile, tol_grad: float = DEFAULT_TOL_GRA
     """Geometric median with an additive-error certificate.
 
     Starts from the coordinate-wise median (or `init` when given) and stops
-    once the minimum-norm subgradient has Euclidean norm <= tol_grad. If the
-    profile spans an affine space of dimension <= 1 the minimizer may be
-    non-unique; a valid minimizer is still returned, flagged degenerate.
+    once the minimum-norm subgradient has Euclidean norm <= tol_grad. The
+    minimizer may be non-unique when profile.affine_dim <= 1; a valid one is
+    still returned. The solve never reads that rank: the profile computes it
+    when first read, by the CLI's degenerate_dimension or the dimension check
+    of best_response.
     """
     final, iterations = _solve_gm(profile, tol_grad, init)
     return MedianResult(
@@ -278,7 +279,6 @@ def geometric_median(profile: WeightedProfile, tol_grad: float = DEFAULT_TOL_GRA
         grad_norm=float(final.gn),
         additive_bound=final.additive_bound(tol_grad),
         iterations=iterations,
-        degenerate=profile.affine_dim <= 1,
     )
 
 
@@ -329,7 +329,6 @@ def skewed_geometric_median(
     if s.shape[0] != profile.dim:
         raise DimensionMismatch("skew matrix dimension does not match the profile")
     voters, weights = profile.voters, profile.weights
-    degenerate = profile.affine_dim <= 1
     lam_min, lam_max = extreme_eigenvalues(s)
     tol_y = tol_grad / lam_max
     # The rows keep the profile's canonical order, so the solve stays
@@ -343,5 +342,4 @@ def skewed_geometric_median(
         grad_norm=float(np.linalg.norm(s @ final.g)),
         additive_bound=final.additive_bound(tol_y) / lam_min,
         iterations=iterations,
-        degenerate=degenerate,
     )

@@ -416,6 +416,11 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     rng = np.random.default_rng(seed)
 
     g_honest = _solve_gm(honest)[0].z
+    with np.errstate(over="ignore"):
+        far = not np.isfinite(_pref_dist(g_honest, theta0, s_mat))
+    if far:
+        raise ValueError(f"theta0 {theta0.tolist()} is too far from the honest median: "
+                         "its preference distance overflows")
     candidates: dict[str, tuple[np.ndarray, MedianResult, float]] = {}
 
     def add(name, vote):

@@ -173,11 +173,27 @@ class TestAggregate:
             "weights": None, "tol": 1e-10,
         }
 
-    def test_degenerate_flagged(self, tmp_path, capsys):
-        path = write_csv(tmp_path / "line.csv", "0,0\n1,1\n2,2\n3,3\n")
-        code, out, _ = run_cli(["aggregate", "--input", path, "--method", "gm"], capsys)
-        assert code == 0
-        assert json.loads(out)["results"]["degenerate_dimension"] is True
+    def test_degenerate_flagged(self, triangle_csv, tmp_path, capsys):
+        line = write_csv(tmp_path / "line.csv", "0,0\n1,1\n2,2\n3,3\n")
+        skew = write_csv(tmp_path / "skew.csv", "2,0\n0,1\n")
+        for method in ("gm", "skewed-gm", "cw", "avg"):
+            for path, flat in ((line, True), (triangle_csv, False)):
+                code, out, _ = run_cli(["aggregate", "--input", path, "--method", method,
+                                        "--skew-matrix", skew], capsys)
+                assert code == 0
+                assert json.loads(out)["results"]["degenerate_dimension"] is flat
+
+    @pytest.mark.parametrize("weights", ["1e308\n1e308\n1e308\n", "5e-324\n1\n1\n"],
+                             ids=["sum-overflows", "share-underflows"])
+    def test_weights_lost_to_normalizing_exit_2(self, triangle_csv, tmp_path, capsys,
+                                                weights):
+        wpath = write_csv(tmp_path / "w.csv", weights)
+        code, out, err = run_cli(
+            ["aggregate", "--input", triangle_csv, "--method", "gm", "--weights", wpath],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {wpath}: ") and err.count("\n") == 1
 
     def test_solver_failure_exit_3(self, triangle_csv, capsys, monkeypatch):
         monkeypatch.setattr(solvers, "MAX_ITERATIONS", 0)
@@ -186,6 +202,16 @@ class TestAggregate:
         )
         assert (code, out) == (3, "")
         assert err.startswith("solver failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("e", [155, 200])
+def test_coordinates_whose_squares_overflow_exit_2(e, tmp_path, capsys):
+    path = write_csv(tmp_path / "far.csv", f"0,0\n1e{e},0\n0,1e{e}\n")
+    for argv in (["aggregate", "--method", "gm"], ["best-response", "--theta0", "0,0"]):
+        code, out, err = run_cli([*argv, "--input", path], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: coordinate 1e+{e} is too large: " \
+                      f"squared distances overflow\n"
 
 
 class TestSkewnessCommand:
@@ -268,6 +294,13 @@ class TestBestResponseCommand:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: theta0") and err.count("\n") == 1
+
+    def test_theta0_whose_distance_overflows_exit_2(self, triangle_csv, capsys):
+        code, out, err = run_cli(
+            ["best-response", "--input", triangle_csv, "--theta0", "1e160,1e160"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: theta0 [1e+160, 1e+160]") and err.count("\n") == 1
 
     def test_preset_small_x_exit_2(self, capsys):
         code, out, err = run_cli(
@@ -431,6 +464,13 @@ class TestSimulateCommand:
           "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, "V_T must be >= 1"),
         *(({"experiment": "theorem1", "X": x, "V_grid": [50]}, f"X={x!r} is too large")
           for x in (1e10, 1e15, 1e20)),
+        *(({"experiment": "asymptotic", "V_grid": [200], "trials": 1, "distribution": DIAG5,
+            "epsilon": eps}, "epsilon") for eps in (math.nan, -5)),
+        ({"experiment": "asymptotic", "V_grid": [200], "trials": 1,
+          "distribution": {"kind": "diagonal-gaussian", "dim": 2, "sigmas": [math.inf, 1]}},
+         "sigmas"),
+        ({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": 1,
+          "distribution": {"kind": "uniform-ball", "dim": 3, "radius": math.inf}}, "radius"),
     ], ids=["zero-trials", "negative-V_S", "theorem1-small-X", "theorem1-empty-grid",
             "list", "seed-abc", "asymptotic-V_grid-5", "theorem1-V_grid-5",
             "trials-null", "theorem1-overflowing-X", "theorem1-X-1e25", "theorem1-X-1e40",
@@ -439,7 +479,8 @@ class TestSimulateCommand:
             "theorem1-X-nan", "theorem1-X-inf", "convergence-V_grid-one", "sigmas-5",
             "distribution-string", "epsilon-abc", "theorem1-X-abc", "four-corner",
             "four-corner-asymptotic", "four-corner-convergence", "byzantine-V_T-0",
-            "theorem1-X-1e10", "theorem1-X-1e15", "theorem1-X-1e20"])
+            "theorem1-X-1e10", "theorem1-X-1e15", "theorem1-X-1e20", "epsilon-nan",
+            "epsilon-negative", "sigmas-infinite", "radius-infinite"])
     def test_invalid_config_exit_2(self, cfg, names, tmp_path, capsys):
         path = write_csv(tmp_path / "c.json", json.dumps(cfg))
         code, out, err = run_cli(

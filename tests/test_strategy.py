@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,17 @@ class TestBestResponse:
             rep = st.best_response(theta0, prof, seed=trial)
             assert rep.gain_alpha >= -1e-9
             assert st.achievable_contains(prof, rep.manipulated_median)
+
+    @pytest.mark.parametrize("far", [1e154, 1e155])
+    def test_theta0_whose_distance_overflows_rejected(self, far):
+        prof = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=re.escape(f"theta0 [{far!r}, {far!r}] is too far")):
+            st.best_response(np.full(2, far), prof, restarts=1)
+
+    def test_far_theta0_still_runs(self):
+        prof = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        rep = st.best_response(np.full(2, 1e150), prof, restarts=1)
+        assert rep.truthful_dist == pytest.approx(math.sqrt(2.0) * 1e150, rel=1e-12)
 
     def test_paths_agree_on_small_instances(self, rng):
         worst = 0.0

@@ -13,17 +13,17 @@ report echoes where it was written, and two checkouts agree exactly when
     diff -r /tmp/a /tmp/b
 
 prints nothing. The set: aggregate gm (uniform, weighted, triangle, a collinear
-profile whose rank the SVD fallback reads as 1, so the report says
-degenerate_dimension true, and a profile with tied first coordinates, which the
-lexsort path orders), aggregate skewed-gm (25x3 profile, triangle), aggregate
-cw (uniform, and the eye(3) simplex, whose cw median lies outside the hull),
-aggregate avg (weighted), skewness --numeric-check, best-response (--preset
-thm1, and a profile with an inline theta0, a preference matrix and a seed), and
-simulate byzantine (two configs, one at --parallel 2), theorem1, asymptotic
-(plain, and with a preference matrix plus median_skew) and convergence (two
-configs; the second, three V values by three trials, runs at --parallel 2,
-where each worker task returns the rows of one trial, so its bytes also pin how
-those rows are put back in order).
+profile of affine rank 1, so the report says degenerate_dimension true, and a
+profile with tied first coordinates, which the lexsort path orders), aggregate
+skewed-gm (25x3 profile, triangle), aggregate cw (uniform, and the eye(3)
+simplex, whose cw median lies outside the hull), aggregate avg (weighted),
+skewness --numeric-check, best-response (--preset thm1, and a profile with an
+inline theta0, a preference matrix and a seed), and simulate byzantine (two
+configs, one at --parallel 2), theorem1, asymptotic (plain, and with a
+preference matrix plus median_skew) and convergence (two configs; the second,
+three V values by three trials, runs at --parallel 2, where each worker task
+returns the rows of one trial, so its bytes also pin how those rows are put
+back in order).
 """
 
 import json
