@@ -9,6 +9,14 @@ Damped Newton takes over once the subgradient is small, so the terminal
 gradient norm can be driven to ~1e-10; the Hessian of the final pass turns
 it into an additive distance certificate.
 
+Newton halves a rejected step until the trial's gn falls below the current
+one. Near a voter v the full step tends to cross v's kink; then each halving
+z_k is first bounded without a pass: v's pull at z_k exactly, minus how far
+the others' pull can move, 2 ||z_k - z|| sum_{i != v} w_i / r_i (a unit
+vector moves by at most 2 delta / r), minus 64 (V + d) eps for the rounding
+of two passes whose weights sum to one. A halving whose bound is >= the
+current gn is skipped unevaluated, so the accepted trial keeps its bits.
+
 Consumers that need the median and the curvature there, but no certificate,
 read both from the final pass of `_solve_gm`: its z, hessian() and
 third_deriv(). The loss_* functions build one pass at a given point, so
@@ -41,6 +49,7 @@ __all__ = [
 ]
 
 VOTER_POINT_RTOL = 1e-14
+_SNAP_RTOL = 1e-5
 DEFAULT_TOL_GRAD = 1e-10
 MAX_ITERATIONS = 20000
 
@@ -93,6 +102,7 @@ class _Pass:
 
     def __init__(self, voters, weights, scale, z):
         self.z = z
+        self.scale = scale
         self.voters = voters
         self.weights = weights
         self.diffs = z - voters
@@ -157,12 +167,44 @@ class _Pass:
         t -= np.einsum("jk,i->ijk", eye, cu)
         return t
 
+    def proved_worse(self, zs) -> np.ndarray:
+        """Marks the rows of zs whose pass must compute gn >= self.gn (see the
+        module docstring); only rows over 4e-14 * scale from every voter,
+        whose pass cannot take the voter-point branch."""
+        v = self.nearest
+        e = zs - self.voters[v]
+        rho = np.sqrt(np.einsum("ij,ij->i", e, e))
+        rest_d = np.delete(self.dists, v)
+        rest_sum = (np.delete(self.weights, v) / rest_d).sum()
+        rest_pull = self.g - (self.weights[v] / self.dists[v]) * self.diffs[v]
+        pull = (self.weights[v] / rho)[:, None] * e + rest_pull
+        step = zs - self.z
+        delta = np.sqrt(np.einsum("ij,ij->i", step, step))
+        slack = 64.0 * (self.weights.size + self.z.size) * np.finfo(float).eps
+        lower = np.sqrt(np.einsum("ij,ij->i", pull, pull)) - 2.0 * delta * rest_sum - slack
+        far = np.minimum(rho, rest_d.min() - delta) > 4.0 * VOTER_POINT_RTOL * self.scale
+        return far & (lower >= self.gn)
+
     def additive_bound(self, tol_grad) -> float:
-        """tol_grad / lambda_min of the loss Hessian at z; +inf where that fails."""
+        """tol_grad / a lower bound on lambda_min of the loss Hessian at z;
+        +inf where that fails.
+
+        A coefficient w_i / r_i**3 of hessian() below the smallest normal
+        float has lost its precision. That voter's term c_i (I - u_i u_i^T)
+        has norm c_i, so subtracting c_i from lambda_min covers whatever was
+        computed for it.
+        """
         try:
             lam_min = float(np.linalg.eigvalsh(self.hessian())[0])
         except (AtVoterPoint, np.linalg.LinAlgError):
             return np.inf
+        # Each such c_i is below tiny * r_i**2 <= tiny * reach**2: where that
+        # total cannot move lam_min, skip the pass that finds the terms.
+        tiny = np.finfo(float).tiny
+        reach = 2.0 * (math.sqrt(self.z.dot(self.z)) + math.sqrt(self.z.size) * self.scale)
+        if lam_min - self.weights.size * tiny * reach * reach != lam_min:
+            c = self.weights / self.dists
+            lam_min -= float(c[c / self.dists**2 < tiny].sum())
         return tol_grad / lam_min if lam_min > 0.0 else np.inf
 
 
@@ -204,12 +246,18 @@ def _newton(p: _Pass, at):
         direction = np.linalg.solve(p.hessian(), p.g)
     except (AtVoterPoint, np.linalg.LinAlgError):
         return None
-    # Backtrack on the gradient norm; quadratic tail convergence.
+    # Backtrack on the gradient norm; quadratic tail convergence. Near a voter,
+    # skip the halvings that proved_worse rejects without a pass.
+    skip = np.zeros(40, dtype=bool)
     for k in range(40):
+        if skip[k]:
+            continue
         trial = at(p.z - 0.5**k * direction)
         if trial.gn < p.gn:
             return trial
         del trial  # keeps one trial's V x d diffs alive, not two
+        if k == 0 and p.dists[p.nearest] <= _SNAP_RTOL * p.scale:
+            skip = p.proved_worse(p.z - np.ldexp(1.0, -np.arange(40))[:, None] * direction)
     return None
 
 
@@ -231,7 +279,7 @@ def _solve_gm_raw(voters, weights, tol_grad, init):
     iterations = 0
     while p.gn > tol_grad and iterations < MAX_ITERATIONS:
         iterations += 1
-        if p.dists[p.nearest] <= 1e-5 * scale:
+        if p.dists[p.nearest] <= _SNAP_RTOL * scale:
             # The minimizer may sit exactly on a voter point, which smooth
             # iterations only approach asymptotically; test the nearest one.
             snap = at(voters[p.nearest].copy())
@@ -249,6 +297,9 @@ def _solve_gm_raw(voters, weights, tol_grad, init):
         raise SolverFailure(
             f"geometric-median solve stalled at gradient norm {p.gn:.3e} (tol {tol_grad:.1e})"
         )
+    if not math.isfinite(p.loss):
+        # An infinite distance reads as a zero pull, so gn certifies nothing.
+        raise SolverFailure("geometric-median solve ended on a pass with a non-finite distance")
     return p, iterations
 
 

@@ -204,6 +204,17 @@ class TestAggregate:
         assert err.startswith("solver failure: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("c", ["5e153", "9e153"])
+    def test_cluster_at_infinite_distance_exit_3(self, tmp_path, capsys, c):
+        # The profile passes the overflow rule, but from the start (-c,-c)
+        # the far voters lie at an infinite distance.
+        path = write_csv(tmp_path / "cluster.csv",
+                         f"-{c},-{c}\n-{c},-{c}\n-{c},{c}\n{c},-{c}\n{c},{c}\n{c},{c}\n")
+        code, out, err = run_cli(["aggregate", "--input", path, "--method", "gm"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("solver failure: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("e", [155, 200])
 def test_coordinates_whose_squares_overflow_exit_2(e, tmp_path, capsys):
     path = write_csv(tmp_path / "far.csv", f"0,0\n1e{e},0\n0,1e{e}\n")

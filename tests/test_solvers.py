@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from medianforge import solvers as sv
-from medianforge.errors import AtVoterPoint
+from medianforge.errors import AtVoterPoint, SolverFailure
 from medianforge.profiles import WeightedProfile, uniform_profile
+from medianforge.strategy import boundary_point
 
 from conftest import fd_gradient, fd_jacobian, grid_refine_median, random_spd
 
@@ -233,6 +234,125 @@ class TestGeometricMedian:
         wp = WeightedProfile([[0.0, 0.0], [10.0, 0.0]], [0.75, 0.25])
         res = sv.geometric_median(wp)
         np.testing.assert_array_equal(res.point, [0.0, 0.0])
+
+
+class TestFarScales:
+    @pytest.mark.parametrize("c", [5e153, 9e153])
+    def test_pass_at_infinite_distance_fails(self, c):
+        # From the start (-c,-c) the far voters read as infinitely distant,
+        # so their pull reads as zero.
+        pts = [[-c, -c]] * 2 + [[-c, c], [c, -c]] + [[c, c]] * 2
+        with pytest.raises(SolverFailure, match="non-finite distance"):
+            sv.geometric_median(uniform_profile(pts))
+
+    @pytest.mark.parametrize("e", [100, 103, 108, 109, 110, 154])
+    def test_certificate_holds_at_large_coordinates(self, e):
+        # From about 1e103 on, some w / r**3 of the Hessian are subnormal.
+        s = 10.0**e
+        res = sv.geometric_median(uniform_profile([[0.0, 0.0], [s, 0.0], [0.0, s]]))
+        assert np.linalg.norm(res.point - FERMAT_RIGHT_TRIANGLE * s) <= res.additive_bound
+
+    @pytest.mark.parametrize("e", [0, 50, 100, 102])
+    def test_certificate_bits_while_hessian_terms_are_normal(self, e):
+        s = 10.0**e
+        wp = uniform_profile([[0.0, 0.0], [s, 0.0], [0.0, s]])
+        res = sv.geometric_median(wp)
+        lam_min = float(np.linalg.eigvalsh(sv.loss_hessian(wp, res.point))[0])
+        assert res.additive_bound == sv.DEFAULT_TOL_GRAD / lam_min
+
+
+def _reference_newton(p, at):
+    """_newton as a loop that evaluates every halving."""
+    try:
+        direction = np.linalg.solve(p.hessian(), p.g)
+    except (AtVoterPoint, np.linalg.LinAlgError):
+        return None
+    for k in range(40):
+        trial = at(p.z - 0.5**k * direction)
+        if trial.gn < p.gn:
+            return trial
+    return None
+
+
+def _sound_marks(p):
+    """Evaluates every halving from p that proved_worse marks; returns their count."""
+    direction = np.linalg.solve(p.hessian(), p.g)
+    zs = p.z - np.ldexp(1.0, -np.arange(40))[:, None] * direction
+    marks = p.proved_worse(zs)
+    for k in np.flatnonzero(marks):
+        np.testing.assert_array_equal(zs[k], p.z - 0.5**k * direction)
+        assert sv._Pass(p.voters, p.weights, p.scale, zs[k]).gn >= p.gn
+    return int(marks.sum())
+
+
+def _vote_just_outside(seed):
+    """200 honest voters plus a vote 1e-6 of its distance from the honest
+    median outside the achievable set: the median lies near the vote."""
+    rng = np.random.default_rng(seed)
+    honest = uniform_profile(rng.standard_normal((200, 3)) * [1.0, 1.0, 3.0])
+    g = sv.geometric_median(honest).point
+    zb = boundary_point(honest, g, rng.standard_normal(3), 1.0 / 200)
+    return uniform_profile(np.vstack([honest.voters, zb + 1e-6 * (zb - g)]))
+
+
+def _solve_counted(monkeypatch, wp, newton):
+    """(final pass, iterations, passes built) of a solve with this Newton step."""
+    passes = []
+
+    class Counted(sv._Pass):
+        def __init__(self, *args):
+            passes.append(1)
+            super().__init__(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_Pass", Counted)
+        m.setattr(sv, "_newton", newton)
+        p, iterations = sv._solve_gm_raw(wp.voters, wp.weights, sv.DEFAULT_TOL_GRAD,
+                                         sv.coordinatewise_median(wp))
+    return p, iterations, len(passes)
+
+
+class TestNearVoterNewton:
+    def test_marked_halvings_are_rejected_near_random_voters(self, rng):
+        marked = 0
+        for _ in range(300):
+            v, d = int(rng.integers(3, 300)), int(rng.integers(2, 8))
+            voters = rng.standard_normal((v, d)) * 10.0 ** rng.uniform(0.0, 3.0)
+            wp = WeightedProfile(voters, rng.dirichlet(np.ones(v)))
+            u = rng.standard_normal(d)
+            offset = 10.0 ** rng.uniform(-13.0, -5.0) * wp.scale / np.linalg.norm(u)
+            p = sv._evaluate(wp, wp.voters[int(rng.integers(v))] + offset * u)
+            if not p.at_voter:
+                marked += _sound_marks(p)
+        assert marked > 300
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_marked_halvings_are_rejected_near_the_vote(self, monkeypatch, seed):
+        seen = []
+        newton = sv._newton
+        _solve_counted(monkeypatch, _vote_just_outside(seed),
+                       lambda p, at: seen.append(p) or newton(p, at))
+        near = [p for p in seen
+                if not p.at_voter and p.dists[p.nearest] <= sv._SNAP_RTOL * p.scale]
+        assert sum(_sound_marks(p) for p in near) > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_solve_bits_match_the_every_halving_loop(self, monkeypatch, seed):
+        wp = _vote_just_outside(seed)
+        p, iterations, _ = _solve_counted(monkeypatch, wp, sv._newton)
+        ref, ref_iterations, _ = _solve_counted(monkeypatch, wp, _reference_newton)
+        assert iterations == ref_iterations
+        for name in ("z", "g", "dists"):
+            np.testing.assert_array_equal(getattr(p, name), getattr(ref, name))
+        assert (p.gn, p.additive_bound(sv.DEFAULT_TOL_GRAD)) \
+            == (ref.gn, ref.additive_bound(sv.DEFAULT_TOL_GRAD))
+
+    @pytest.mark.parametrize("seed", [1, 4, 5])
+    def test_near_vote_solve_skips_passes(self, monkeypatch, seed):
+        # Seeds whose solves backtrack from within 1e-5 of the vote.
+        wp = _vote_just_outside(seed)
+        passes = _solve_counted(monkeypatch, wp, sv._newton)[2]
+        assert 2 * passes < _solve_counted(monkeypatch, wp, _reference_newton)[2]
 
 
 class TestInvariances:

@@ -1,0 +1,107 @@
+"""Count the distance passes of one criterion-6 trial.
+
+Usage: python tools/solve_counts.py SEED TRIAL
+
+Runs criterion-6 trial TRIAL of the stress sweep at experiment seed SEED
+(V=1000, d=5, sigmas (1,1,1,1,4), S=I, as tests/test_acceptance.py runs it)
+serially in this process, under one OpenBLAS thread, with the solver's
+functions wrapped to count. Changes nothing in src/. Prints:
+
+- passes: every distance pass (`solvers._Pass`) the trial builds;
+- newton_calls: calls of `solvers._newton`;
+- newton_trials_evaluated: passes built inside those calls;
+- newton_trials_proved: halvings skipped because `_Pass.proved_worse` proved
+  them rejected (0 on a tree without it);
+- snap_tests: passes built by the solve loop on exactly a voter's point,
+  after the solve's first pass;
+- max_gain of the trial, so two trees can also be compared on the result.
+
+The counts depend only on the code and the inputs, not on timing.
+"""
+
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "src"))
+
+from medianforge import simulate as sim  # noqa: E402
+from medianforge import solvers as sv  # noqa: E402
+from medianforge import strategy  # noqa: E402
+from medianforge.linalg import one_blas_thread  # noqa: E402
+
+
+def main(argv):
+    try:
+        seed, trial = int(argv[1]), int(argv[2])
+    except (IndexError, ValueError):
+        sys.exit(__doc__.split("\n\n")[1])
+    counts = dict.fromkeys(("passes", "newton_calls", "newton_trials_evaluated",
+                            "newton_trials_proved", "snap_tests"), 0)
+    state = {"newton": False, "in_solve": False, "solve_start": False, "marks": None}
+
+    init, newton, solve = sv._Pass.__init__, sv._newton, sv._solve_gm_raw
+
+    def counted_init(self, *args):
+        init(self, *args)
+        counts["passes"] += 1
+        if state["newton"]:
+            counts["newton_trials_evaluated"] += 1
+        elif state["solve_start"]:
+            state["solve_start"] = False
+        elif state["in_solve"] and self.dists[self.nearest] == 0.0:
+            counts["snap_tests"] += 1
+
+    def counted_newton(p, at):
+        counts["newton_calls"] += 1
+        before = counts["newton_trials_evaluated"]
+        state["newton"], state["marks"] = True, None
+        try:
+            return newton(p, at)
+        finally:
+            state["newton"] = False
+            evaluated = counts["newton_trials_evaluated"] - before
+            # Walk the halvings in the order the loop visits them: a marked
+            # one is skipped, an unmarked one is evaluated, until the last
+            # evaluation this call made.
+            for k, marked in enumerate(state["marks"] if state["marks"] is not None else ()):
+                if evaluated == 0:
+                    break
+                if marked and k > 0:
+                    counts["newton_trials_proved"] += 1
+                else:
+                    evaluated -= 1
+
+    def counted_solve(*args):
+        state["in_solve"], state["solve_start"] = True, True
+        try:
+            return solve(*args)
+        finally:
+            state["in_solve"] = False
+
+    sv._Pass.__init__, sv._newton = counted_init, counted_newton
+    sv._solve_gm_raw = strategy._solve_gm_raw = counted_solve
+    if hasattr(sv._Pass, "proved_worse"):
+        proved = sv._Pass.proved_worse
+
+        def counted_proved(self, zs):
+            state["marks"] = proved(self, zs)
+            return state["marks"]
+
+        sv._Pass.proved_worse = counted_proved
+
+    dist = sim.PreferenceDistribution("diagonal-gaussian", 5, sigmas=(1, 1, 1, 1, 4))
+    with one_blas_thread():
+        row = sim._asymptotic_task((dist, 1000, trial, seed, np.eye(5), None))
+    if row["error"]:
+        sys.exit(f"trial failed: {row['error']}")
+    for key, value in counts.items():
+        print(f"{key} {value}")
+    print(f"max_gain {row['max_gain']!r}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
