@@ -28,10 +28,13 @@ def _canonical_order(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.lexsort([weights] + keys)
 
 
-def _profile_scale(points: np.ndarray) -> float:
-    """max(1, max |coordinate|), without an abs(points) temporary the size
-    of the voters."""
-    return max(1.0, float(points.max()), -float(points.min()))
+def _scale(hi: float, lo: float) -> float:
+    """max |coordinate| of coordinates in [lo, hi], 1.0 if all are zero."""
+    return max(hi, -lo) or 1.0
+
+
+def _profile_scale(points: np.ndarray) -> float:  # no abs(points) temporary
+    return _scale(float(points.max()), float(points.min()))
 
 
 def _lower_median(voters: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -65,8 +68,9 @@ def _validate_points(points) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class WeightedProfile:
     """Voters plus strictly positive per-voter weights summing to one.
-    Profiles compare by identity; scale is max(1, max |coordinate|). Voters
-    whose squared distance from the middle of the cube [lo, hi]^d of their
+    Profiles compare by identity; scale is max |coordinate| (1.0 if all are
+    zero), and the solver's thresholds are relative to it. Voters whose
+    squared distance from the middle of the cube [lo, hi]^d of their
     coordinates could overflow, d * ((hi - lo) / 2)**2, are rejected: the
     solver would read infinite distances as a zero gradient."""
 
@@ -100,7 +104,7 @@ class WeightedProfile:
         w.setflags(write=False)
         object.__setattr__(self, "voters", a)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "scale", max(1.0, hi, -lo))
+        object.__setattr__(self, "scale", _scale(hi, lo))
 
     @staticmethod
     def from_raw_weights(points, raw_weights) -> "WeightedProfile":

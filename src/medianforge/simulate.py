@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtVoterPoint, DimensionMismatch, MajorityAttack, MedianForgeError
+from .errors import (AtVoterPoint, DimensionMismatch, MajorityAttack, MedianForgeError,
+                     SolverFailure)
 from .linalg import check_spd, one_blas_thread, spd_inv, spd_sqrt
 from .profiles import VoterProfile, uniform_profile
 from .solvers import (_solve_gm, geometric_median, loss_gradient, loss_hessian,
@@ -522,36 +523,30 @@ def byzantine_experiment(truthful_dist: PreferenceDistribution, v_t: int, v_s: i
     return ExperimentReport(rows, summary)
 
 
-# -- diagnostic search for an isotropizing skew ----------------------------------
+# -- isotropizing skew ------------------------------------------------------------
 
 
 def fit_isotropizing_skew(dist: PreferenceDistribution, samples: int = 2000,
                           seed: int = 0) -> np.ndarray:
-    """Diagonal skewing matrix that approximately isotropizes the skewed-loss
-    Hessian of the distribution, found by direct search on a pilot sample.
+    """Diagonal skew D, geometric mean 1, that makes the skewed-loss Hessian
+    D H(D) D of a pilot sample isotropic, H(D) being the loss Hessian at the
+    median of the mapped voters x D.
 
-    Diagnostic only; choosing an optimal skew in general is out of scope.
+    Fixed point from D = I: D <- diag(H(D))^(-1/2), normalized, until no
+    entry moves by 1e-9 in log. At the fixed point D H D has a constant
+    diagonal; every distribution kind is axis-symmetric, so H is diagonal in
+    the limit and that is isotropy up to sampling noise.
     """
-    from scipy import optimize
-
-    profile = sample_profile(dist, samples, seed)
-    d = dist.dim
-
-    def objective(log_s):
-        scale = np.exp(log_s - log_s.mean())
-        scaled = uniform_profile(profile.voters * scale)
-        h_inner = _solve_gm(scaled, 1e-8)[0].hessian()
-        h_skewed = (scale[:, None] * h_inner) * scale[None, :]
-        return skewness(h_skewed).value
-
-    res = optimize.minimize(
-        objective,
-        np.zeros(d),
-        method="Nelder-Mead",
-        options={"maxfev": 400, "xatol": 1e-6, "fatol": 1e-10, "adaptive": True},
-    )
-    scale = np.exp(res.x - res.x.mean())
-    return np.diag(scale)
+    voters = sample_profile(dist, samples, seed).voters
+    d = np.ones(dist.dim)
+    for _ in range(100):
+        h = _solve_gm(uniform_profile(voters * d), 1e-8)[0].hessian()
+        log_new = -0.5 * np.log(np.diag(h))
+        new = np.exp(log_new - log_new.mean())
+        if np.max(np.abs(np.log(new / d))) < 1e-9:
+            return np.diag(new)
+        d = new
+    raise SolverFailure("isotropizing skew fit did not settle in 100 steps")
 
 
 # -- shared task runner -----------------------------------------------------------

@@ -617,11 +617,11 @@ def hull_distance(points, z) -> float:
     nonnegative least-squares solve (Lawson and Hanson, Solving Least Squares
     Problems, ch. 23).
 
-    With q_i = (x_i - z) / s and s = max(1, max |x_i - z|), the solve finds
-    lam >= 0 minimizing ||Q^T lam||^2 + (sum(lam) - 1)^2. Write lam = t w
-    with w on the simplex: the residual is t^2 r^2 + (t - 1)^2 with
-    r = ||Q^T w||, and its minimum over t, r^2 / (1 + r^2), grows with r. So
-    w = lam / sum(lam) weights the hull point nearest z, at distance
+    With q_i = (x_i - z) / s and s = max |x_i - z| (1 if all are 0), the
+    solve finds lam >= 0 minimizing ||Q^T lam||^2 + (sum(lam) - 1)^2. Write
+    lam = t w with w on the simplex: the residual is t^2 r^2 + (t - 1)^2
+    with r = ||Q^T w||, and its minimum over t, r^2 / (1 + r^2), grows with
+    r. So w = lam / sum(lam) weights the hull point nearest z, at distance
     s ||Q^T lam|| / sum(lam). sum(lam) > 0, because a small t > 0 leaves a
     residual below 1, the residual of lam = 0.
     """

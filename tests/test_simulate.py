@@ -229,6 +229,8 @@ class TestAsymptoticExperiment:
         gains_skewed = [r["max_gain"] for r in skewed.rows]
         assert np.median(gains_skewed) < np.median(gains_plain)
         assert max(gains_skewed) < max(gains_plain)
+        # the tuned skew drives the matched voter's gain toward 0
+        assert np.median(gains_skewed) <= 0.04 * np.median(gains_plain)
 
 
     def test_median_skew_maps_the_voters(self):
@@ -264,12 +266,18 @@ def _fresh_python(code, **env):
 
 
 def test_import_loads_no_scipy_optimize_or_linalg():
+    # nor does the skew fit, whose every step is a median solve
     out = _fresh_python("""
         import sys
         import medianforge, medianforge.cli
-        print(sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules))
+        from medianforge import simulate as sim
+        loaded = lambda: sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules)
+        print(loaded())
+        dist = sim.PreferenceDistribution("diagonal-gaussian", 5, sigmas=(1, 1, 1, 1, 4))
+        sim.fit_isotropizing_skew(dist, samples=500)
+        print(loaded())
     """)
-    assert out == "[]\n"
+    assert out == "[]\n[]\n"
 
 
 class TestOpenBLASPin:
@@ -459,6 +467,17 @@ def test_fit_isotropizing_skew_reduces_hessian_skewness():
     g_s = geometric_median(scaled).point
     h_s = sigma @ loss_hessian(scaled, g_s) @ sigma
     assert skewness(h_s).value < 0.25 * skewness(h).value
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fit_isotropizing_skew_makes_the_pilot_hessian_isotropic(seed):
+    dist = sim.PreferenceDistribution("diagonal-gaussian", 8,
+                                      sigmas=(1, 2, 3, 4, 5, 6, 7, 16))
+    sigma = sim.fit_isotropizing_skew(dist, seed=seed)
+    assert np.exp(np.log(np.diag(sigma)).mean()) == pytest.approx(1.0, abs=1e-12)
+    pilot = uniform_profile(sim.sample_profile(dist, 2000, seed).voters @ sigma)
+    h = sv.loss_hessian(pilot, geometric_median(pilot).point)
+    assert skewness(sigma @ h @ sigma).value <= 1e-3
 
 
 class TestConsumersReadTheSolve:

@@ -252,6 +252,16 @@ class TestFarScales:
         res = sv.geometric_median(uniform_profile([[0.0, 0.0], [s, 0.0], [0.0, s]]))
         assert np.linalg.norm(res.point - FERMAT_RIGHT_TRIANGLE * s) <= res.additive_bound
 
+    @pytest.mark.parametrize("e", [-14, -20, -60, -100])
+    def test_tiny_coordinates_solve_at_their_own_scale(self, e):
+        # The voter-point and snap tests are relative to max |coordinate|, so
+        # the three voters do not read as one point.
+        s = 10.0**e
+        res = sv.geometric_median(uniform_profile([[0.0, 0.0], [s, 0.0], [0.0, s]]))
+        assert res.iterations > 0 and res.grad_norm > 0.0
+        assert np.linalg.norm(res.point - FERMAT_RIGHT_TRIANGLE * s) <= res.additive_bound
+        assert res.additive_bound <= 1e-9 * s
+
     @pytest.mark.parametrize("e", [0, 50, 100, 102])
     def test_certificate_bits_while_hessian_terms_are_normal(self, e):
         s = 10.0**e
@@ -559,3 +569,35 @@ def test_median_from_voter_init(case):
     res = sv.geometric_median(wp, init=init)
     assert np.linalg.norm(sv.min_norm_subgradient(wp, res.point)) <= 1e-10
     assert res.loss <= sv.loss_eval(wp, grid_refine_median(pts)) + 1e-9
+
+
+@hs.composite
+def homothety_cases(draw):
+    """A profile of V 3-60 voters in d 2-6 whose first point has 1 to V
+    copies, a majority from V // 2 + 1, and an exponent k."""
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    v, d = draw(hs.integers(3, 60)), draw(hs.integers(2, 6))
+    heavy = draw(hs.integers(1, v))
+    base = rng.standard_normal((v - heavy + 1, d)) * rng.uniform(0.1, 3.0, d)
+    return np.repeat(base, [heavy] + [1] * (v - heavy), axis=0), draw(hs.integers(-200, 200))
+
+
+# Scaling by 2^k is exact, so the solve keeps every bit while each pass term
+# stays a normal float. With M = max |x|, the solver reads a distance r only
+# above 1e-14 M (closer is a voter point) and below 2 sqrt(d) M <= 5 M, so
+# r**2 lies in [1e-28 M**2, 25 M**2] and the Hessian coefficient w / r**3,
+# w in [1/60, 1], in [1e-4 M**-3, 1e42 M**-3]: normal for M in about
+# [1e-88, 1e100]. The Hessian's entries, below 1e14 / M and above about
+# 1 / (10 M), stay where LAPACK's eigensolver does not rescale its input
+# (1.5e-146 to 6.7e145) for M in about [1e-132, 1e144]. The drawn profiles
+# have M in about [1e-2, 1e2], and 2^+-200 is about 1e+-60.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(homothety_cases())
+def test_power_of_two_homothety_keeps_every_bit(case):
+    pts, k = case
+    base = sv.geometric_median(uniform_profile(pts))
+    scaled = sv.geometric_median(uniform_profile(np.ldexp(pts, k)))
+    np.testing.assert_array_equal(scaled.point, np.ldexp(base.point, k))
+    assert scaled.additive_bound == math.ldexp(base.additive_bound, k)
+    assert scaled.loss == math.ldexp(base.loss, k)
+    assert (scaled.iterations, scaled.grad_norm) == (base.iterations, base.grad_norm)

@@ -12,7 +12,8 @@ report echoes where it was written, and two checkouts agree exactly when
     python tools/determinism.py /tmp/b       # in the other
     diff -r /tmp/a /tmp/b
 
-prints nothing. The set: aggregate gm (uniform, weighted, triangle, a collinear
+prints nothing. The set: aggregate gm (uniform, weighted, triangle, the same
+triangle shrunk to 1e-20, whose thresholds follow the profile's scale, a collinear
 profile of affine rank 1, so the report says degenerate_dimension true, and a
 profile with tied first coordinates, which the lexsort path orders), aggregate
 skewed-gm (25x3 profile, triangle), aggregate cw (uniform, and the eye(3)
@@ -79,6 +80,8 @@ def write_inputs(out_dir):
     tied[:, 0] = rng.integers(-2, 3, 40)
     write_csv(os.path.join(inputs, "tied.csv"), tied)
     write_csv(os.path.join(inputs, "triangle.csv"), [[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
+    write_csv(os.path.join(inputs, "triangle_tiny.csv"),
+              [[0.0, 0.0], [1e-20, 0.0], [0.0, 1e-20]])
     write_csv(os.path.join(inputs, "simplex.csv"), np.eye(3))
     write_csv(os.path.join(inputs, "skew3.csv"),
               [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
@@ -96,6 +99,8 @@ def commands():
            "--method", "gm", "--output", "aggregate_gm_weighted.json", *det]
     yield ["aggregate", "--input", "inputs/triangle.csv", "--method", "gm",
            "--output", "aggregate_gm_triangle.json", *det]
+    yield ["aggregate", "--input", "inputs/triangle_tiny.csv", "--method", "gm",
+           "--output", "aggregate_gm_triangle_tiny.json", *det]
     yield ["aggregate", "--input", "inputs/collinear.csv", "--method", "gm",
            "--output", "aggregate_gm_collinear.json", *det]
     yield ["aggregate", "--input", "inputs/tied.csv", "--method", "gm",
