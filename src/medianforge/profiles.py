@@ -72,7 +72,9 @@ class WeightedProfile:
     zero), and the solver's thresholds are relative to it. Voters whose
     squared distance from the middle of the cube [lo, hi]^d of their
     coordinates could overflow, d * ((hi - lo) / 2)**2, are rejected: the
-    solver would read infinite distances as a zero gradient."""
+    solver would read infinite distances as a zero gradient. So are distinct
+    voters for which that square falls below the smallest normal float: their
+    squared distances lose precision, or read as 0 and the voters as one."""
 
     voters: np.ndarray
     weights: np.ndarray = field(default=None)
@@ -85,6 +87,8 @@ class WeightedProfile:
         if not math.isfinite(a.shape[1] * half * half):
             raise ValueError(f"coordinate {hi if hi >= -lo else lo!r} is too large: "
                              "squared distances overflow")
+        if hi > lo and a.shape[1] * half * half < np.finfo(float).tiny:
+            raise ValueError(f"coordinates span only {hi - lo!r}: squared distances underflow")
         if self.weights is None:
             w = np.full(a.shape[0], 1.0 / a.shape[0])
         else:

@@ -19,6 +19,7 @@ from .profiles import VoterProfile, uniform_profile
 from .solvers import (_solve_gm, geometric_median, loss_gradient, loss_hessian,
                       min_norm_subgradient)
 from .strategy import (
+    _last_inside,
     _resilience_radius,
     _sphere_objective,
     achievable_contains,
@@ -192,16 +193,7 @@ def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
     def excess(c):
         return np.linalg.norm(grad_sum(c * ray)) - target
 
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if excess(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    alpha_v = lo
+    alpha_v = _last_inside(excess, 200)
     g_v = alpha_v * ray
     grad_at_g = grad_sum(g_v)
     theta0 = g_v + grad_at_g / math.sqrt(v)

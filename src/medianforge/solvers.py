@@ -95,9 +95,11 @@ class _Pass:
     g is the minimum-norm element of the loss subdifferential: the gradient
     away from voter points, and on one the pull of the other voters shrunk
     by the coincident weight w0 (zero once w0 outweighs it); gn is its norm
-    and nearest the index of the closest voter. On a voter point, rest
-    selects the other voters, c holds their weight / distance and pn is the
-    norm of their pull.
+    and nearest the index of the closest voter. Away from voter points c
+    holds weight / distance of every voter, which the pull, the Hessian, the
+    near-voter bound and the certificate all read. On a voter point, rest
+    selects the other voters, rest_c holds their weight / distance and pn is
+    the norm of their pull.
     """
 
     def __init__(self, voters, weights, scale, z):
@@ -111,12 +113,13 @@ class _Pass:
         self.at_voter = self.dists[self.nearest] <= VOTER_POINT_RTOL * scale
         self.rest = None
         if not self.at_voter:
-            self.g = (weights / self.dists) @ self.diffs
+            self.c = weights / self.dists
+            self.g = self.c @ self.diffs
         else:
             self.rest = self.dists > VOTER_POINT_RTOL * scale
             self.w0 = float(weights[~self.rest].sum())
-            self.c = weights[self.rest] / self.dists[self.rest]
-            pull = self.c @ self.diffs[self.rest]
+            self.rest_c = weights[self.rest] / self.dists[self.rest]
+            pull = self.rest_c @ self.diffs[self.rest]
             self.pn = math.sqrt(pull.dot(pull))
             self.g = (np.zeros(z.size) if self.pn <= self.w0
                       else pull * ((self.pn - self.w0) / self.pn))
@@ -136,7 +139,7 @@ class _Pass:
             return (c @ self.voters) / c.sum()
         if self.pn <= self.w0:
             return self.z
-        t = (self.c @ self.voters[self.rest]) / self.c.sum()
+        t = (self.rest_c @ self.voters[self.rest]) / self.rest_c.sum()
         gamma = min(1.0, self.w0 / self.pn)
         return (1.0 - gamma) * t + gamma * self.z
 
@@ -150,9 +153,8 @@ class _Pass:
 
     def hessian(self) -> np.ndarray:
         self.require_smooth()
-        c = self.weights / self.dists
-        h = np.eye(self.z.size) * c.sum()
-        h -= self.diffs.T @ (self.diffs * (c / self.dists**2)[:, None])
+        h = np.eye(self.z.size) * self.c.sum()
+        h -= self.diffs.T @ (self.diffs * (self.c / self.dists**2)[:, None])
         return h
 
     def third_deriv(self) -> np.ndarray:
@@ -175,8 +177,8 @@ class _Pass:
         e = zs - self.voters[v]
         rho = np.sqrt(np.einsum("ij,ij->i", e, e))
         rest_d = np.delete(self.dists, v)
-        rest_sum = (np.delete(self.weights, v) / rest_d).sum()
-        rest_pull = self.g - (self.weights[v] / self.dists[v]) * self.diffs[v]
+        rest_sum = np.delete(self.c, v).sum()
+        rest_pull = self.g - self.c[v] * self.diffs[v]
         pull = (self.weights[v] / rho)[:, None] * e + rest_pull
         step = zs - self.z
         delta = np.sqrt(np.einsum("ij,ij->i", step, step))
@@ -198,13 +200,7 @@ class _Pass:
             lam_min = float(np.linalg.eigvalsh(self.hessian())[0])
         except (AtVoterPoint, np.linalg.LinAlgError):
             return np.inf
-        # Each such c_i is below tiny * r_i**2 <= tiny * reach**2: where that
-        # total cannot move lam_min, skip the pass that finds the terms.
-        tiny = np.finfo(float).tiny
-        reach = 2.0 * (math.sqrt(self.z.dot(self.z)) + math.sqrt(self.z.size) * self.scale)
-        if lam_min - self.weights.size * tiny * reach * reach != lam_min:
-            c = self.weights / self.dists
-            lam_min -= float(c[c / self.dists**2 < tiny].sum())
+        lam_min -= float(self.c[self.c / self.dists**2 < np.finfo(float).tiny].sum())
         return tol_grad / lam_min if lam_min > 0.0 else np.inf
 
 

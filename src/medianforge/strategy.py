@@ -152,12 +152,30 @@ def achievable_contains(honest: VoterProfile, z) -> bool:
     return bool(np.linalg.norm(g) <= 1.0 / honest.count + 1e-9)
 
 
+def _last_inside(excess, steps):
+    """Largest t in [0, 1] that bisection finds with excess(t) <= 0, given
+    excess(0) <= 0; stops once lo and hi are adjacent floats, or after steps
+    steps."""
+    lo, hi = 0.0, 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if excess(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def boundary_point(honest_wp: WeightedProfile, center, direction, level: float) -> np.ndarray:
     """Point along center + t * direction where the loss-gradient norm hits level.
 
     Brent root finding on the ray parameter; assumes the gradient norm is
-    below the level at the center. The bracket starts at t = max(1, twice the
-    farthest voter's distance) and doubles; BracketFailure after 60 doublings.
+    below the level at the center. The bracket starts at t = twice the
+    farthest voter's distance (1 when every voter sits at the center), so it
+    and Brent's tolerance follow the profile's scale, and doubles;
+    BracketFailure after 60 doublings.
     """
     from scipy import optimize
 
@@ -169,7 +187,7 @@ def boundary_point(honest_wp: WeightedProfile, center, direction, level: float) 
         return np.linalg.norm(min_norm_subgradient(honest_wp, center + t * u)) - level
 
     spread = float(np.max(np.linalg.norm(honest_wp.voters - center, axis=1)))
-    lo, hi = 0.0, max(2.0 * spread, 1.0)
+    lo, hi = 0.0, 2.0 * spread or 1.0
     f_hi = excess(hi)
     grow = 0
     while f_hi <= 0.0 and grow < 60:
@@ -178,7 +196,7 @@ def boundary_point(honest_wp: WeightedProfile, center, direction, level: float) 
         grow += 1
     if f_hi <= 0.0:
         raise BracketFailure("could not bracket the achievable-set boundary")
-    root = optimize.brentq(excess, lo, hi, xtol=1e-15 * max(1.0, hi), rtol=8.9e-16)
+    root = optimize.brentq(excess, lo, hi, xtol=1e-15 * hi, rtol=8.9e-16)
     # land on the inside of the level set
     t = root
     for _ in range(60):
@@ -259,19 +277,8 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
     def pull_inside(z):
         if constraint_excess(z) <= 0.0:
             return z
-        lo, hi = 0.0, 1.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            adjacent = mid == lo or mid == hi
-            if constraint_excess(g_honest + mid * (z - g_honest)) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if adjacent:
-                # lo and hi are equal or neighbouring floats: every further
-                # step tests this same mid and leaves lo as it is
-                break
-        return g_honest + lo * (z - g_honest)
+        ray = z - g_honest
+        return g_honest + _last_inside(lambda t: constraint_excess(g_honest + t * ray), 100) * ray
 
     def slide(z, iters=25):
         # descend the skewed distance along the constraint boundary

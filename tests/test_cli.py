@@ -225,6 +225,14 @@ def test_coordinates_whose_squares_overflow_exit_2(e, tmp_path, capsys):
                       f"squared distances overflow\n"
 
 
+def test_coordinates_whose_squares_underflow_exit_2(tmp_path, capsys):
+    path = write_csv(tmp_path / "tiny.csv", "0,0\n1e-162,0\n0,1e-162\n")
+    code, out, err = run_cli(["aggregate", "--method", "gm", "--input", path], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: coordinates span only 1e-162: " \
+                  f"squared distances underflow\n"
+
+
 class TestSkewnessCommand:
     def test_identity(self, tmp_path, capsys):
         mat = write_csv(tmp_path / "i.csv", "1,0\n0,1\n")

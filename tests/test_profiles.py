@@ -112,6 +112,16 @@ def test_coordinates_whose_squares_overflow_rejected():
     assert res.grad_norm <= 1e-10 and np.isfinite(res.loss)
 
 
+@pytest.mark.parametrize("e", [-154, -158, -162])
+def test_coordinates_whose_squares_underflow_rejected(e):
+    # At 1e-162 every squared distance reads 0: a solve would return the
+    # voter (0, 0) with grad_norm 0.0, 0.30 s from the Fermat point.
+    s = 10.0**e
+    with pytest.raises(ValueError, match=rf"^coordinates span only 1e-{-e}: .* underflow"):
+        VoterProfile([[0.0, 0.0], [s, 0.0], [0.0, s]])
+    VoterProfile([[s, s]] * 3)  # one point repeated has no distances to lose
+
+
 def test_voter_profile_is_the_uniform_weighted_profile(rng):
     x = rng.standard_normal((9, 3))
     p = uniform_profile(x)

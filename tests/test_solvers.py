@@ -227,7 +227,7 @@ class TestGeometricMedian:
             np.testing.assert_array_equal(p.step(), (c @ wp.voters) / c.sum())
             on = sv._evaluate(wp, wp.voters[int(rng.integers(v))])
             assert on.at_voter
-            assert on.pn == np.linalg.norm(on.c @ on.diffs[on.rest])
+            assert on.pn == np.linalg.norm(on.rest_c @ on.diffs[on.rest])
             assert on.gn == np.linalg.norm(on.g)
 
     def test_weighted_pull(self):
@@ -601,3 +601,39 @@ def test_power_of_two_homothety_keeps_every_bit(case):
     assert scaled.additive_bound == math.ldexp(base.additive_bound, k)
     assert scaled.loss == math.ldexp(base.loss, k)
     assert (scaled.iterations, scaled.grad_norm) == (base.iterations, base.grad_norm)
+
+
+@hs.composite
+def rigid_motion_cases(draw):
+    """A profile of V 3-60 voters in d 2-6, uniform or weighted, whose first
+    point has 1 to 4 copies, plus a translation and a rotation."""
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    v, d = draw(hs.integers(3, 60)), draw(hs.integers(2, 6))
+    heavy = min(draw(hs.integers(1, 4)), v - 2)
+    base = rng.standard_normal((v - heavy + 1, d)) * rng.uniform(0.1, 3.0, d)
+    pts = np.repeat(base, [heavy] + [1] * (v - heavy), axis=0)
+    weights = rng.uniform(0.2, 1.0, v) if draw(hs.booleans()) else np.ones(v)
+    shift = rng.standard_normal(d) * 10.0 ** rng.uniform(-1.0, 2.0)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    return pts, weights, shift, q * np.sign(np.diag(r))
+
+
+def test_certificates_cover_translation_and_rotation():
+    finite = []
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(rigid_motion_cases())
+    def check(case):
+        pts, weights, shift, q = case
+        base = sv.geometric_median(WeightedProfile.from_raw_weights(pts, weights))
+        moved = sv.geometric_median(WeightedProfile.from_raw_weights(pts + shift, weights))
+        turned = sv.geometric_median(WeightedProfile.from_raw_weights(pts @ q.T, weights))
+        slack = 1e-12 * (np.abs(pts).max() + np.linalg.norm(shift))
+        for res, image in ((moved, base.point + shift), (turned, q @ base.point)):
+            bound = base.additive_bound + res.additive_bound
+            assert np.linalg.norm(res.point - image) <= bound + slack
+            finite.append(math.isfinite(bound))
+
+    check()
+    # A solve that ends on a voter has no finite certificate and checks nothing.
+    assert 2 * sum(finite) >= len(finite)

@@ -176,6 +176,18 @@ class TestAchievableSet:
             res = geometric_median(uniform_profile(np.vstack([prof.voters, z])))
             assert np.linalg.norm(res.point - z) <= max(res.additive_bound, 1e-9)
 
+    @pytest.mark.parametrize("s", [1e-8, 1e-20])
+    def test_boundary_point_follows_the_profile_scale(self, s):
+        # The bracket and Brent's tolerance are relative to the voters' spread:
+        # an absolute bracket of 1 loses the root as the profile shrinks.
+        rng = np.random.default_rng(0)
+        pts, u = rng.standard_normal((200, 3)), rng.standard_normal(3)
+        unit, tiny = VoterProfile(pts), VoterProfile(pts * s)
+        z_unit = st.boundary_point(unit, geometric_median(unit).point, u, 1.0 / 200)
+        z = st.boundary_point(tiny, geometric_median(tiny).point, u, 1.0 / 200)
+        assert 0.0 <= 1.0 - 200 * np.linalg.norm(loss_gradient(tiny, z)) <= 1e-13
+        assert np.linalg.norm(z / s - z_unit) <= 1e-13 * np.linalg.norm(z_unit)
+
     def test_unreachable_level_is_a_bracket_failure(self, rng):
         # the loss gradient is an average of unit vectors: its norm never reaches 2
         prof = VoterProfile(rng.standard_normal((12, 3)))
@@ -268,6 +280,22 @@ class TestBestResponse:
         line = np.outer(np.arange(5.0), [1.0, 0.0])
         with pytest.raises(DegenerateDimension):
             st.best_response(np.array([0.0, 1.0]), VoterProfile(line))
+
+    def test_gain_is_scale_free(self):
+        # theta0 just outside the achievable set of 200 voters in the unit
+        # 5-ball; the same case shrunk to 1e-20 keeps the gain.
+        rng = np.random.default_rng(13)
+        pts = rng.standard_normal((200, 5))
+        pts *= rng.uniform(size=(200, 1)) ** 0.2 / np.linalg.norm(pts, axis=1, keepdims=True)
+        prof = VoterProfile(pts)
+        g = geometric_median(prof).point
+        z_b = st.boundary_point(prof, g, rng.standard_normal(5), 1.0 / 200)
+        outward = loss_gradient(prof, z_b)
+        theta0 = z_b + (1.5 / 200) * outward / np.linalg.norm(outward)
+        unit = st.best_response(theta0, prof, seed=0).gain_alpha
+        tiny = st.best_response(theta0 * 1e-20, VoterProfile(pts * 1e-20), seed=0).gain_alpha
+        assert unit > 1e-5
+        assert tiny == pytest.approx(unit, rel=1e-9)
 
     def test_theta0_of_wrong_length_rejected(self):
         triangle = VoterProfile(np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]]))

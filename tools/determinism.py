@@ -18,16 +18,18 @@ profile of affine rank 1, so the report says degenerate_dimension true, and a
 profile with tied first coordinates, which the lexsort path orders), aggregate
 skewed-gm (25x3 profile, triangle), aggregate cw (uniform, and the eye(3)
 simplex, whose cw median lies outside the hull), aggregate avg (weighted),
-skewness --numeric-check, best-response (--preset thm1, and a profile with an
-inline theta0, a preference matrix and a seed), and simulate byzantine (two
-configs, one at --parallel 2), theorem1, asymptotic (plain, and with a
-preference matrix plus median_skew) and convergence (two configs; the second,
-three V values by three trials, runs at --parallel 2, where each worker task
-returns the rows of one trial, so its bytes also pin how those rows are put
-back in order).
+skewness --numeric-check, best-response (--preset thm1, a profile with an
+inline theta0, a preference matrix and a seed, and the same run with profile
+and theta0 scaled by 2^-64, where the boundary bracket follows the profile's
+scale), and simulate byzantine (two configs, one at --parallel 2), theorem1,
+asymptotic (plain, and with a preference matrix plus median_skew) and
+convergence (two configs; the second, three V values by three trials, runs at
+--parallel 2, where each worker task returns the rows of one trial, so its
+bytes also pin how those rows are put back in order).
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +37,9 @@ import sys
 import numpy as np
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# The profile run's theta0 = (0.3, 0.2, 0.1), scaled exactly like its voters.
+TINY_THETA0 = ",".join(repr(math.ldexp(x, -64)) for x in (0.3, 0.2, 0.1))
 
 DIAG_GAUSSIAN = {"kind": "diagonal-gaussian", "dim": 5, "sigmas": [1, 1, 1, 1, 4]}
 
@@ -70,7 +75,9 @@ def write_inputs(out_dir):
     inputs = os.path.join(out_dir, "inputs")
     os.makedirs(inputs, exist_ok=True)
     rng = np.random.default_rng(2026)
-    write_csv(os.path.join(inputs, "profile.csv"), rng.standard_normal((40, 3)))
+    profile = rng.standard_normal((40, 3))
+    write_csv(os.path.join(inputs, "profile.csv"), profile)
+    write_csv(os.path.join(inputs, "profile_tiny.csv"), np.ldexp(profile, -64))
     write_csv(os.path.join(inputs, "weights.csv"), rng.uniform(0.5, 2.0, size=(40, 1)))
     write_csv(os.path.join(inputs, "profile25.csv"),
               rng.standard_normal((25, 3)) * [1.0, 2.0, 0.5])
@@ -124,6 +131,9 @@ def commands():
     yield ["best-response", "--input", "inputs/profile.csv", "--theta0", "0.3,0.2,0.1",
            "--pref-matrix", "inputs/skew3.csv", "--seed", "7",
            "--output", "best_response_profile.json", *det]
+    yield ["best-response", "--input", "inputs/profile_tiny.csv", "--theta0", TINY_THETA0,
+           "--pref-matrix", "inputs/skew3.csv", "--seed", "7",
+           "--output", "best_response_profile_tiny.json", *det]
     for name, (_, parallel) in SIMULATE.items():
         yield ["simulate", "--config", f"inputs/{name}.json", "--parallel", str(parallel),
                "--output", f"simulate_{name}", *det]
