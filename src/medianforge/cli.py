@@ -209,11 +209,8 @@ def _cmd_best_response(args) -> int:
         honest = _build(args.input, VoterProfile, read_profile_csv(args.input))
         theta0 = _parse_theta0(args.theta0)
 
-    try:
-        rep = best_response(theta0, honest, s=pref, restarts=args.restarts, seed=seed,
-                            extra_votes=extra_votes)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    rep = best_response(theta0, honest, s=pref, restarts=args.restarts, seed=seed,
+                        extra_votes=extra_votes)
     result = dataclasses.asdict(rep)
     certs = {k: result.pop(k) for k in ("manipulated_grad_norm", "manipulated_additive_bound")}
     gain = rep.gain_alpha
@@ -414,7 +411,7 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ParseError, MedianForgeError) as exc:
+    except (ValueError, MedianForgeError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

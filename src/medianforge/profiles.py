@@ -97,7 +97,7 @@ class WeightedProfile:
             raise DimensionMismatch("weights must be one positive real per voter")
         if not np.all(w > 0.0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be strictly positive and finite")
-        total = w.sum()
+        total = np.sort(w).sum()  # summed in sorted order, which no input order changes
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {total!r} (use from_raw_weights)")
         w = w / total
@@ -112,11 +112,14 @@ class WeightedProfile:
 
     @staticmethod
     def from_raw_weights(points, raw_weights) -> "WeightedProfile":
-        """Build from positive weights of any scale; they are normalized here."""
+        """Build from positive weights of any scale; they are normalized here,
+        by their exactly rounded sum, which no input order changes. The exact
+        power-of-two rescale first keeps that sum from overflowing."""
         w = np.asarray(raw_weights, dtype=float)
         if w.ndim != 1 or not np.all(w > 0.0):
             raise ValueError("raw weights must be a 1-d array of positive reals")
-        return WeightedProfile(points, w / w.sum())
+        w = np.ldexp(w, -math.frexp(w.max())[1])
+        return WeightedProfile(points, w / math.fsum(w))
 
     @property
     def count(self) -> int:

@@ -50,6 +50,7 @@ __all__ = [
 
 VOTER_POINT_RTOL = 1e-14
 _SNAP_RTOL = 1e-5
+_NEWTON_FROM = 1e-3  # subgradient norm below which damped Newton is tried
 DEFAULT_TOL_GRAD = 1e-10
 MAX_ITERATIONS = 20000
 
@@ -130,17 +131,15 @@ class _Pass:
         return float(self.weights @ self.dists)
 
     def step(self) -> np.ndarray:
-        """Weiszfeld point; on a voter point, its Vardi-Zhang blend with z,
-        or z itself once w0 outweighs the pull."""
+        """Weiszfeld point; on a voter point, its Vardi-Zhang blend with z by
+        w0 / pn < 1: the solve steps only while gn > 0, so pn > w0 (else g = 0)."""
         if self.rest is None:
             # np.linalg.norm's row norms spelled out: some round one ulp off the
             # einsum norms, and the recorded stress-sweep floors depend on that.
             c = self.weights / np.sqrt(np.add.reduce(self.diffs * self.diffs, axis=1))
             return (c @ self.voters) / c.sum()
-        if self.pn <= self.w0:
-            return self.z
         t = (self.rest_c @ self.voters[self.rest]) / self.rest_c.sum()
-        gamma = min(1.0, self.w0 / self.pn)
+        gamma = self.w0 / self.pn
         return (1.0 - gamma) * t + gamma * self.z
 
     def require_smooth(self):
@@ -263,15 +262,17 @@ def _solve_gm_raw(voters, weights, tol_grad, init):
     Vardi-Zhang-corrected Weiszfeld steps, then damped Newton once the
     minimum-norm subgradient is small, until its norm is <= tol_grad. Each
     accepted iterate costs one pass; only a rejected Newton point or a
-    failed snap test costs another.
+    failed snap test costs another. Every median solve runs this loop, so it
+    is where tol_grad is checked: inside it gn > tol_grad > 0.
     """
+    if not tol_grad > 0.0:
+        raise ValueError("tol_grad must be positive")
     scale = _profile_scale(voters)
 
     def at(z):
         return _Pass(voters, weights, scale, z)
 
     p = at(np.array(init, dtype=float))
-    newton_from = max(tol_grad, 1e-3)
     iterations = 0
     while p.gn > tol_grad and iterations < MAX_ITERATIONS:
         iterations += 1
@@ -283,7 +284,7 @@ def _solve_gm_raw(voters, weights, tol_grad, init):
                 p = snap
                 break
             del snap  # keeps its V x d diffs from living next to p's and a trial's
-        if p.gn <= newton_from:
+        if p.gn <= _NEWTON_FROM:
             trial = _newton(p, at)
             if trial is not None:
                 p = trial
@@ -301,8 +302,6 @@ def _solve_gm_raw(voters, weights, tol_grad, init):
 
 def _solve_gm(profile: WeightedProfile, tol_grad=DEFAULT_TOL_GRAD, init=None):
     """Core solve from `init`, else the coordinate-wise median: (final pass, iterations)."""
-    if not tol_grad > 0.0:
-        raise ValueError("tol_grad must be positive")
     if init is None:
         init = coordinatewise_median(profile)
     return _solve_gm_raw(profile.voters, profile.weights, tol_grad, init)
@@ -370,8 +369,6 @@ def skewed_geometric_median(
     so the core stops at ||g_y|| <= tol_grad / lambda_max(S), and its
     certificate on ||S z - S z*|| divided by lambda_min(S) bounds ||z - z*||.
     """
-    if not tol_grad > 0.0:
-        raise ValueError("tol_grad must be positive")
     s = check_spd(sigma, "skew matrix")
     if s.shape[0] != profile.dim:
         raise DimensionMismatch("skew matrix dimension does not match the profile")

@@ -411,6 +411,8 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     additional candidates and seed the search. The best candidate wins;
     ties break lexicographically on the vote.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (honest.dim,):
         raise DimensionMismatch("theta0 dimension does not match the profile")

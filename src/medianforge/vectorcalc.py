@@ -30,13 +30,18 @@ def _as_vector(z) -> np.ndarray:
     return a
 
 
+def _norm(a: np.ndarray, what: str) -> float:
+    """||a||, where the derivative `what` of a norm at a is defined."""
+    r = np.linalg.norm(a)
+    if r == 0.0:
+        raise ZeroVector(f"{what} is undefined at the origin")
+    return r
+
+
 def unit_vector(z) -> np.ndarray:
     """Gradient of the Euclidean norm: z / ||z||, a unit vector."""
     a = _as_vector(z)
-    r = np.linalg.norm(a)
-    if r == 0.0:
-        raise ZeroVector("gradient of the Euclidean norm is undefined at the origin")
-    return a / r
+    return a / _norm(a, "gradient of the Euclidean norm")
 
 
 def euclid_hessian(z) -> np.ndarray:
@@ -45,9 +50,7 @@ def euclid_hessian(z) -> np.ndarray:
     Eigenvalue 0 along z, eigenvalue 1/||z|| on the orthogonal complement.
     """
     a = _as_vector(z)
-    r = np.linalg.norm(a)
-    if r == 0.0:
-        raise ZeroVector("Hessian of the Euclidean norm is undefined at the origin")
+    r = _norm(a, "Hessian of the Euclidean norm")
     u = a / r
     return (np.eye(a.size) - np.outer(u, u)) / r
 
@@ -60,9 +63,7 @@ def euclid_third_derivative(z) -> np.ndarray:
     by construction; every entry is bounded by 6/||z||^2.
     """
     a = _as_vector(z)
-    r = np.linalg.norm(a)
-    if r == 0.0:
-        raise ZeroVector("third derivative of the Euclidean norm is undefined at the origin")
+    r = _norm(a, "third derivative of the Euclidean norm")
     u = a / r
     d = a.size
     t = 3.0 * np.einsum("i,j,k->ijk", u, u, u)
@@ -136,10 +137,7 @@ def skewed_gradient(z, sigma) -> np.ndarray:
     a = _as_vector(z)
     s = _check_skew_dims(a, sigma)
     sz = s @ a
-    r = np.linalg.norm(sz)
-    if r == 0.0:
-        raise ZeroVector("gradient of the skewed norm is undefined at the origin")
-    return s @ sz / r
+    return s @ sz / _norm(sz, "gradient of the skewed norm")
 
 
 def skewed_hessian_of_norm(z, sigma) -> np.ndarray:
@@ -147,6 +145,5 @@ def skewed_hessian_of_norm(z, sigma) -> np.ndarray:
     a = _as_vector(z)
     s = _check_skew_dims(a, sigma)
     sz = s @ a
-    if np.linalg.norm(sz) == 0.0:
-        raise ZeroVector("Hessian of the skewed norm is undefined at the origin")
+    _norm(sz, "Hessian of the skewed norm")
     return s @ euclid_hessian(sz) @ s

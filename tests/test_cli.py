@@ -130,6 +130,15 @@ class TestAggregate:
             assert (code, out) == (2, "")
             assert err.startswith("error: --tol") and err.count("\n") == 1
 
+    def test_skewed_tol_that_underflows_exit_2(self, triangle_csv, tmp_path, capsys):
+        mat = write_csv(tmp_path / "sigma.csv", "2e4,0\n0,1\n")
+        code, out, err = run_cli(
+            ["aggregate", "--input", triangle_csv, "--method", "skewed-gm",
+             "--skew-matrix", mat, "--tol", "1e-320"],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", "error: tol_grad must be positive\n")
+
     def test_weights_mismatch_exit_2(self, triangle_csv, tmp_path, capsys):
         wpath = write_csv(tmp_path / "w.csv", "1\n2\n")
         code, _, err = run_cli(

@@ -65,14 +65,20 @@ def test_canonical_order_breaks_a_signed_zero_tie_on_later_columns():
 
 
 def test_weighted_permutation_keeps_pairs(rng):
-    pts = rng.standard_normal((6, 2))
-    w = rng.uniform(0.5, 2.0, size=6)
-    w /= w.sum()
-    perm = rng.permutation(6)
-    a = WeightedProfile(pts, w)
-    b = WeightedProfile(pts[perm], w[perm])
-    np.testing.assert_array_equal(a.voters, b.voters)
-    np.testing.assert_array_equal(a.weights, b.weights)
+    for _ in range(100):
+        v, d = int(rng.integers(3, 41)), int(rng.integers(2, 6))
+        pts, raw = rng.standard_normal((v, d)), rng.uniform(0.2, 1.0, v)
+        w, perm = raw / raw.sum(), rng.permutation(v)
+        for make, ws in ((WeightedProfile, w), (WeightedProfile.from_raw_weights, raw)):
+            a, b = make(pts, ws), make(pts[perm], ws[perm])
+            np.testing.assert_array_equal(a.voters, b.voters)
+            np.testing.assert_array_equal(a.weights, b.weights)
+
+
+def test_raw_weights_of_any_scale():
+    wp = WeightedProfile.from_raw_weights([[0.0], [1.0], [2.0]], [1e308] * 3)
+    assert np.all(wp.weights == wp.weights[0])
+    assert wp.weights[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_duplicates_allowed():

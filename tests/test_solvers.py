@@ -603,10 +603,27 @@ def test_power_of_two_homothety_keeps_every_bit(case):
     assert (scaled.iterations, scaled.grad_norm) == (base.iterations, base.grad_norm)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+def test_nonpositive_tolerance_rejected_by_every_solve(tol):
+    wp = uniform_profile(UNIT_TRIANGLE)
+    for solve in (lambda: sv.geometric_median(wp, tol),
+                  lambda: sv.skewed_geometric_median(wp, np.eye(2), tol),
+                  lambda: sv._solve_gm_raw(wp.voters, wp.weights, tol, np.zeros(2))):
+        with pytest.raises(ValueError, match="tol_grad must be positive"):
+            solve()
+
+
+def test_skewed_tolerance_that_underflows_rejected():
+    # 1e-320 / 2e4 rounds to 0.0: the core tolerance is no longer positive
+    with pytest.raises(ValueError, match="tol_grad must be positive"):
+        sv.skewed_geometric_median(uniform_profile(UNIT_TRIANGLE), np.diag([2e4, 1.0]), 1e-320)
+
+
 @hs.composite
 def rigid_motion_cases(draw):
     """A profile of V 3-60 voters in d 2-6, uniform or weighted, whose first
-    point has 1 to 4 copies, plus a translation and a rotation."""
+    point has 1 to 4 copies, plus a translation, a rotation, a scale factor
+    with log10 in [-3, 3] and a permutation of the voters."""
     rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
     v, d = draw(hs.integers(3, 60)), draw(hs.integers(2, 6))
     heavy = min(draw(hs.integers(1, 4)), v - 2)
@@ -615,24 +632,37 @@ def rigid_motion_cases(draw):
     weights = rng.uniform(0.2, 1.0, v) if draw(hs.booleans()) else np.ones(v)
     shift = rng.standard_normal(d) * 10.0 ** rng.uniform(-1.0, 2.0)
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    return pts, weights, shift, q * np.sign(np.diag(r))
+    return (pts, weights, shift, q * np.sign(np.diag(r)), 10.0 ** rng.uniform(-3.0, 3.0),
+            rng.permutation(v))
 
 
 def test_certificates_cover_translation_and_rotation():
+    """Translated, rotated and scaled medians lie within both certificates of
+    the moved base median; a permuted profile's median keeps every bit."""
     finite = []
 
     @settings(derandomize=True, max_examples=1000, deadline=None)
     @given(rigid_motion_cases())
     def check(case):
-        pts, weights, shift, q = case
-        base = sv.geometric_median(WeightedProfile.from_raw_weights(pts, weights))
-        moved = sv.geometric_median(WeightedProfile.from_raw_weights(pts + shift, weights))
-        turned = sv.geometric_median(WeightedProfile.from_raw_weights(pts @ q.T, weights))
-        slack = 1e-12 * (np.abs(pts).max() + np.linalg.norm(shift))
-        for res, image in ((moved, base.point + shift), (turned, q @ base.point)):
-            bound = base.additive_bound + res.additive_bound
+        pts, weights, shift, q, lam, perm = case
+
+        def solve(x, w=weights):
+            return sv.geometric_median(WeightedProfile.from_raw_weights(x, w))
+
+        base = solve(pts)
+        reach = 1e-12 * np.abs(pts).max()
+        rigid = reach + 1e-12 * np.linalg.norm(shift)
+        for res, image, factor, slack in (
+                (solve(pts + shift), base.point + shift, 1.0, rigid),
+                (solve(pts @ q.T), q @ base.point, 1.0, rigid),
+                (solve(lam * pts), lam * base.point, lam, lam * reach)):
+            bound = factor * base.additive_bound + res.additive_bound
             assert np.linalg.norm(res.point - image) <= bound + slack
             finite.append(math.isfinite(bound))
+        permuted = solve(pts[perm], weights[perm])
+        np.testing.assert_array_equal(permuted.point, base.point)
+        assert (permuted.additive_bound, permuted.loss, permuted.iterations) == \
+            (base.additive_bound, base.loss, base.iterations)
 
     check()
     # A solve that ends on a voter has no finite certificate and checks nothing.

@@ -227,6 +227,13 @@ class TestBestResponse:
         with pytest.raises(ValueError, match=re.escape(f"theta0 [{far!r}, {far!r}] is too far")):
             st.best_response(np.full(2, far), prof, restarts=1)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_below_one_rejected_before_any_solve(self, restarts, monkeypatch):
+        monkeypatch.setattr(st, "_solve_gm", None)
+        prof = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+            st.best_response(np.full(2, 2.0), prof, restarts=restarts)
+
     def test_far_theta0_still_runs(self):
         prof = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         rep = st.best_response(np.full(2, 1e150), prof, restarts=1)

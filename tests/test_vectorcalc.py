@@ -7,6 +7,18 @@ from medianforge.errors import DimensionMismatch, ZeroVector
 from conftest import fd_gradient, fd_jacobian, random_spd
 
 
+@pytest.mark.parametrize("derivative, what", [
+    (vc.unit_vector, "gradient of the Euclidean norm"),
+    (vc.euclid_hessian, "Hessian of the Euclidean norm"),
+    (vc.euclid_third_derivative, "third derivative of the Euclidean norm"),
+    (lambda z: vc.skewed_gradient(z, np.eye(2)), "gradient of the skewed norm"),
+    (lambda z: vc.skewed_hessian_of_norm(z, np.eye(2)), "Hessian of the skewed norm"),
+])
+def test_origin_names_the_derivative(derivative, what):
+    with pytest.raises(ZeroVector, match=f"^{what} is undefined at the origin$"):
+        derivative(np.zeros(2))
+
+
 class TestUnitVector:
     def test_3_4_5_triple(self):
         np.testing.assert_allclose(vc.unit_vector([3.0, 4.0]), [0.6, 0.8], atol=1e-12)

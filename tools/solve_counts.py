@@ -14,6 +14,8 @@ functions wrapped to count. Changes nothing in src/. Prints:
   them rejected (0 on a tree without it);
 - snap_tests: passes built by the solve loop on exactly a voter's point,
   after the solve's first pass;
+- solves: calls of the solve loop `solvers._solve_gm_raw`;
+- voter_ends: solves whose final pass lies exactly on a voter's point;
 - max_gain of the trial, so two trees can also be compared on the result.
 
 The counts depend only on the code and the inputs, not on timing.
@@ -39,7 +41,8 @@ def main(argv):
     except (IndexError, ValueError):
         sys.exit(__doc__.split("\n\n")[1])
     counts = dict.fromkeys(("passes", "newton_calls", "newton_trials_evaluated",
-                            "newton_trials_proved", "snap_tests"), 0)
+                            "newton_trials_proved", "snap_tests", "solves",
+                            "voter_ends"), 0)
     state = {"newton": False, "in_solve": False, "solve_start": False, "marks": None}
 
     init, newton, solve = sv._Pass.__init__, sv._newton, sv._solve_gm_raw
@@ -75,11 +78,14 @@ def main(argv):
                     evaluated -= 1
 
     def counted_solve(*args):
+        counts["solves"] += 1
         state["in_solve"], state["solve_start"] = True, True
         try:
-            return solve(*args)
+            p, iterations = solve(*args)
         finally:
             state["in_solve"] = False
+        counts["voter_ends"] += bool(p.dists[p.nearest] == 0.0)
+        return p, iterations
 
     sv._Pass.__init__, sv._newton = counted_init, counted_newton
     sv._solve_gm_raw = strategy._solve_gm_raw = counted_solve
