@@ -96,7 +96,7 @@ def _cmd_aggregate(args) -> int:
         raise ParseError("method skewed-gm requires --skew-matrix")
     if args.weights:
         weights = read_weights_csv(args.weights, points.shape[0])
-        profile = _build(args.input, WeightedProfile.from_raw_weights, points, weights)
+        profile = _build(args.input, WeightedProfile, points, weights)
     else:
         profile = _build(args.input, uniform_profile, points)
 

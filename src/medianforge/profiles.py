@@ -67,7 +67,8 @@ def _validate_points(points) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WeightedProfile:
-    """Voters plus strictly positive per-voter weights summing to one.
+    """Voters plus per-voter weights: strictly positive and finite, of any
+    scale, and normalized here to sum to one.
     Profiles compare by identity; scale is max |coordinate| (1.0 if all are
     zero), and the solver's thresholds are relative to it. Voters whose
     squared distance from the middle of the cube [lo, hi]^d of their
@@ -97,9 +98,14 @@ class WeightedProfile:
             raise DimensionMismatch("weights must be one positive real per voter")
         if not np.all(w > 0.0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be strictly positive and finite")
+        if self.weights is not None:  # exact 2^k rescale, then over the exactly rounded sum
+            raw, w = w, np.ldexp(w, -math.frexp(w.max())[1])
+            w = w / math.fsum(w)
+            if not w.min() > 0.0:
+                i = int(w.argmin())
+                raise ValueError(f"weight {float(raw[i])!r} of voter {i} normalizes to 0: "
+                                 "its share of the weights' sum underflows")
         total = np.sort(w).sum()  # summed in sorted order, which no input order changes
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {total!r} (use from_raw_weights)")
         w = w / total
         order = _canonical_order(a, w)
         a = a[order]
@@ -109,17 +115,6 @@ class WeightedProfile:
         object.__setattr__(self, "voters", a)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "scale", _scale(hi, lo))
-
-    @staticmethod
-    def from_raw_weights(points, raw_weights) -> "WeightedProfile":
-        """Build from positive weights of any scale; they are normalized here,
-        by their exactly rounded sum, which no input order changes. The exact
-        power-of-two rescale first keeps that sum from overflowing."""
-        w = np.asarray(raw_weights, dtype=float)
-        if w.ndim != 1 or not np.all(w > 0.0):
-            raise ValueError("raw weights must be a 1-d array of positive reals")
-        w = np.ldexp(w, -math.frexp(w.max())[1])
-        return WeightedProfile(points, w / math.fsum(w))
 
     @property
     def count(self) -> int:

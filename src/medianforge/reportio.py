@@ -119,14 +119,7 @@ def read_weights_csv(path: str, voter_count: int) -> np.ndarray:
         raise ParseError(
             f"{path}:{len(weights)}: {len(weights)} weights for {voter_count} voters"
         )
-    weights = np.asarray(weights)
-    with np.errstate(over="ignore", under="ignore"):
-        # normalizing must leave every weight positive: no overflowing sum, no underflow
-        shares = weights / weights.sum()
-    if not np.all(shares > 0.0):
-        raise ParseError(f"{path}: weights must have a finite sum, "
-                         "of which each weight is a nonzero share")
-    return weights
+    return np.asarray(weights)
 
 
 def write_profile_csv(path: str, points: np.ndarray) -> None:

@@ -465,11 +465,11 @@ def _byzantine_task(args):
     elif attack == "radial-escape":
         u = rng.standard_normal(dim)
         u /= np.linalg.norm(u)
-        strategic = np.tile(g_t + 1e3 * max(delta, 1e-9) * u, (v_s, 1))
+        strategic = np.tile(g_t + 1e3 * max(delta, 1e-9 * truthful.scale) * u, (v_s, 1))
     elif attack == "clustered":
         u = rng.standard_normal(dim)
         u /= np.linalg.norm(u)
-        far = g_t + rng.uniform(10.0, 100.0) * max(delta, 1e-9) * u
+        far = g_t + rng.uniform(10.0, 100.0) * max(delta, 1e-9 * truthful.scale) * u
         strategic = far + 0.1 * delta * rng.standard_normal((v_s, dim))
     else:  # mirrored
         picks = rng.integers(0, v_t, size=v_s)
@@ -487,7 +487,7 @@ def _byzantine_task(args):
         "delta": delta,
         "bound": bound,
         "displacement": displacement,
-        "within_bound": bool(displacement <= bound + 1e-9),
+        "within_bound": bool(displacement <= bound + 1e-9 * truthful.scale),
     }
 
 

@@ -209,8 +209,7 @@ def _evaluate(profile: WeightedProfile, z) -> _Pass:
 
 def loss_eval(profile: WeightedProfile, z) -> float:
     """Weighted average of Euclidean distances to the voters."""
-    z = np.asarray(z, dtype=float)
-    return float(profile.weights @ np.linalg.norm(z - profile.voters, axis=1))
+    return _evaluate(profile, z).loss
 
 
 def loss_gradient(profile: WeightedProfile, z) -> np.ndarray:

@@ -416,6 +416,8 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (honest.dim,):
         raise DimensionMismatch("theta0 dimension does not match the profile")
+    if not np.all(np.isfinite(theta0)):
+        raise ValueError(f"theta0 {theta0.tolist()} has non-finite entries")
     if honest.affine_dim < 2:
         raise DegenerateDimension("best response needs an honest profile of dimension >= 2")
     s_mat = np.eye(theta0.size) if s is None else check_spd(s, "preference matrix")

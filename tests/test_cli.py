@@ -192,17 +192,27 @@ class TestAggregate:
                 assert code == 0
                 assert json.loads(out)["results"]["degenerate_dimension"] is flat
 
-    @pytest.mark.parametrize("weights", ["1e308\n1e308\n1e308\n", "5e-324\n1\n1\n"],
-                             ids=["sum-overflows", "share-underflows"])
-    def test_weights_lost_to_normalizing_exit_2(self, triangle_csv, tmp_path, capsys,
-                                                weights):
-        wpath = write_csv(tmp_path / "w.csv", weights)
+    def test_weights_whose_sum_overflows_are_thirds(self, triangle_csv, tmp_path, capsys):
+        wpath = write_csv(tmp_path / "w.csv", "1e308\n1e308\n1e308\n")
+        reports = []
+        for weights in (["--weights", wpath], []):
+            code, out, _ = run_cli(
+                ["aggregate", "--input", triangle_csv, "--method", "gm", *weights], capsys)
+            assert code == 0
+            reports.append(json.loads(out))
+        # equal thirds: the same point, loss and certificates as the unweighted run
+        assert reports[0]["results"] == reports[1]["results"]
+        assert reports[0]["certificates"] == reports[1]["certificates"]
+
+    def test_weight_lost_to_normalizing_exit_2(self, triangle_csv, tmp_path, capsys):
+        wpath = write_csv(tmp_path / "w.csv", "5e-324\n1\n1\n")
         code, out, err = run_cli(
             ["aggregate", "--input", triangle_csv, "--method", "gm", "--weights", wpath],
             capsys,
         )
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {wpath}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {triangle_csv}: weight 5e-324 of voter 0 ")
+        assert err.count("\n") == 1
 
     def test_solver_failure_exit_3(self, triangle_csv, capsys, monkeypatch):
         monkeypatch.setattr(solvers, "MAX_ITERATIONS", 0)

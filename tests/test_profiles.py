@@ -69,16 +69,21 @@ def test_weighted_permutation_keeps_pairs(rng):
         v, d = int(rng.integers(3, 41)), int(rng.integers(2, 6))
         pts, raw = rng.standard_normal((v, d)), rng.uniform(0.2, 1.0, v)
         w, perm = raw / raw.sum(), rng.permutation(v)
-        for make, ws in ((WeightedProfile, w), (WeightedProfile.from_raw_weights, raw)):
-            a, b = make(pts, ws), make(pts[perm], ws[perm])
+        for ws in (w, raw):
+            a, b = WeightedProfile(pts, ws), WeightedProfile(pts[perm], ws[perm])
             np.testing.assert_array_equal(a.voters, b.voters)
             np.testing.assert_array_equal(a.weights, b.weights)
 
 
 def test_raw_weights_of_any_scale():
-    wp = WeightedProfile.from_raw_weights([[0.0], [1.0], [2.0]], [1e308] * 3)
+    wp = WeightedProfile([[0.0], [1.0], [2.0]], [1e308] * 3)
     assert np.all(wp.weights == wp.weights[0])
     assert wp.weights[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+
+def test_weight_whose_share_underflows_rejected():
+    with pytest.raises(ValueError, match=r"weight 5e-324 of voter 1 normalizes to 0"):
+        WeightedProfile([[0.0], [1.0], [2.0]], [1.0, 5e-324, 1.0])
 
 
 def test_duplicates_allowed():
@@ -89,14 +94,14 @@ def test_duplicates_allowed():
 def test_weight_validation():
     with pytest.raises(ValueError):
         WeightedProfile([[0.0, 0.0], [1.0, 1.0]], [0.5, -0.5])
-    with pytest.raises(ValueError):
-        WeightedProfile([[0.0, 0.0], [1.0, 1.0]], [0.9, 0.9])
+    np.testing.assert_array_equal(
+        WeightedProfile([[0.0, 0.0], [1.0, 1.0]], [0.9, 0.9]).weights, [0.5, 0.5])
     with pytest.raises(DimensionMismatch):
         WeightedProfile([[0.0, 0.0], [1.0, 1.0]], [1.0])
 
 
-def test_from_raw_weights_normalizes():
-    wp = WeightedProfile.from_raw_weights([[0.0], [1.0]], [2.0, 6.0])
+def test_raw_weights_normalized():
+    wp = WeightedProfile([[0.0], [1.0]], [2.0, 6.0])
     assert wp.weights.sum() == pytest.approx(1.0)
     assert sorted(wp.weights) == pytest.approx([0.25, 0.75])
 

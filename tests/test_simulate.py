@@ -407,6 +407,17 @@ class TestByzantineExperiment:
         for r in rep.rows:
             assert r["displacement"] <= 3.0 * r["delta"] / (2.0 * math.sqrt(2.0)) + 1e-9
 
+    def test_rows_scale_exactly_with_the_ball(self):
+        # every attack places its votes relative to the profile's scale, so a
+        # ball shrunk by 2^-40 gives each row's distances shrunk by 2^-40
+        unit, tiny = (sim.byzantine_experiment(
+            sim.PreferenceDistribution("uniform-ball", 2, radius=r), 3, 1, trials=30,
+            seed=12).rows for r in (1.0, 2.0 ** -40))
+        for a, b in zip(unit, tiny):
+            for key in ("delta", "bound", "displacement"):
+                assert b[key] == math.ldexp(a[key], -40)
+            assert b["within_bound"] == a["within_bound"]
+
     def test_rows_independent_of_chunked_dispatch(self):
         # 200 tasks on 2 workers go in chunks of 6
         d = sim.PreferenceDistribution("isotropic-gaussian", 3)

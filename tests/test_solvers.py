@@ -647,7 +647,7 @@ def test_certificates_cover_translation_and_rotation():
         pts, weights, shift, q, lam, perm = case
 
         def solve(x, w=weights):
-            return sv.geometric_median(WeightedProfile.from_raw_weights(x, w))
+            return sv.geometric_median(WeightedProfile(x, w))
 
         base = solve(pts)
         reach = 1e-12 * np.abs(pts).max()

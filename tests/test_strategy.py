@@ -234,6 +234,13 @@ class TestBestResponse:
         with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
             st.best_response(np.full(2, 2.0), prof, restarts=restarts)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_theta0_rejected_before_any_solve(self, bad, monkeypatch):
+        monkeypatch.setattr(st, "_solve_gm", None)
+        prof = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"theta0 \[.*\] has non-finite entries"):
+            st.best_response(np.array([bad, 0.0]), prof, restarts=1)
+
     def test_far_theta0_still_runs(self):
         prof = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         rep = st.best_response(np.full(2, 1e150), prof, restarts=1)

@@ -12,7 +12,8 @@ report echoes where it was written, and two checkouts agree exactly when
     python tools/determinism.py /tmp/b       # in the other
     diff -r /tmp/a /tmp/b
 
-prints nothing. The set: aggregate gm (uniform, weighted, triangle, the same
+prints nothing. The set: aggregate gm (uniform, weighted, the same weights times
+2^1020, whose float sum overflows, triangle, the same
 triangle shrunk to 1e-20, whose thresholds follow the profile's scale, a collinear
 profile of affine rank 1, so the report says degenerate_dimension true, and a
 profile with tied first coordinates, which the lexsort path orders), aggregate
@@ -78,7 +79,9 @@ def write_inputs(out_dir):
     profile = rng.standard_normal((40, 3))
     write_csv(os.path.join(inputs, "profile.csv"), profile)
     write_csv(os.path.join(inputs, "profile_tiny.csv"), np.ldexp(profile, -64))
-    write_csv(os.path.join(inputs, "weights.csv"), rng.uniform(0.5, 2.0, size=(40, 1)))
+    weights = rng.uniform(0.5, 2.0, size=(40, 1))
+    write_csv(os.path.join(inputs, "weights.csv"), weights)
+    write_csv(os.path.join(inputs, "weights_huge.csv"), np.ldexp(weights, 1020))
     write_csv(os.path.join(inputs, "profile25.csv"),
               rng.standard_normal((25, 3)) * [1.0, 2.0, 0.5])
     write_csv(os.path.join(inputs, "collinear.csv"),
@@ -104,6 +107,9 @@ def commands():
            "--output", "aggregate_gm_uniform.json", *det]
     yield ["aggregate", "--input", "inputs/profile.csv", "--weights", "inputs/weights.csv",
            "--method", "gm", "--output", "aggregate_gm_weighted.json", *det]
+    yield ["aggregate", "--input", "inputs/profile.csv", "--weights",
+           "inputs/weights_huge.csv", "--method", "gm",
+           "--output", "aggregate_gm_weighted_huge.json", *det]
     yield ["aggregate", "--input", "inputs/triangle.csv", "--method", "gm",
            "--output", "aggregate_gm_triangle.json", *det]
     yield ["aggregate", "--input", "inputs/triangle_tiny.csv", "--method", "gm",
