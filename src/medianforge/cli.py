@@ -66,13 +66,13 @@ def _env_seed() -> int:
     return _seed(seed, "MEDIANFORGE_SEED")
 
 
-def _build(path, make, *args):
+def _build(source, make, *args):
     """make(*args); a ValueError, say from coordinates too large to square,
-    becomes a ParseError naming path."""
+    becomes a ParseError naming source: the file, flag or config judged."""
     try:
         return make(*args)
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        raise ParseError(f"{source}: {exc}") from None
 
 
 def _emit(args, result, certs, **resolved):
@@ -94,11 +94,10 @@ def _cmd_aggregate(args) -> int:
     points = read_profile_csv(args.input)
     if args.method == "skewed-gm" and not args.skew_matrix:
         raise ParseError("method skewed-gm requires --skew-matrix")
-    if args.weights:
-        weights = read_weights_csv(args.weights, points.shape[0])
-        profile = _build(args.input, WeightedProfile, points, weights)
-    else:
-        profile = _build(args.input, uniform_profile, points)
+    profile = _build(args.input, uniform_profile, points)
+    if args.weights:  # the points passed above, so what fails here is a weight
+        weights = read_weights_csv(args.weights, profile.count)
+        profile = _build(args.weights, WeightedProfile, points, weights)
 
     skew = None
     if args.skew_matrix:
@@ -134,7 +133,7 @@ def _cmd_aggregate(args) -> int:
     hull_tol = max(certs.get("additive_bound", 0.0), floor)
     if not np.isfinite(hull_tol):
         hull_tol = floor
-    result["hull_member"] = bool(hull_distance(points, point) <= hull_tol)
+    result["hull_member"] = bool(hull_distance(profile.voters, point) <= hull_tol)
     result["degenerate_dimension"] = profile.affine_dim <= 1
 
     _emit(args, result, certs)
@@ -168,8 +167,6 @@ def _parse_theta0(text: str) -> np.ndarray:
         theta0 = np.array([float(x) for x in text.split(",")])
     except ValueError:
         raise ParseError(f"theta0 {text!r} is neither a file nor inline CSV") from None
-    if not np.all(np.isfinite(theta0)):
-        raise ParseError(f"theta0 {text!r} has non-finite entries")
     return theta0
 
 
@@ -177,19 +174,14 @@ def _cmd_best_response(args) -> int:
     if args.restarts < 1:
         raise ParseError(f"--restarts must be >= 1, got {args.restarts}")
     seed = _env_seed() if args.seed is None else _seed(args.seed, "--seed")
-    pref = None
-    if args.pref_matrix:
-        pref = check_spd(read_matrix_csv(args.pref_matrix), "preference matrix")
+    pref = read_matrix_csv(args.pref_matrix) if args.pref_matrix else None
 
     preset_info = None
     extra_votes = None
     if args.preset == "thm1":
         if args.X is None or args.V is None:
             raise ParseError("--preset thm1 requires --X and --V")
-        try:
-            inst = build_theorem1_instance(args.X, args.V)
-        except ValueError as exc:
-            raise ParseError(f"--preset thm1: {exc}") from None
+        inst = _build("--preset thm1", build_theorem1_instance, args.X, args.V)
         honest = inst.honest_profile
         theta0 = inst.theta0
         extra_votes = [inst.strategic_vote]
@@ -328,10 +320,7 @@ def _cmd_simulate(args) -> int:
     except OSError as exc:
         raise ParseError(f"{args.output}: cannot create directory: {exc}") from None
 
-    try:
-        report = experiment()
-    except ValueError as exc:
-        raise ParseError(f"{args.config}: {exc}") from None
+    report = _build(args.config, experiment)
 
     json_path = os.path.join(args.output, f"{kind}_report.json")
     csv_path = os.path.join(args.output, f"{kind}_trials.csv")

@@ -97,7 +97,9 @@ class WeightedProfile:
         if w.shape != (a.shape[0],):
             raise DimensionMismatch("weights must be one positive real per voter")
         if not np.all(w > 0.0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be strictly positive and finite")
+            i = int(np.argmin((w > 0.0) & np.isfinite(w)))
+            raise ValueError(f"weight {float(w[i])!r} of voter {i} "
+                             "is not strictly positive and finite")
         if self.weights is not None:  # exact 2^k rescale, then over the exactly rounded sum
             raw, w = w, np.ldexp(w, -math.frexp(w.max())[1])
             w = w / math.fsum(w)

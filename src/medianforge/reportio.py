@@ -104,22 +104,12 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
 
 def read_weights_csv(path: str, voter_count: int) -> np.ndarray:
-    rows = _read_rows(path)
-    if not _is_numeric_row(rows[0][1]):
-        rows = rows[1:]
-    weights = []
-    for line_no, cells in rows:
-        if len(cells) != 1:
-            raise ParseError(f"{path}:{line_no}: expected one weight per row")
-        w = _parse_cell(cells[0], path, line_no)
-        if w <= 0.0:
-            raise ParseError(f"{path}:{line_no}: weights must be positive")
-        weights.append(w)
-    if len(weights) != voter_count:
-        raise ParseError(
-            f"{path}:{len(weights)}: {len(weights)} weights for {voter_count} voters"
-        )
-    return np.asarray(weights)
+    """A one-column profile CSV, one weight per voter; the profile judges the values."""
+    w = read_profile_csv(path)
+    if w.shape != (voter_count, 1):
+        raise ParseError(f"{path}: expected {voter_count} rows of one weight, "
+                         f"found {w.shape[0]} rows of {w.shape[1]}")
+    return w[:, 0]
 
 
 def write_profile_csv(path: str, points: np.ndarray) -> None:

@@ -143,11 +143,27 @@ def numeric_skewness(s, seed: int = 0) -> float:
 # -- achievable set -----------------------------------------------------------
 
 
+def _unit_forces(profile: WeightedProfile) -> None:
+    """Refuse unequal weights: the strategic analysis counts each voter as one unit force."""
+    if not np.all(profile.weights == profile.weights[0]):
+        raise ValueError("one voter, one unit force: the profile's weights are not all equal")
+
+
+def _vote(x, name: str, dim: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise DimensionMismatch(f"{name} dimension does not match the profile")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} {x.tolist()} has non-finite entries")
+    return x
+
+
 def achievable_contains(honest: VoterProfile, z) -> bool:
     """Whether a single strategic voter can turn z into the geometric median:
     the honest-loss gradient (minimum-norm subgradient on voter points) has
     Euclidean norm at most 1/V. An absolute slack of 1e-9 admits medians
     computed to a gradient tolerance, which sit that close to the boundary."""
+    _unit_forces(honest)
     g = min_norm_subgradient(honest, np.asarray(z, dtype=float))
     return bool(np.linalg.norm(g) <= 1.0 / honest.count + 1e-9)
 
@@ -413,11 +429,10 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape != (honest.dim,):
-        raise DimensionMismatch("theta0 dimension does not match the profile")
-    if not np.all(np.isfinite(theta0)):
-        raise ValueError(f"theta0 {theta0.tolist()} has non-finite entries")
+    _unit_forces(honest)
+    theta0 = _vote(theta0, "theta0", honest.dim)
+    extra_seeds = [_vote(v, f"extra vote {i}", honest.dim)
+                   for i, v in enumerate(extra_votes or [])]
     if honest.affine_dim < 2:
         raise DegenerateDimension("best response needs an honest profile of dimension >= 2")
     s_mat = np.eye(theta0.size) if s is None else check_spd(s, "preference matrix")
@@ -443,7 +458,6 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
 
     exact_capture = achievable_contains(honest, theta0)
 
-    extra_seeds = [np.asarray(vote, dtype=float) for vote in extra_votes or []]
     for i, vote in enumerate(extra_seeds):
         add(f"extra_{i}", vote)
 
@@ -513,6 +527,7 @@ class ConditionReport:
 def condition_checker(honest: VoterProfile, beta: float, seed: int = 0) -> ConditionReport:
     if not beta > 0.0:
         raise ValueError("beta must be positive")
+    _unit_forces(honest)
     d = honest.dim
     v_count = honest.count
     rng = np.random.default_rng(seed)
@@ -618,6 +633,7 @@ def byzantine_bound(truthful: VoterProfile, num_strategic: int) -> float:
         raise MajorityAttack(
             f"{num_strategic} strategic vs {t_count} truthful voters: bound is vacuous"
         )
+    _unit_forces(truthful)
     g = _solve_gm(truthful)[0].z
     delta = float(np.max(np.linalg.norm(truthful.voters - g, axis=1)))
     return _resilience_radius(delta, num_strategic, t_count)
@@ -667,6 +683,8 @@ def no_shoe_check(s_v, s_w) -> NoShoeReport:
     """
     a = check_spd(s_v, "first preference matrix")
     b = check_spd(s_w, "second preference matrix")
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"preference matrices of shapes {a.shape} and {b.shape}")
     b_inv = np.linalg.inv(b)
     m = b_inv @ a @ a @ b_inv
     rep = skewness(0.5 * (m + m.T))

@@ -211,8 +211,61 @@ class TestAggregate:
             capsys,
         )
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {triangle_csv}: weight 5e-324 of voter 0 ")
+        assert err.startswith(f"error: {wpath}: weight 5e-324 of voter 0 ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text,message", [
+        ("w\n", ":2: no data rows after the header"),
+        ("1\n-1\n1\n", ": weight -1.0 of voter 1 is not strictly positive and finite"),
+        ("1,1\n1,1\n1,1\n", ": expected 3 rows of one weight, found 3 rows of 2"),
+        ("1\n1\n", ": expected 3 rows of one weight, found 2 rows of 1"),
+    ])
+    def test_bad_weights_name_the_weights_file(self, triangle_csv, tmp_path, capsys,
+                                                text, message):
+        wpath = write_csv(tmp_path / "w.csv", text)
+        code, out, err = run_cli(
+            ["aggregate", "--input", triangle_csv, "--method", "gm", "--weights", wpath],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", f"error: {wpath}{message}\n")
+
+    def test_bad_coordinate_with_weights_names_the_profile(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "far.csv", "0,0\n1e308,0\n0,1\n")
+        wpath = write_csv(tmp_path / "w.csv", "1\n2\n3\n")
+        code, out, err = run_cli(
+            ["aggregate", "--input", path, "--method", "gm", "--weights", wpath], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: coordinate 1e+308 is too large: " \
+                      f"squared distances overflow\n"
+
+    # hull-edge: the cw median (0, 0, 0) lies 1/sqrt(3) from the face e1 e2 e3, and
+    # the far voter puts the hull tolerance 1e-9 * X within an ulp of that distance,
+    # so a distance computed over the voters in input order reads true in one of
+    # these orders and false in the other
+    @pytest.mark.parametrize("case", ["gaussian", "hull-edge"])
+    @pytest.mark.parametrize("method", ["gm", "skewed-gm", "cw", "avg"])
+    def test_report_depends_only_on_the_voter_weight_pairs(self, tmp_path, capsys,
+                                                           method, case):
+        rng = np.random.default_rng(5)
+        if case == "gaussian":
+            x, w = rng.standard_normal((30, 3)), rng.uniform(0.5, 2.0, size=(30, 1))
+            orders = np.arange(30), rng.permutation(30)
+        else:
+            x = np.vstack([np.eye(3), [577350269.1896261, 0.0, 0.0]])
+            w = np.array([[1.0], [2.0], [2.0], [1.0]])
+            orders = [1, 0, 2, 3], [0, 1, 2, 3]
+        skew = write_csv(tmp_path / "skew.csv", "2,0.5,0\n0.5,1,0.2\n0,0.2,0.5\n")
+        reports = []
+        for name, order in zip("ab", orders):
+            path, wpath = str(tmp_path / f"{name}.csv"), str(tmp_path / f"w{name}.csv")
+            write_profile_csv(path, x[order])
+            write_profile_csv(wpath, w[order])
+            code, out, _ = run_cli(["aggregate", "--input", path, "--weights", wpath,
+                                    "--method", method, "--skew-matrix", skew], capsys)
+            assert code == 0
+            reports.append(json.loads(out))
+        for key in ("results", "certificates"):
+            assert reports[0][key] == reports[1][key]
 
     def test_solver_failure_exit_3(self, triangle_csv, capsys, monkeypatch):
         monkeypatch.setattr(solvers, "MAX_ITERATIONS", 0)

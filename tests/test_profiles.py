@@ -86,6 +86,17 @@ def test_weight_whose_share_underflows_rejected():
         WeightedProfile([[0.0], [1.0], [2.0]], [1.0, 5e-324, 1.0])
 
 
+@pytest.mark.parametrize("weights,named", [
+    ([1.0, -1.0, 1.0], "weight -1.0 of voter 1"),
+    ([0.0, 1.0, 1.0], "weight 0.0 of voter 0"),
+    ([1.0, np.nan, -1.0], "weight nan of voter 1"),
+    ([1.0, 1.0, np.inf], "weight inf of voter 2"),
+])
+def test_nonpositive_or_nonfinite_weight_named(weights, named):
+    with pytest.raises(ValueError, match=f"^{named} is not strictly positive and finite$"):
+        WeightedProfile([[0.0], [1.0], [2.0]], weights)
+
+
 def test_duplicates_allowed():
     p = VoterProfile([[1.0, 2.0], [1.0, 2.0]])
     assert p.count == 2

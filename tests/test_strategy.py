@@ -16,7 +16,7 @@ from medianforge.errors import (
     SolverFailure,
 )
 from medianforge.linalg import check_spd
-from medianforge.profiles import VoterProfile, uniform_profile
+from medianforge.profiles import VoterProfile, WeightedProfile, uniform_profile
 from medianforge.solvers import (
     coordinatewise_median,
     geometric_median,
@@ -241,6 +241,15 @@ class TestBestResponse:
         with pytest.raises(ValueError, match=r"theta0 \[.*\] has non-finite entries"):
             st.best_response(np.array([bad, 0.0]), prof, restarts=1)
 
+    @pytest.mark.parametrize("vote,error", [([1.0, 2.0, 3.0], DimensionMismatch),
+                                            ([math.nan, 0.0], ValueError)])
+    def test_bad_extra_vote_rejected_before_any_solve(self, vote, error, monkeypatch):
+        monkeypatch.setattr(st, "_solve_gm", None)
+        prof = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(error, match=r"^extra vote 1 "):
+            st.best_response(np.full(2, 2.0), prof, restarts=1,
+                             extra_votes=[[0.5, 0.5], vote])
+
     def test_far_theta0_still_runs(self):
         prof = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         rep = st.best_response(np.full(2, 1e150), prof, restarts=1)
@@ -383,7 +392,27 @@ class TestByzantineBound:
             assert np.linalg.norm(res.point - g) <= radius + 1e-9
 
 
+@pytest.mark.parametrize("entry", [
+    lambda p: st.best_response(np.full(2, 2.0), p, restarts=1),
+    lambda p: st.achievable_contains(p, np.zeros(2)),
+    lambda p: st.condition_checker(p, 0.1),
+    lambda p: st.byzantine_bound(p, 1),
+], ids=["best_response", "achievable_contains", "condition_checker", "byzantine_bound"])
+def test_unequal_weights_rejected_before_any_solve(entry, monkeypatch):
+    # each counts voters as unit forces (radius 1/V, or S/T) and would ignore the weights
+    monkeypatch.setattr(st, "_solve_gm", None)
+    prof = WeightedProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                           [5.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="^one voter, one unit force: the profile's "
+                                         "weights are not all equal$"):
+        entry(prof)
+
+
 class TestNoShoe:
+    def test_matrices_of_different_sizes_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            st.no_shoe_check(np.eye(2), np.eye(3))
+
     def test_proportional_is_compatible(self):
         s = np.diag([2.0, 1.0])
         rep = st.no_shoe_check(s, 2.0 * s)

@@ -27,6 +27,14 @@ asymptotic (plain, and with a preference matrix plus median_skew) and
 convergence (two configs; the second, three V values by three trials, runs at
 --parallel 2, where each worker task returns the rows of one trial, so its
 bytes also pin how those rows are put back in order).
+
+It also runs a fixed set of commands that must fail, and writes
+errors/NAME.txt with the exit code and stderr of each, so the same diff shows
+every changed message: weights files that are header-only, hold a negative
+weight, a weight lost to normalizing, two columns, or too few rows; a non-SPD
+--pref-matrix; a non-finite --theta0; --preset thm1 --X 1e40; and a simulate
+config with "trials": 0. The script exits 1 if a run that must succeed fails,
+or a run that must fail exits 0 or prints a traceback.
 """
 
 import json
@@ -66,6 +74,22 @@ SIMULATE = {
 }
 
 
+TRIANGLE_GM = ["aggregate", "--input", "inputs/triangle.csv", "--method", "gm"]
+ERRORS = {
+    "weights_header_only": [*TRIANGLE_GM, "--weights", "inputs/bad_weights_header.csv"],
+    "weights_negative": [*TRIANGLE_GM, "--weights", "inputs/bad_weights_negative.csv"],
+    "weights_underflow": [*TRIANGLE_GM, "--weights", "inputs/bad_weights_underflow.csv"],
+    "weights_two_columns": [*TRIANGLE_GM, "--weights", "inputs/bad_weights_two_columns.csv"],
+    "weights_too_few": [*TRIANGLE_GM, "--weights", "inputs/bad_weights_too_few.csv"],
+    "pref_matrix_not_spd": ["best-response", "--input", "inputs/profile.csv", "--theta0",
+                            "0.3,0.2,0.1", "--pref-matrix", "inputs/not_spd3.csv"],
+    "theta0_nan": ["best-response", "--input", "inputs/triangle.csv", "--theta0", "nan,0"],
+    "preset_thm1_x_1e40": ["best-response", "--preset", "thm1", "--X", "1e40", "--V", "50"],
+    "simulate_no_trials": ["simulate", "--config", "inputs/byzantine_no_trials.json",
+                           "--output", "simulate_byzantine_no_trials"],
+}
+
+
 def write_csv(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for row in np.atleast_2d(rows):
@@ -96,7 +120,16 @@ def write_inputs(out_dir):
     write_csv(os.path.join(inputs, "skew3.csv"),
               [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
     write_csv(os.path.join(inputs, "skew2.csv"), np.diag([1.0, 0.5]))
-    for name, (cfg, _) in SIMULATE.items():
+    write_csv(os.path.join(inputs, "not_spd3.csv"), np.diag([1.0, -1.0, 1.0]))
+    with open(os.path.join(inputs, "bad_weights_header.csv"), "w", encoding="utf-8") as fh:
+        fh.write("weight\n")
+    write_csv(os.path.join(inputs, "bad_weights_negative.csv"), [[1.0], [-1.0], [1.0]])
+    write_csv(os.path.join(inputs, "bad_weights_underflow.csv"), [[5e-324], [1.0], [1.0]])
+    write_csv(os.path.join(inputs, "bad_weights_two_columns.csv"), np.ones((3, 2)))
+    write_csv(os.path.join(inputs, "bad_weights_too_few.csv"), [[1.0], [1.0]])
+    configs = {name: cfg for name, (cfg, _) in SIMULATE.items()}
+    configs["byzantine_no_trials"] = dict(SIMULATE["byzantine_ball"][0], trials=0)
+    for name, cfg in configs.items():
         with open(os.path.join(inputs, f"{name}.json"), "w", encoding="utf-8") as fh:
             json.dump(cfg, fh, indent=2, sort_keys=True)
 
@@ -152,15 +185,28 @@ def main(argv):
     write_inputs(out_dir)
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("MEDIANFORGE_SEED", None)
-    failed = 0
-    for cmd in commands():
-        proc = subprocess.run([sys.executable, "-m", "medianforge", *cmd], cwd=out_dir,
+
+    def run(cmd):
+        return subprocess.run([sys.executable, "-m", "medianforge", *cmd], cwd=out_dir,
                               env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                               text=True)
+
+    failed = 0
+    for cmd in commands():
+        proc = run(cmd)
         if proc.returncode != 0:
             failed += 1
             print(f"exit {proc.returncode}: medianforge {' '.join(cmd)}\n{proc.stderr}",
                   file=sys.stderr)
+    os.makedirs(os.path.join(out_dir, "errors"), exist_ok=True)
+    for name, cmd in ERRORS.items():
+        proc = run(cmd)
+        with open(os.path.join(out_dir, "errors", f"{name}.txt"), "w", encoding="utf-8") as fh:
+            fh.write(f"exit {proc.returncode}\n{proc.stderr}")
+        if proc.returncode == 0 or "Traceback" in proc.stderr:
+            failed += 1
+            print(f"expected a clean failure, got exit {proc.returncode}: "
+                  f"medianforge {' '.join(cmd)}\n{proc.stderr}", file=sys.stderr)
     return 1 if failed else 0
 
 
