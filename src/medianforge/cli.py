@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import MedianForgeError, SolverFailure
+from .errors import SolverFailure
 from .linalg import check_spd, one_blas_thread
 from .profiles import VoterProfile, WeightedProfile, uniform_profile
 from .reportio import (
@@ -99,9 +99,8 @@ def _cmd_aggregate(args) -> int:
         weights = read_weights_csv(args.weights, profile.count)
         profile = _build(args.weights, WeightedProfile, points, weights)
 
-    skew = None
-    if args.skew_matrix:
-        skew = check_spd(read_matrix_csv(args.skew_matrix), "skew matrix")
+    skew = _build(args.skew_matrix, check_spd, read_matrix_csv(args.skew_matrix),
+                  "skew matrix") if args.skew_matrix else None
 
     if args.method in ("avg", "cw"):
         point = average(profile) if args.method == "avg" \
@@ -145,7 +144,7 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_skewness(args) -> int:
     matrix = read_matrix_csv(args.matrix)
-    result = dataclasses.asdict(skewness(matrix))
+    result = dataclasses.asdict(_build(args.matrix, skewness, matrix))
     if args.numeric_check:
         num = numeric_skewness(matrix)
         result["numeric_value"] = num
@@ -174,7 +173,8 @@ def _cmd_best_response(args) -> int:
     if args.restarts < 1:
         raise ParseError(f"--restarts must be >= 1, got {args.restarts}")
     seed = _env_seed() if args.seed is None else _seed(args.seed, "--seed")
-    pref = read_matrix_csv(args.pref_matrix) if args.pref_matrix else None
+    pref = _build(args.pref_matrix, check_spd, read_matrix_csv(args.pref_matrix),
+                  "preference matrix") if args.pref_matrix else None
 
     preset_info = None
     extra_votes = None
@@ -310,17 +310,14 @@ def _cmd_simulate(args) -> int:
         raise ParseError(f"{args.config}: experiment must be one of "
                          f"{', '.join(EXPERIMENTS)}; got {kind!r}")
     try:
-        experiment, fields = _bind_experiment(kind, cfg, args.parallel)
+        experiment, fields = _build(args.config, _bind_experiment, kind, cfg, args.parallel)
     except KeyError as exc:
         raise ParseError(f"{args.config}: {kind} needs {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{args.config}: {exc}") from None
+    report = _build(args.config, experiment)  # so a rejected config writes nothing
     try:
         os.makedirs(args.output, exist_ok=True)
     except OSError as exc:
         raise ParseError(f"{args.output}: cannot create directory: {exc}") from None
-
-    report = _build(args.config, experiment)
 
     json_path = os.path.join(args.output, f"{kind}_report.json")
     csv_path = os.path.join(args.output, f"{kind}_trials.csv")
@@ -400,7 +397,7 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, MedianForgeError) as exc:  # ParseError is a ValueError
+    except ValueError as exc:  # errors.py: an input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

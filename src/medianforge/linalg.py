@@ -13,12 +13,12 @@ from .errors import DimensionMismatch, NotSPD
 SYMMETRY_RTOL = 1e-12
 
 
-def as_matrix(m) -> np.ndarray:
+def as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        raise DimensionMismatch(f"expected a square {name}, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise NotSPD("matrix has non-finite entries")
+        raise NotSPD(f"{name} has non-finite entries")
     return a
 
 
@@ -27,7 +27,7 @@ def check_spd(m, name: str = "matrix") -> np.ndarray:
 
     Returns the symmetrized matrix; raises NotSPD otherwise.
     """
-    a = as_matrix(m)
+    a = as_matrix(m, name)
     scale = np.max(np.abs(a)) if a.size else 0.0
     if scale == 0.0:
         raise NotSPD(f"{name} is zero")

@@ -261,8 +261,9 @@ def _solve_gm_raw(voters, weights, tol_grad, init):
     Vardi-Zhang-corrected Weiszfeld steps, then damped Newton once the
     minimum-norm subgradient is small, until its norm is <= tol_grad. Each
     accepted iterate costs one pass; only a rejected Newton point or a
-    failed snap test costs another. Every median solve runs this loop, so it
-    is where tol_grad is checked: inside it gn > tol_grad > 0.
+    voter's failed snap test, run once per solve, costs another. Every
+    median solve runs this loop, so it is where tol_grad is checked: inside
+    it gn > tol_grad > 0.
     """
     if not tol_grad > 0.0:
         raise ValueError("tol_grad must be positive")
@@ -273,15 +274,17 @@ def _solve_gm_raw(voters, weights, tol_grad, init):
 
     p = at(np.array(init, dtype=float))
     iterations = 0
+    refused = set()  # voters whose snap test failed; a retest reads the same
     while p.gn > tol_grad and iterations < MAX_ITERATIONS:
         iterations += 1
-        if p.dists[p.nearest] <= _SNAP_RTOL * scale:
+        if p.dists[p.nearest] <= _SNAP_RTOL * scale and p.nearest not in refused:
             # The minimizer may sit exactly on a voter point, which smooth
             # iterations only approach asymptotically; test the nearest one.
             snap = at(voters[p.nearest].copy())
             if snap.gn <= tol_grad:
                 p = snap
                 break
+            refused.add(p.nearest)
             del snap  # keeps its V x d diffs from living next to p's and a trial's
         if p.gn <= _NEWTON_FROM:
             trial = _newton(p, at)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from medianforge import solvers
+from medianforge import cli, errors, solvers
 from medianforge.cli import main
 from medianforge.reportio import fmt_float, read_profile_csv, write_profile_csv
 
@@ -621,8 +621,45 @@ class TestSimulateCommand:
             ["simulate", "--config", path, "--output", str(tmp_path / "o")], capsys
         )
         assert (code, out) == (2, "")
-        assert err == ("error: convergence V=4 trial 0: the median lies on a voter's "
-                       "point, where the loss Hessian is undefined\n")
+        assert err == (f"error: {path}: convergence V=4 trial 0: the median lies on a "
+                       "voter's point, where the loss Hessian is undefined\n")
+
+    @pytest.mark.parametrize("text,message", [
+        (json.dumps({"experiment": "byzantine", "V_T": 3, "V_S": 3, "trials": 1,
+                     "distribution": {"kind": "isotropic-gaussian", "dim": 3}}),
+         "strategic voters must be a strict minority"),
+        (json.dumps({"experiment": "asymptotic", "V_grid": [200], "trials": 1,
+                     "distribution": DIAG5, "preference_matrix": np.eye(2).tolist()}),
+         "preference matrix has shape (2, 2), dim is 5"),
+        ('{"experiment": "asymptotic", "V_grid": [200], "trials": 1, "distribution": '
+         + json.dumps(DIAG5) + ', "preference_matrix": [[1e309, 0], [0, 1]]}',
+         "preference matrix has non-finite entries"),
+        (json.dumps({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": 0,
+                     "distribution": {"kind": "isotropic-gaussian", "dim": 3}}),
+         "trials must be >= 1"),
+    ], ids=["byzantine-majority", "2x2-preference", "infinite-preference", "zero-trials"])
+    def test_rejected_config_names_it_and_writes_nothing(self, text, message, tmp_path,
+                                                         capsys):
+        path = write_csv(tmp_path / "c.json", text)
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(
+            ["simulate", "--config", path, "--output", str(out_dir)], capsys
+        )
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+        assert not out_dir.exists()
+
+    def test_solver_failure_in_the_experiment_exit_3(self, tmp_path, capsys, monkeypatch):
+        def stall(*args, **kwargs):
+            raise errors.SolverFailure("stalled")
+
+        monkeypatch.setattr(cli, "theorem1_experiment", stall)
+        path = write_csv(tmp_path / "c.json", json.dumps(THEOREM1))
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(
+            ["simulate", "--config", path, "--output", str(out_dir)], capsys
+        )
+        assert (code, out, err) == (3, "", "solver failure: stalled\n")
+        assert not out_dir.exists()
 
     def test_config_seed_overrides_a_bad_env_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MEDIANFORGE_SEED", "abc")
@@ -699,6 +736,26 @@ def test_unwritable_output_exit_2(make_argv, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "cannot" in err
+
+
+@pytest.mark.parametrize("make_argv,name", [
+    (lambda d, m: ["aggregate", "--input", write_csv(d / "t.csv", "1,0\n0,1\n-1,-1\n"),
+                   "--method", "skewed-gm", "--skew-matrix", m], "skew matrix"),
+    (lambda d, m: ["best-response", "--input", write_csv(d / "t.csv", "1,0\n0,1\n-1,-1\n"),
+                   "--theta0", "2,2", "--pref-matrix", m], "preference matrix"),
+    (lambda d, m: ["skewness", "--matrix", m], "matrix"),
+], ids=["skew-matrix", "pref-matrix", "skewness"])
+def test_non_spd_matrix_names_its_file(make_argv, name, tmp_path, capsys):
+    mat = write_csv(tmp_path / "notspd.csv", "1,0\n0,-1\n")
+    code, out, err = run_cli(make_argv(tmp_path, mat), capsys)
+    assert (code, out, err) == (2, "", f"error: {mat}: {name} is not positive definite\n")
+
+
+@pytest.mark.parametrize("cls", errors.MedianForgeError.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_every_package_error_but_solver_failure_is_a_value_error(cls):
+    # main exits 2 on a ValueError, 3 on a SolverFailure
+    assert issubclass(cls, ValueError) == (cls is not errors.SolverFailure)
 
 
 class TestRoundTrip:

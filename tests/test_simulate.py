@@ -194,6 +194,17 @@ class TestAsymptoticExperiment:
             sim.asymptotic_experiment(cfg, **kwargs)
         assert calls == []
 
+    @pytest.mark.parametrize("kwargs,error,message", [
+        ({"s": np.full((5, 5), np.inf)}, NotSPD, "preference matrix has non-finite entries"),
+        ({"median_skew": np.ones((5, 4))}, DimensionMismatch,
+         "expected a square median_skew, got shape (5, 4)"),
+    ], ids=["infinite-preference", "5x4-median-skew"])
+    def test_matrix_errors_name_the_matrix(self, kwargs, error, message):
+        d = sim.PreferenceDistribution("diagonal-gaussian", 5, sigmas=(1, 1, 1, 1, 4))
+        cfg = sim.ExperimentConfig(d, V_grid=(200,), trials=1, seed=0)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            sim.asymptotic_experiment(cfg, **kwargs)
+
     def test_parallel_matches_serial(self):
         d = sim.PreferenceDistribution("diagonal-gaussian", 5, sigmas=(1, 1, 1, 1, 2))
         cfg = sim.ExperimentConfig(d, V_grid=(200,), trials=2, seed=3)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -306,12 +307,13 @@ def _vote_just_outside(seed):
 
 
 def _solve_counted(monkeypatch, wp, newton):
-    """(final pass, iterations, passes built) of a solve with this Newton step."""
+    """(final pass, iterations, points of the passes built) of a solve with this
+    Newton step."""
     passes = []
 
     class Counted(sv._Pass):
         def __init__(self, *args):
-            passes.append(1)
+            passes.append(args[3])
             super().__init__(*args)
 
     with monkeypatch.context() as m:
@@ -319,7 +321,7 @@ def _solve_counted(monkeypatch, wp, newton):
         m.setattr(sv, "_newton", newton)
         p, iterations = sv._solve_gm_raw(wp.voters, wp.weights, sv.DEFAULT_TOL_GRAD,
                                          sv.coordinatewise_median(wp))
-    return p, iterations, len(passes)
+    return p, iterations, passes
 
 
 class TestNearVoterNewton:
@@ -361,8 +363,17 @@ class TestNearVoterNewton:
     def test_near_vote_solve_skips_passes(self, monkeypatch, seed):
         # Seeds whose solves backtrack from within 1e-5 of the vote.
         wp = _vote_just_outside(seed)
-        passes = _solve_counted(monkeypatch, wp, sv._newton)[2]
-        assert 2 * passes < _solve_counted(monkeypatch, wp, _reference_newton)[2]
+        passes = len(_solve_counted(monkeypatch, wp, sv._newton)[2])
+        assert 2 * passes < len(_solve_counted(monkeypatch, wp, _reference_newton)[2])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_snap_test_runs_once_per_voter(self, monkeypatch, seed):
+        # A voter's snap pass reads the same from every iterate near it, so a
+        # voter refused once is not tested again in the solve.
+        wp = _vote_just_outside(seed)
+        zs = _solve_counted(monkeypatch, wp, sv._newton)[2]
+        snaps = Counter(z.tobytes() for z in zs if (wp.voters == z).all(axis=1).any())
+        assert snaps and max(snaps.values()) == 1
 
 
 class TestInvariances:

@@ -32,9 +32,11 @@ It also runs a fixed set of commands that must fail, and writes
 errors/NAME.txt with the exit code and stderr of each, so the same diff shows
 every changed message: weights files that are header-only, hold a negative
 weight, a weight lost to normalizing, two columns, or too few rows; a non-SPD
---pref-matrix; a non-finite --theta0; --preset thm1 --X 1e40; and a simulate
-config with "trials": 0. The script exits 1 if a run that must succeed fails,
-or a run that must fail exits 0 or prints a traceback.
+--pref-matrix, --skew-matrix and skewness --matrix; a non-finite --theta0;
+--preset thm1 --X 1e40; and simulate configs with "trials": 0, with V_S = V_T,
+and with a 2x2 asymptotic preference_matrix. The script exits 1 if a run that
+must succeed fails, or a run that must fail exits 0, prints a traceback or
+leaves behind the --output it names last.
 """
 
 import json
@@ -83,10 +85,17 @@ ERRORS = {
     "weights_too_few": [*TRIANGLE_GM, "--weights", "inputs/bad_weights_too_few.csv"],
     "pref_matrix_not_spd": ["best-response", "--input", "inputs/profile.csv", "--theta0",
                             "0.3,0.2,0.1", "--pref-matrix", "inputs/not_spd3.csv"],
+    "skew_matrix_not_spd": ["aggregate", "--input", "inputs/triangle.csv", "--method",
+                            "skewed-gm", "--skew-matrix", "inputs/not_spd2.csv"],
+    "skewness_not_spd": ["skewness", "--matrix", "inputs/not_spd3.csv"],
     "theta0_nan": ["best-response", "--input", "inputs/triangle.csv", "--theta0", "nan,0"],
     "preset_thm1_x_1e40": ["best-response", "--preset", "thm1", "--X", "1e40", "--V", "50"],
     "simulate_no_trials": ["simulate", "--config", "inputs/byzantine_no_trials.json",
                            "--output", "simulate_byzantine_no_trials"],
+    "simulate_majority": ["simulate", "--config", "inputs/byzantine_majority.json",
+                          "--output", "simulate_byzantine_majority"],
+    "simulate_preference_2x2": ["simulate", "--config", "inputs/asymptotic_preference_2x2.json",
+                                "--output", "simulate_asymptotic_preference_2x2"],
 }
 
 
@@ -121,6 +130,7 @@ def write_inputs(out_dir):
               [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
     write_csv(os.path.join(inputs, "skew2.csv"), np.diag([1.0, 0.5]))
     write_csv(os.path.join(inputs, "not_spd3.csv"), np.diag([1.0, -1.0, 1.0]))
+    write_csv(os.path.join(inputs, "not_spd2.csv"), np.diag([1.0, -1.0]))
     with open(os.path.join(inputs, "bad_weights_header.csv"), "w", encoding="utf-8") as fh:
         fh.write("weight\n")
     write_csv(os.path.join(inputs, "bad_weights_negative.csv"), [[1.0], [-1.0], [1.0]])
@@ -129,6 +139,9 @@ def write_inputs(out_dir):
     write_csv(os.path.join(inputs, "bad_weights_too_few.csv"), [[1.0], [1.0]])
     configs = {name: cfg for name, (cfg, _) in SIMULATE.items()}
     configs["byzantine_no_trials"] = dict(SIMULATE["byzantine_ball"][0], trials=0)
+    configs["byzantine_majority"] = dict(SIMULATE["byzantine_ball"][0], V_S=3)
+    configs["asymptotic_preference_2x2"] = dict(SIMULATE["asymptotic"][0],
+                                                preference_matrix=np.eye(2).tolist())
     for name, cfg in configs.items():
         with open(os.path.join(inputs, f"{name}.json"), "w", encoding="utf-8") as fh:
             json.dump(cfg, fh, indent=2, sort_keys=True)
@@ -203,9 +216,10 @@ def main(argv):
         proc = run(cmd)
         with open(os.path.join(out_dir, "errors", f"{name}.txt"), "w", encoding="utf-8") as fh:
             fh.write(f"exit {proc.returncode}\n{proc.stderr}")
-        if proc.returncode == 0 or "Traceback" in proc.stderr:
+        if proc.returncode == 0 or "Traceback" in proc.stderr or \
+                "--output" in cmd and os.path.exists(os.path.join(out_dir, cmd[-1])):
             failed += 1
-            print(f"expected a clean failure, got exit {proc.returncode}: "
+            print(f"expected a clean failure that writes nothing, got exit {proc.returncode}: "
                   f"medianforge {' '.join(cmd)}\n{proc.stderr}", file=sys.stderr)
     return 1 if failed else 0
 
