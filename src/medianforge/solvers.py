@@ -9,6 +9,14 @@ Damped Newton takes over once the subgradient is small, so the terminal
 gradient norm can be driven to ~1e-10; the Hessian of the final pass turns
 it into an additive distance certificate.
 
+An iterate crawls when its gn is over half the previous iterate's, as
+Weiszfeld does toward a minimizer on or near a voter point. A crawl runs the
+snap test at the nearest voter however far it is, and two crawls in a row
+try Newton at any gn. A snap test reads the same from every iterate, so each
+voter is tested at most once per solve and a refusal leaves the path as it
+was. The loop is a function of (z, crawl count, refused voters): a state met
+twice would repeat forever, so the solve fails then, not at MAX_ITERATIONS.
+
 Newton halves a rejected step until the trial's gn falls below the current
 one. Near a voter v the full step tends to cross v's kink; then each halving
 z_k is first bounded without a pass: v's pull at z_k exactly, minus how far
@@ -246,7 +254,12 @@ def _newton(p: _Pass, at):
     for k in range(40):
         if skip[k]:
             continue
-        trial = at(p.z - 0.5**k * direction)
+        z = p.z - 0.5**k * direction
+        if z.tobytes() == p.z.tobytes():
+            # a pass at p.z reads p.gn, and rounding is monotone: every
+            # shorter step lands on p.z too
+            return None
+        trial = at(z)
         if trial.gn < p.gn:
             return trial
         del trial  # keeps one trial's V x d diffs alive, not two
@@ -259,11 +272,11 @@ def _solve_gm_raw(voters, weights, tol_grad, init):
     """Core solve on raw arrays; returns (final pass, iterations).
 
     Vardi-Zhang-corrected Weiszfeld steps, then damped Newton once the
-    minimum-norm subgradient is small, until its norm is <= tol_grad. Each
-    accepted iterate costs one pass; only a rejected Newton point or a
-    voter's failed snap test, run once per solve, costs another. Every
-    median solve runs this loop, so it is where tol_grad is checked: inside
-    it gn > tol_grad > 0.
+    minimum-norm subgradient is small or two iterates in a row crawl, until
+    its norm is <= tol_grad. Each accepted iterate costs one pass; only a
+    rejected Newton point or a voter's failed snap test, run once per solve,
+    costs another. Every median solve runs this loop, so it is where
+    tol_grad is checked: inside it gn > tol_grad > 0.
     """
     if not tol_grad > 0.0:
         raise ValueError("tol_grad must be positive")
@@ -275,9 +288,17 @@ def _solve_gm_raw(voters, weights, tol_grad, init):
     p = at(np.array(init, dtype=float))
     iterations = 0
     refused = set()  # voters whose snap test failed; a retest reads the same
+    last_gn, crawls = np.inf, 0  # crawls in a row, capped at the 2 that try Newton
+    seen = set()  # loop states met so far; refused only grows, so its size names it
     while p.gn > tol_grad and iterations < MAX_ITERATIONS:
         iterations += 1
-        if p.dists[p.nearest] <= _SNAP_RTOL * scale and p.nearest not in refused:
+        crawls = min(crawls + 1, 2) if p.gn > 0.5 * last_gn else 0
+        last_gn = p.gn
+        state = (p.z.tobytes(), crawls, len(refused))
+        if state in seen:
+            break  # a cycle: gn stays above tol_grad
+        seen.add(state)
+        if (crawls or p.dists[p.nearest] <= _SNAP_RTOL * scale) and p.nearest not in refused:
             # The minimizer may sit exactly on a voter point, which smooth
             # iterations only approach asymptotically; test the nearest one.
             snap = at(voters[p.nearest].copy())
@@ -286,7 +307,7 @@ def _solve_gm_raw(voters, weights, tol_grad, init):
                 break
             refused.add(p.nearest)
             del snap  # keeps its V x d diffs from living next to p's and a trial's
-        if p.gn <= _NEWTON_FROM:
+        if p.gn <= _NEWTON_FROM or crawls >= 2:
             trial = _newton(p, at)
             if trial is not None:
                 p = trial

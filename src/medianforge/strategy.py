@@ -377,7 +377,8 @@ def _blackbox_response(theta0, honest_voters, s, seeds, restarts, rng, scale, g_
 
     Median solves are warm-started from the previous evaluation; the median
     moves only within a small neighborhood as the vote varies, so each
-    evaluation takes a handful of Newton steps.
+    evaluation takes a handful of Newton steps. A vote whose median cannot
+    be solved to 1e-8 scores +inf, so one such vote does not end the search.
     """
     from scipy import optimize
 
@@ -390,7 +391,10 @@ def _blackbox_response(theta0, honest_voters, s, seeds, restarts, rng, scale, g_
     def objective(vote):
         stacked[-1] = vote
         # the winning vote is re-solved at full precision by the caller
-        z = _solve_gm_raw(stacked, weights, 1e-8, warm["z"])[0].z
+        try:
+            z = _solve_gm_raw(stacked, weights, 1e-8, warm["z"])[0].z
+        except SolverFailure:
+            return np.inf
         warm["z"] = z
         return _pref_dist(z, theta0, s)
 

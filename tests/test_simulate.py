@@ -437,6 +437,28 @@ class TestByzantineExperiment:
         assert pooled.rows == serial.rows
         assert [r["trial"] for r in pooled.rows] == list(range(200))
 
+    def test_outlier_solves_end_within_20_iterations(self, monkeypatch):
+        # (V_T, V_S) = (3, 1): one far strategic vote, so Weiszfeld crawls;
+        # before the crawl rule the slowest of these solves took 748
+        # iterations. A solve that ends on a voter point ends on its bits.
+        ends = []
+        solve = sv._solve_gm_raw
+
+        def recorded(*args):
+            p, iterations = solve(*args)
+            ends.append((p, iterations))
+            return p, iterations
+
+        monkeypatch.setattr(sv, "_solve_gm_raw", recorded)
+        d = sim.PreferenceDistribution("isotropic-gaussian", 3)
+        sim.byzantine_experiment(d, 3, 1, trials=200, seed=4242)
+        assert len(ends) == 400
+        assert max(iterations for _, iterations in ends) <= 20
+        on_voters = [p for p, _ in ends if p.at_voter]
+        assert on_voters
+        for p in on_voters:
+            np.testing.assert_array_equal(p.z, p.voters[p.nearest])
+
     def test_majority_rejected(self):
         d = sim.PreferenceDistribution("isotropic-gaussian", 3)
         with pytest.raises(MajorityAttack):

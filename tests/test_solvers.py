@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 
@@ -324,6 +325,30 @@ def _solve_counted(monkeypatch, wp, newton):
     return p, iterations, passes
 
 
+@functools.cache
+def _backtracking_seeds():
+    """The first six seeds whose _vote_just_outside solve backtracks 10
+    halvings or more in a Newton step from within _SNAP_RTOL of a voter: the
+    halvings that proved_worse is for."""
+    seeds = []
+    for seed in range(64):
+        depths = []
+
+        def newton(p, at):
+            trials = []
+            trial = _reference_newton(p, lambda z: trials.append(z) or at(z))
+            if p.dists[p.nearest] <= sv._SNAP_RTOL * p.scale:
+                depths.append(len(trials))
+            return trial
+
+        _solve_counted(pytest.MonkeyPatch(), _vote_just_outside(seed), newton)
+        if max(depths, default=0) >= 10:
+            seeds.append(seed)
+        if len(seeds) == 6:
+            return seeds
+    raise AssertionError(f"{len(seeds)} backtracking seeds below 64, 6 wanted")
+
+
 class TestNearVoterNewton:
     def test_marked_halvings_are_rejected_near_random_voters(self, rng):
         marked = 0
@@ -338,11 +363,11 @@ class TestNearVoterNewton:
                 marked += _sound_marks(p)
         assert marked > 300
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_marked_halvings_are_rejected_near_the_vote(self, monkeypatch, seed):
+    @pytest.mark.parametrize("k", range(6))
+    def test_marked_halvings_are_rejected_near_the_vote(self, monkeypatch, k):
         seen = []
         newton = sv._newton
-        _solve_counted(monkeypatch, _vote_just_outside(seed),
+        _solve_counted(monkeypatch, _vote_just_outside(_backtracking_seeds()[k]),
                        lambda p, at: seen.append(p) or newton(p, at))
         near = [p for p in seen
                 if not p.at_voter and p.dists[p.nearest] <= sv._SNAP_RTOL * p.scale]
@@ -359,10 +384,9 @@ class TestNearVoterNewton:
         assert (p.gn, p.additive_bound(sv.DEFAULT_TOL_GRAD)) \
             == (ref.gn, ref.additive_bound(sv.DEFAULT_TOL_GRAD))
 
-    @pytest.mark.parametrize("seed", [1, 4, 5])
-    def test_near_vote_solve_skips_passes(self, monkeypatch, seed):
-        # Seeds whose solves backtrack from within 1e-5 of the vote.
-        wp = _vote_just_outside(seed)
+    @pytest.mark.parametrize("k", range(6))
+    def test_near_vote_solve_skips_passes(self, monkeypatch, k):
+        wp = _vote_just_outside(_backtracking_seeds()[k])
         passes = len(_solve_counted(monkeypatch, wp, sv._newton)[2])
         assert 2 * passes < len(_solve_counted(monkeypatch, wp, _reference_newton)[2])
 
@@ -374,6 +398,32 @@ class TestNearVoterNewton:
         zs = _solve_counted(monkeypatch, wp, sv._newton)[2]
         snaps = Counter(z.tobytes() for z in zs if (wp.voters == z).all(axis=1).any())
         assert snaps and max(snaps.values()) == 1
+
+
+@pytest.mark.parametrize("degrees", [22.5, 37.5])
+def test_solve_that_rounding_stalls_fails_fast(rng, degrees):
+    # test_blackbox_matches_vote_grid_oracle's 8 voters, plus a 9th 4.3e-10
+    # from the one at (0.1727, -0.8656): rounding holds gn above 1.2e-8, so
+    # tol 1e-8 is out of reach. At 22.5 degrees a Weiszfeld step returns its
+    # iterate bit for bit; at 37.5 it steps out and Newton steps back. Either
+    # way the loop state repeats, and the solve fails at once instead of
+    # after MAX_ITERATIONS iterations and hundreds of thousands of passes.
+    voters = rng.standard_normal((8, 2))
+    near = voters[np.argmin(np.linalg.norm(voters - [0.1727, -0.8656], axis=1))]
+    angle = math.radians(degrees)
+    voters = np.vstack([voters, near + 4.3e-10 * np.array([math.cos(angle), math.sin(angle)])])
+    passes = []
+
+    class Counted(sv._Pass):
+        def __init__(self, *args):
+            passes.append(args[3])
+            super().__init__(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sv, "_Pass", Counted)
+        with pytest.raises(SolverFailure, match="stalled"):
+            sv._solve_gm_raw(voters, np.full(9, 1.0 / 9), 1e-8, near)
+    assert len(passes) <= 100
 
 
 class TestInvariances:

@@ -288,6 +288,26 @@ class TestBestResponse:
                 best_grid = min(best_grid, np.linalg.norm(res.point - theta0))
         assert rep.strategic_dist <= best_grid + 1e-6
 
+    def test_failed_blackbox_solve_does_not_end_the_search(self, rng, monkeypatch):
+        # One Nelder-Mead evaluation's 1e-8 solve fails; the search goes on
+        # and the winner is still certified at 1e-10.
+        prof = VoterProfile(rng.standard_normal((8, 2)))
+        theta0 = geometric_median(prof).point + np.array([0.35, -0.2])
+        calls = []
+        solve = st._solve_gm_raw
+
+        def fails_once(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise SolverFailure("geometric-median solve stalled")
+            return solve(*args)
+
+        monkeypatch.setattr(st, "_solve_gm_raw", fails_once)
+        rep = st.best_response(theta0, prof, seed=3)
+        assert len(calls) > 5
+        assert math.isfinite(rep.strategic_dist)
+        assert rep.manipulated_grad_norm <= 1e-10
+
     def test_gain_invariant_under_translation(self, rng):
         pts = rng.standard_normal((14, 2))
         prof = VoterProfile(pts)

@@ -22,11 +22,12 @@ simplex, whose cw median lies outside the hull), aggregate avg (weighted),
 skewness --numeric-check, best-response (--preset thm1, a profile with an
 inline theta0, a preference matrix and a seed, and the same run with profile
 and theta0 scaled by 2^-64, where the boundary bracket follows the profile's
-scale), and simulate byzantine (two configs, one at --parallel 2), theorem1,
-asymptotic (plain, and with a preference matrix plus median_skew) and
-convergence (two configs; the second, three V values by three trials, runs at
---parallel 2, where each worker task returns the rows of one trial, so its
-bytes also pin how those rows are put back in order).
+scale), and simulate byzantine (three configs: one at --parallel 2, and one
+shaped like the attack-cli benchmark's (3, 1), whose far outlier makes
+Weiszfeld crawl), theorem1, asymptotic (plain, and with a preference matrix
+plus median_skew) and convergence (two configs; the second, three V values by
+three trials, runs at --parallel 2, where each worker task returns the rows
+of one trial, so its bytes also pin how those rows are put back in order).
 
 It also runs a fixed set of commands that must fail, and writes
 errors/NAME.txt with the exit code and stderr of each, so the same diff shows
@@ -61,6 +62,9 @@ SIMULATE = {
     "byzantine_ball": ({"experiment": "byzantine", "seed": 12, "V_T": 3, "V_S": 1,
                         "trials": 30,
                         "distribution": {"kind": "uniform-ball", "dim": 2, "radius": 1.0}}, 1),
+    "byzantine_outlier": ({"experiment": "byzantine", "seed": 4242, "V_T": 3, "V_S": 1,
+                           "trials": 60,
+                           "distribution": {"kind": "isotropic-gaussian", "dim": 3}}, 1),
     "theorem1": ({"experiment": "theorem1", "X": 20, "V_grid": [200, 400]}, 1),
     "asymptotic": ({"experiment": "asymptotic", "seed": 13, "V_grid": [200], "trials": 2,
                     "distribution": DIAG_GAUSSIAN}, 1),

@@ -1,11 +1,14 @@
-"""Count the distance passes of one criterion-6 trial.
+"""Count the distance passes of one criterion-6 trial or of byzantine trials.
 
 Usage: python tools/solve_counts.py SEED TRIAL
+       python tools/solve_counts.py byzantine V_T V_S TRIALS SEED
 
-Runs criterion-6 trial TRIAL of the stress sweep at experiment seed SEED
-(V=1000, d=5, sigmas (1,1,1,1,4), S=I, as tests/test_acceptance.py runs it)
-serially in this process, under one OpenBLAS thread, with the solver's
-functions wrapped to count. Changes nothing in src/. Prints:
+The first form runs criterion-6 trial TRIAL of the stress sweep at experiment
+seed SEED (V=1000, d=5, sigmas (1,1,1,1,4), S=I, as tests/test_acceptance.py
+runs it). The second runs TRIALS byzantine trials of shape (V_T, V_S) at seed
+SEED on the 3-d isotropic Gaussian, as the attack-cli benchmark workload runs
+them. Both run serially in this process, under one OpenBLAS thread, with the
+solver's functions wrapped to count. Changes nothing in src/. Prints:
 
 - passes: every distance pass (`solvers._Pass`) the trial builds;
 - newton_calls: calls of `solvers._newton`;
@@ -16,7 +19,9 @@ functions wrapped to count. Changes nothing in src/. Prints:
   after the solve's first pass;
 - solves: calls of the solve loop `solvers._solve_gm_raw`;
 - voter_ends: solves whose final pass lies exactly on a voter's point;
-- max_gain of the trial, so two trees can also be compared on the result.
+- max_iterations: the most iterations one solve took;
+- max_gain of the trial, or max_displacement of the byzantine trials, so two
+  trees can also be compared on the result.
 
 The counts depend only on the code and the inputs, not on timing.
 """
@@ -36,13 +41,16 @@ from medianforge.linalg import one_blas_thread  # noqa: E402
 
 
 def main(argv):
+    byzantine = argv[1:2] == ["byzantine"]
     try:
-        seed, trial = int(argv[1]), int(argv[2])
-    except (IndexError, ValueError):
+        args = [int(a) for a in argv[1 + byzantine:]]
+    except ValueError:
+        args = []
+    if len(args) != (4 if byzantine else 2):
         sys.exit(__doc__.split("\n\n")[1])
     counts = dict.fromkeys(("passes", "newton_calls", "newton_trials_evaluated",
                             "newton_trials_proved", "snap_tests", "solves",
-                            "voter_ends"), 0)
+                            "voter_ends", "max_iterations"), 0)
     state = {"newton": False, "in_solve": False, "solve_start": False, "marks": None}
 
     init, newton, solve = sv._Pass.__init__, sv._newton, sv._solve_gm_raw
@@ -85,6 +93,7 @@ def main(argv):
         finally:
             state["in_solve"] = False
         counts["voter_ends"] += bool(p.dists[p.nearest] == 0.0)
+        counts["max_iterations"] = max(counts["max_iterations"], iterations)
         return p, iterations
 
     sv._Pass.__init__, sv._newton = counted_init, counted_newton
@@ -98,14 +107,21 @@ def main(argv):
 
         sv._Pass.proved_worse = counted_proved
 
-    dist = sim.PreferenceDistribution("diagonal-gaussian", 5, sigmas=(1, 1, 1, 1, 4))
     with one_blas_thread():
-        row = sim._asymptotic_task((dist, 1000, trial, seed, np.eye(5), None))
-    if row["error"]:
-        sys.exit(f"trial failed: {row['error']}")
+        if byzantine:
+            dist = sim.PreferenceDistribution("isotropic-gaussian", 3)
+            result = ("max_displacement",
+                      sim.byzantine_experiment(dist, *args).summary["max_displacement"])
+        else:
+            seed, trial = args
+            dist = sim.PreferenceDistribution("diagonal-gaussian", 5, sigmas=(1, 1, 1, 1, 4))
+            row = sim._asymptotic_task((dist, 1000, trial, seed, np.eye(5), None))
+            if row["error"]:
+                sys.exit(f"trial failed: {row['error']}")
+            result = ("max_gain", row["max_gain"])
     for key, value in counts.items():
         print(f"{key} {value}")
-    print(f"max_gain {row['max_gain']!r}")
+    print(f"{result[0]} {result[1]!r}")
     return 0
 
 
