@@ -30,6 +30,7 @@ from .simulate import (
     STRESS_GAMMAS,
     ExperimentConfig,
     PreferenceDistribution,
+    _integer,
     asymptotic_experiment,
     build_theorem1_instance,
     byzantine_experiment,
@@ -43,7 +44,7 @@ from .solvers import (
     loss_eval,
     skewed_geometric_median,
 )
-from .strategy import best_response, hull_distance, numeric_skewness, skewness
+from .strategy import _spans_plane, best_response, hull_distance, numeric_skewness, skewness
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -199,6 +200,7 @@ def _cmd_best_response(args) -> int:
         if not args.input or not args.theta0:
             raise ParseError("best-response requires --input and --theta0 (or --preset)")
         honest = _build(args.input, VoterProfile, read_profile_csv(args.input))
+        _build(args.input, _spans_plane, honest)
         theta0 = _parse_theta0(args.theta0)
 
     rep = best_response(theta0, honest, s=pref, restarts=args.restarts, seed=seed,
@@ -238,16 +240,15 @@ def _csv_rows(rows):
                        for g in r.get("gains", ())}) for r in rows]
 
 
-def _integer(value):
-    """A config count: an int, or a float with no fraction; never a bool."""
-    if isinstance(value, bool) or not (isinstance(value, int) or
-                                       isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+def _number(value):
+    """A config number: a JSON int or float; never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
-def _integers(values):
-    return tuple(_integer(v) for v in values)
+def _each(convert):
+    return lambda values: tuple(convert(v) for v in values)
 
 
 def _read(cfg, key, convert):
@@ -260,7 +261,8 @@ def _read(cfg, key, convert):
 
 def _distribution(d):
     optional = {key: _read(d, key, convert)
-                for key, convert in (("sigmas", tuple), ("radius", float)) if key in d}
+                for key, convert in (("sigmas", _each(_number)), ("radius", _number))
+                if key in d}
     return PreferenceDistribution(d["kind"], _read(d, "dim", _integer), **optional)
 
 
@@ -272,16 +274,16 @@ def _bind_experiment(kind, cfg, parallel):
     """
     seed = _seed(_read(cfg, "seed", _integer), "seed") if "seed" in cfg else _env_seed()
     if kind == "theorem1":
-        return functools.partial(theorem1_experiment, _read(cfg, "X", float),
-                                 _read(cfg, "V_grid", _integers),
+        return functools.partial(theorem1_experiment, _read(cfg, "X", _number),
+                                 _read(cfg, "V_grid", _each(_integer)),
                                  parallel=parallel), THEOREM1_FIELDS
     dist = _read(cfg, "distribution", _distribution)
     if kind == "byzantine":
         v_t, v_s, trials = (_read(cfg, key, _integer) for key in ("V_T", "V_S", "trials"))
         return functools.partial(byzantine_experiment, dist, v_t, v_s, trials, seed,
                                  parallel=parallel), BYZANTINE_FIELDS
-    floats = {key: _read(cfg, key, float) for key in ("epsilon", "delta") if key in cfg}
-    config = ExperimentConfig(dist, _read(cfg, "V_grid", _integers),
+    floats = {key: _read(cfg, key, _number) for key in ("epsilon", "delta") if key in cfg}
+    config = ExperimentConfig(dist, _read(cfg, "V_grid", _each(_integer)),
                               _read(cfg, "trials", _integer), seed, **floats)
     if kind == "convergence":
         return functools.partial(convergence_diagnostics, config,

@@ -47,6 +47,14 @@ DIST_KINDS = ("isotropic-gaussian", "diagonal-gaussian", "uniform-ball")
 STRESS_GAMMAS = (1.5, 3.0, 10.0)
 
 
+def _integer(value, name=None):
+    """A count: an int, numpy's too, or a float with no fraction; never a bool."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or
+                                       isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name + ': ' if name else ''}expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PreferenceDistribution:
     """I.i.d. sampler for voter preference vectors.
@@ -63,6 +71,7 @@ class PreferenceDistribution:
     def __post_init__(self):
         if self.kind not in DIST_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
         if self.dim < 2:
             raise ValueError("experiments need dim >= 2")
         if self.kind == "diagonal-gaussian":
@@ -86,10 +95,11 @@ class ExperimentConfig:
     delta: float = 0.05
 
     def __post_init__(self):
-        grid = tuple(int(v) for v in self.V_grid)
+        grid = tuple(_integer(v, "V_grid") for v in self.V_grid)
         if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("V_grid must be non-empty and strictly ascending")
         object.__setattr__(self, "V_grid", grid)
+        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0.0 <= self.epsilon < math.inf:
@@ -112,6 +122,7 @@ def _corner_atoms(x: float) -> np.ndarray:
 
 def sample_profile(dist: PreferenceDistribution, v_count: int, seed: int) -> VoterProfile:
     """Draw v_count i.i.d. voters."""
+    v_count = _integer(v_count, "v_count")
     if v_count < 1:
         raise ValueError("need at least one voter")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -179,7 +190,7 @@ def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
         raise ValueError(f"the construction needs a finite corner abscissa X >= 8, got {x!r}")
     if x > sys.float_info.max ** (1.0 / 6.0):  # beyond, the gradient on the ray reads 0
         raise ValueError(f"corner abscissa {x!r} is too large: (x**3)**2 overflows")
-    v = int(v_per_corner)
+    v = _integer(v_per_corner, "V")
     if v < 1:
         raise ValueError("need at least one copy per corner")
     corners = uniform_profile(_corner_atoms(x))
@@ -255,7 +266,7 @@ def theorem1_experiment(x: float, v_grid, parallel: int = 1) -> ExperimentReport
     """Measure gains of the closed-form strategic vote across voter counts."""
     if len(v_grid) < 1:
         raise ValueError("V_grid must list at least one voter count")
-    tasks = [(float(x), int(v)) for v in v_grid]
+    tasks = [(float(x), _integer(v, "V_grid")) for v in v_grid]
     rows = _run_tasks(_theorem1_task, tasks, parallel)
     summary = {
         "limit_ratio": rows[-1]["limit_ratio"],
@@ -355,7 +366,7 @@ def asymptotic_experiment(config: ExperimentConfig, s=None, median_skew=None,
     # One C-ordered matrix for every task: BLAS rounding can depend on layout.
     pref = np.ascontiguousarray(pref)
     tasks = [
-        (dist, int(v_count), trial, config.seed, pref, sk)
+        (dist, v_count, trial, config.seed, pref, sk)
         for v_count in config.V_grid
         for trial in range(config.trials)
     ]
@@ -494,6 +505,7 @@ def _byzantine_task(args):
 def byzantine_experiment(truthful_dist: PreferenceDistribution, v_t: int, v_s: int,
                          trials: int, seed: int, parallel: int = 1) -> ExperimentReport:
     """Adversarial placement trials against the resilience ball."""
+    v_t, v_s, trials = _integer(v_t, "V_T"), _integer(v_s, "V_S"), _integer(trials, "trials")
     if v_t < 1:
         raise ValueError(f"V_T must be >= 1, got {v_t}")
     if trials < 1:
@@ -503,7 +515,7 @@ def byzantine_experiment(truthful_dist: PreferenceDistribution, v_t: int, v_s: i
     if v_s >= v_t:
         raise MajorityAttack("strategic voters must be a strict minority")
     d = truthful_dist
-    tasks = [(d, int(v_t), int(v_s), t, seed) for t in range(trials)]
+    tasks = [(d, v_t, v_s, t, seed) for t in range(trials)]
     rows = _run_tasks(_byzantine_task, tasks, parallel)
     displacements = np.array([r["displacement"] for r in rows])
     summary = {

@@ -25,6 +25,10 @@ vector moves by at most 2 delta / r), minus 64 (V + d) eps for the rounding
 of two passes whose weights sum to one. A halving whose bound is >= the
 current gn is skipped unevaluated, so the accepted trial keeps its bits.
 
+A solve counts its work in its stats, each count on the line that does it:
+iterations, passes, snap tests, Newton calls, and the Newton halvings evaluated
+and proved rejected. The medians read iterations; tools/solve_counts.py sums all.
+
 Consumers that need the median and the curvature there, but no certificate,
 read both from the final pass of `_solve_gm`: its z, hessian() and
 third_deriv(). The loss_* functions build one pass at a given point, so
@@ -242,7 +246,7 @@ def min_norm_subgradient(profile: WeightedProfile, z) -> np.ndarray:
     return _evaluate(profile, z).g
 
 
-def _newton(p: _Pass, at):
+def _newton(p: _Pass, at, stats):
     """First damped-Newton point from p whose subgradient is smaller, or None."""
     try:
         direction = np.linalg.solve(p.hessian(), p.g)
@@ -253,6 +257,7 @@ def _newton(p: _Pass, at):
     skip = np.zeros(40, dtype=bool)
     for k in range(40):
         if skip[k]:
+            stats["newton_trials_proved"] += 1
             continue
         z = p.z - 0.5**k * direction
         if z.tobytes() == p.z.tobytes():
@@ -260,6 +265,7 @@ def _newton(p: _Pass, at):
             # shorter step lands on p.z too
             return None
         trial = at(z)
+        stats["newton_trials_evaluated"] += 1
         if trial.gn < p.gn:
             return trial
         del trial  # keeps one trial's V x d diffs alive, not two
@@ -269,7 +275,7 @@ def _newton(p: _Pass, at):
 
 
 def _solve_gm_raw(voters, weights, tol_grad, init):
-    """Core solve on raw arrays; returns (final pass, iterations).
+    """Core solve on raw arrays; returns (final pass, stats), the solve's counts.
 
     Vardi-Zhang-corrected Weiszfeld steps, then damped Newton once the
     minimum-norm subgradient is small or two iterates in a row crawl, until
@@ -281,17 +287,19 @@ def _solve_gm_raw(voters, weights, tol_grad, init):
     if not tol_grad > 0.0:
         raise ValueError("tol_grad must be positive")
     scale = _profile_scale(voters)
+    stats = dict.fromkeys(("iterations", "passes", "snap_tests", "newton_calls",
+                           "newton_trials_evaluated", "newton_trials_proved"), 0)
 
     def at(z):
+        stats["passes"] += 1
         return _Pass(voters, weights, scale, z)
 
     p = at(np.array(init, dtype=float))
-    iterations = 0
     refused = set()  # voters whose snap test failed; a retest reads the same
     last_gn, crawls = np.inf, 0  # crawls in a row, capped at the 2 that try Newton
     seen = set()  # loop states met so far; refused only grows, so its size names it
-    while p.gn > tol_grad and iterations < MAX_ITERATIONS:
-        iterations += 1
+    while p.gn > tol_grad and stats["iterations"] < MAX_ITERATIONS:
+        stats["iterations"] += 1
         crawls = min(crawls + 1, 2) if p.gn > 0.5 * last_gn else 0
         last_gn = p.gn
         state = (p.z.tobytes(), crawls, len(refused))
@@ -302,13 +310,15 @@ def _solve_gm_raw(voters, weights, tol_grad, init):
             # The minimizer may sit exactly on a voter point, which smooth
             # iterations only approach asymptotically; test the nearest one.
             snap = at(voters[p.nearest].copy())
+            stats["snap_tests"] += 1
             if snap.gn <= tol_grad:
                 p = snap
                 break
             refused.add(p.nearest)
             del snap  # keeps its V x d diffs from living next to p's and a trial's
         if p.gn <= _NEWTON_FROM or crawls >= 2:
-            trial = _newton(p, at)
+            stats["newton_calls"] += 1
+            trial = _newton(p, at, stats)
             if trial is not None:
                 p = trial
                 continue
@@ -320,11 +330,11 @@ def _solve_gm_raw(voters, weights, tol_grad, init):
     if not math.isfinite(p.loss):
         # An infinite distance reads as a zero pull, so gn certifies nothing.
         raise SolverFailure("geometric-median solve ended on a pass with a non-finite distance")
-    return p, iterations
+    return p, stats
 
 
 def _solve_gm(profile: WeightedProfile, tol_grad=DEFAULT_TOL_GRAD, init=None):
-    """Core solve from `init`, else the coordinate-wise median: (final pass, iterations)."""
+    """Core solve from `init`, else the coordinate-wise median: (final pass, stats)."""
     if init is None:
         init = coordinatewise_median(profile)
     return _solve_gm_raw(profile.voters, profile.weights, tol_grad, init)
@@ -341,13 +351,13 @@ def geometric_median(profile: WeightedProfile, tol_grad: float = DEFAULT_TOL_GRA
     when first read, by the CLI's degenerate_dimension or the dimension check
     of best_response.
     """
-    final, iterations = _solve_gm(profile, tol_grad, init)
+    final, stats = _solve_gm(profile, tol_grad, init)
     return MedianResult(
         point=final.z,
         loss=final.loss,
         grad_norm=float(final.gn),
         additive_bound=final.additive_bound(tol_grad),
-        iterations=iterations,
+        iterations=stats["iterations"],
     )
 
 
@@ -402,11 +412,11 @@ def skewed_geometric_median(
     # exactly invariant under permutation of the input.
     y = voters @ s.T
     init = s @ coordinatewise_median(profile)
-    final, iterations = _solve_gm_raw(y, weights, tol_y, init)
+    final, stats = _solve_gm_raw(y, weights, tol_y, init)
     return MedianResult(
         point=np.linalg.solve(s, final.z),
         loss=final.loss,
         grad_norm=float(np.linalg.norm(s @ final.g)),
         additive_bound=final.additive_bound(tol_y) / lam_min,
-        iterations=iterations,
+        iterations=stats["iterations"],
     )

@@ -149,6 +149,12 @@ def _unit_forces(profile: WeightedProfile) -> None:
         raise ValueError("one voter, one unit force: the profile's weights are not all equal")
 
 
+def _spans_plane(profile: WeightedProfile, needs="best response needs an honest profile"):
+    """Refuse a profile whose voters span an affine dimension below 2."""
+    if profile.affine_dim < 2:
+        raise DegenerateDimension(f"{needs} of dimension >= 2")
+
+
 def _vote(x, name: str, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
@@ -437,8 +443,7 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     theta0 = _vote(theta0, "theta0", honest.dim)
     extra_seeds = [_vote(v, f"extra vote {i}", honest.dim)
                    for i, v in enumerate(extra_votes or [])]
-    if honest.affine_dim < 2:
-        raise DegenerateDimension("best response needs an honest profile of dimension >= 2")
+    _spans_plane(honest)
     s_mat = np.eye(theta0.size) if s is None else check_spd(s, "preference matrix")
     if s_mat.shape[0] != theta0.size:
         raise DimensionMismatch("preference matrix dimension does not match theta0")
@@ -614,8 +619,7 @@ def condition_checker(honest: VoterProfile, beta: float, seed: int = 0) -> Condi
 def hessian_at_median(profile: VoterProfile) -> np.ndarray:
     """Loss Hessian at the computed geometric median (finite-voter estimate
     of the limiting Hessian)."""
-    if profile.affine_dim < 2:
-        raise DegenerateDimension("Hessian estimate needs a profile of dimension >= 2")
+    _spans_plane(profile, "Hessian estimate needs a profile")
     return check_spd(_solve_gm(profile)[0].hessian(), "Hessian at the median")
 
 

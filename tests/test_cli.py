@@ -409,6 +409,13 @@ class TestBestResponseCommand:
         assert err == f"error: --preset thm1: the construction needs a finite corner " \
                       f"abscissa X >= 8, got {x}\n"
 
+    def test_collinear_input_names_the_file(self, tmp_path, capsys):
+        prof = write_csv(tmp_path / "p.csv", "0,0,0\n1,1,1\n2,2,2\n")
+        code, out, err = run_cli(["best-response", "--input", prof, "--theta0", "1,1,1"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {prof}: best response needs an honest profile of dimension >= 2\n"
+
     def test_zero_restarts_exit_2(self, triangle_csv, capsys):
         code, out, err = run_cli(
             ["best-response", "--input", triangle_csv, "--theta0", "2,2",
@@ -562,6 +569,17 @@ class TestSimulateCommand:
          "sigmas"),
         ({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": 1,
           "distribution": {"kind": "uniform-ball", "dim": 3, "radius": math.inf}}, "radius"),
+        *(({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": 1,
+            "distribution": {"kind": "uniform-ball", "dim": 3, "radius": radius}},
+           f"distribution: radius: expected a number, got {radius!r}")
+          for radius in (True, "1.5")),
+        ({"experiment": "theorem1", "X": "20", "V_grid": [10]},
+         "X: expected a number, got '20'"),
+        ({"experiment": "asymptotic", "V_grid": [200], "trials": 1,
+          "distribution": dict(DIAG5, sigmas=[True, 1, 1, 1, 4])},
+         "distribution: sigmas: expected a number, got True"),
+        *(({"experiment": "asymptotic", "V_grid": [200], "trials": 1, "distribution": DIAG5,
+            key: True}, f"{key}: expected a number, got True") for key in ("epsilon", "delta")),
     ], ids=["zero-trials", "negative-V_S", "theorem1-small-X", "theorem1-empty-grid",
             "list", "seed-abc", "asymptotic-V_grid-5", "theorem1-V_grid-5",
             "trials-null", "theorem1-overflowing-X", "theorem1-X-1e25", "theorem1-X-1e40",
@@ -571,7 +589,9 @@ class TestSimulateCommand:
             "distribution-string", "epsilon-abc", "theorem1-X-abc", "four-corner",
             "four-corner-asymptotic", "four-corner-convergence", "byzantine-V_T-0",
             "theorem1-X-1e10", "theorem1-X-1e15", "theorem1-X-1e20", "epsilon-nan",
-            "epsilon-negative", "sigmas-infinite", "radius-infinite"])
+            "epsilon-negative", "sigmas-infinite", "radius-infinite", "radius-true",
+            "radius-string", "theorem1-X-string", "sigmas-true", "epsilon-true",
+            "delta-true"])
     def test_invalid_config_exit_2(self, cfg, names, tmp_path, capsys):
         path = write_csv(tmp_path / "c.json", json.dumps(cfg))
         code, out, err = run_cli(

@@ -61,6 +61,35 @@ class TestDistributions:
         assert np.max(np.linalg.norm(prof.voters, axis=1)) <= 1.5 + 1e-12
 
 
+ISO3 = sim.PreferenceDistribution("isotropic-gaussian", 3)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: sim.ExperimentConfig(ISO3, V_grid=(200.7,), trials=2, seed=1), "V_grid"),
+    (lambda: sim.ExperimentConfig(ISO3, V_grid=(True,), trials=2, seed=1), "V_grid"),
+    (lambda: sim.ExperimentConfig(ISO3, V_grid=(200,), trials=2.5, seed=1), "trials"),
+    (lambda: sim.theorem1_experiment(20, [200.9]), "V_grid"),
+    (lambda: sim.build_theorem1_instance(20.0, "5"), "V"),
+    (lambda: sim.byzantine_experiment(ISO3, 3.7, 1, 2, 0), "V_T"),
+    (lambda: sim.byzantine_experiment(ISO3, 3, 0.5, 2, 0), "V_S"),
+    (lambda: sim.byzantine_experiment(ISO3, 3, 1, np.float64(2.5), 0), "trials"),
+    (lambda: sim.PreferenceDistribution("isotropic-gaussian", 5.5), "dim"),
+    (lambda: sim.sample_profile(ISO3, 10.5, 0), "v_count"),
+], ids=["config-V_grid", "config-V_grid-bool", "config-trials", "theorem1-V_grid",
+        "theorem1-instance-V", "byzantine-V_T", "byzantine-V_S", "byzantine-trials",
+        "distribution-dim", "sample-v_count"])
+def test_library_refuses_counts_that_are_not_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name}: expected an integer, got "):
+        call()
+
+
+def test_library_takes_integral_counts_as_ints():
+    cfg = sim.ExperimentConfig(ISO3, V_grid=(np.int64(200), 400.0), trials=np.int32(2), seed=1)
+    assert (cfg.V_grid, cfg.trials) == ((200, 400), 2)
+    assert all(type(v) is int for v in (*cfg.V_grid, cfg.trials))
+    assert type(sim.PreferenceDistribution("isotropic-gaussian", np.int64(3)).dim) is int
+
+
 class TestTheorem1Instance:
     def test_invariants(self):
         for v in (200, 1000):
@@ -445,9 +474,9 @@ class TestByzantineExperiment:
         solve = sv._solve_gm_raw
 
         def recorded(*args):
-            p, iterations = solve(*args)
-            ends.append((p, iterations))
-            return p, iterations
+            p, stats = solve(*args)
+            ends.append((p, stats["iterations"]))
+            return p, stats
 
         monkeypatch.setattr(sv, "_solve_gm_raw", recorded)
         d = sim.PreferenceDistribution("isotropic-gaussian", 3)

@@ -273,7 +273,7 @@ class TestFarScales:
         assert res.additive_bound == sv.DEFAULT_TOL_GRAD / lam_min
 
 
-def _reference_newton(p, at):
+def _reference_newton(p, at, stats):
     """_newton as a loop that evaluates every halving."""
     try:
         direction = np.linalg.solve(p.hessian(), p.g)
@@ -308,7 +308,7 @@ def _vote_just_outside(seed):
 
 
 def _solve_counted(monkeypatch, wp, newton):
-    """(final pass, iterations, points of the passes built) of a solve with this
+    """(final pass, stats, points of the passes built) of a solve with this
     Newton step."""
     passes = []
 
@@ -320,9 +320,9 @@ def _solve_counted(monkeypatch, wp, newton):
     with monkeypatch.context() as m:
         m.setattr(sv, "_Pass", Counted)
         m.setattr(sv, "_newton", newton)
-        p, iterations = sv._solve_gm_raw(wp.voters, wp.weights, sv.DEFAULT_TOL_GRAD,
-                                         sv.coordinatewise_median(wp))
-    return p, iterations, passes
+        p, stats = sv._solve_gm_raw(wp.voters, wp.weights, sv.DEFAULT_TOL_GRAD,
+                                    sv.coordinatewise_median(wp))
+    return p, stats, passes
 
 
 @functools.cache
@@ -334,9 +334,9 @@ def _backtracking_seeds():
     for seed in range(64):
         depths = []
 
-        def newton(p, at):
+        def newton(p, at, stats):
             trials = []
-            trial = _reference_newton(p, lambda z: trials.append(z) or at(z))
+            trial = _reference_newton(p, lambda z: trials.append(z) or at(z), stats)
             if p.dists[p.nearest] <= sv._SNAP_RTOL * p.scale:
                 depths.append(len(trials))
             return trial
@@ -368,7 +368,7 @@ class TestNearVoterNewton:
         seen = []
         newton = sv._newton
         _solve_counted(monkeypatch, _vote_just_outside(_backtracking_seeds()[k]),
-                       lambda p, at: seen.append(p) or newton(p, at))
+                       lambda p, at, stats: seen.append(p) or newton(p, at, stats))
         near = [p for p in seen
                 if not p.at_voter and p.dists[p.nearest] <= sv._SNAP_RTOL * p.scale]
         assert sum(_sound_marks(p) for p in near) > 0
@@ -376,9 +376,9 @@ class TestNearVoterNewton:
     @pytest.mark.parametrize("seed", range(6))
     def test_solve_bits_match_the_every_halving_loop(self, monkeypatch, seed):
         wp = _vote_just_outside(seed)
-        p, iterations, _ = _solve_counted(monkeypatch, wp, sv._newton)
-        ref, ref_iterations, _ = _solve_counted(monkeypatch, wp, _reference_newton)
-        assert iterations == ref_iterations
+        p, stats, _ = _solve_counted(monkeypatch, wp, sv._newton)
+        ref, ref_stats, _ = _solve_counted(monkeypatch, wp, _reference_newton)
+        assert stats["iterations"] == ref_stats["iterations"]
         for name in ("z", "g", "dists"):
             np.testing.assert_array_equal(getattr(p, name), getattr(ref, name))
         assert (p.gn, p.additive_bound(sv.DEFAULT_TOL_GRAD)) \
@@ -398,6 +398,81 @@ class TestNearVoterNewton:
         zs = _solve_counted(monkeypatch, wp, sv._newton)[2]
         snaps = Counter(z.tobytes() for z in zs if (wp.voters == z).all(axis=1).any())
         assert snaps and max(snaps.values()) == 1
+
+
+def _outlier_profile(seed):
+    """Three voters and one vote 1e3 away, shaped like a (V_T, V_S) = (3, 1)
+    byzantine trial: Weiszfeld crawls, and the solve snap-tests voters."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(3)
+    return uniform_profile(np.vstack([rng.standard_normal((3, 3)), 1e3 * u / np.linalg.norm(u)]))
+
+
+def _solve_with_counts(monkeypatch, wp, newton, init=None):
+    """(MedianResult, its solve's stats, the counts taken around that solve):
+    the passes built, those built inside a Newton step, the later ones on a
+    voter's point (snap tests), and the calls of the Newton step."""
+    counts, stats, in_newton = Counter(), [], []
+
+    class Counted(sv._Pass):
+        def __init__(self, *args):
+            super().__init__(*args)
+            counts["passes"] += 1
+            if in_newton:
+                counts["newton_trials_evaluated"] += 1
+            elif counts["passes"] > 1 and self.at_voter:
+                counts["snap_tests"] += 1
+
+    def counted_newton(*args):
+        counts["newton_calls"] += 1
+        in_newton.append(1)
+        try:
+            return newton(*args)
+        finally:
+            in_newton.pop()
+
+    solve = sv._solve_gm_raw
+
+    def recorded(*args):
+        p, solve_stats = solve(*args)
+        stats.append(solve_stats)
+        return p, solve_stats
+
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_Pass", Counted)
+        m.setattr(sv, "_newton", counted_newton)
+        m.setattr(sv, "_solve_gm_raw", recorded)
+        res = sv.geometric_median(wp, init=init)
+    assert len(stats) == 1
+    return res, stats[0], counts
+
+
+@pytest.mark.parametrize("case", ["smooth", "voter end", "near vote", "outlier"])
+def test_solve_stats_match_counts_taken_around_the_solve(monkeypatch, case):
+    wp, init = {
+        "smooth": lambda: (uniform_profile(np.random.default_rng(5).standard_normal((50, 3))),
+                           None),
+        "voter end": lambda: (WeightedProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                              [0.8, 0.1, 0.1]), [0.3, 0.3]),
+        "near vote": lambda: (_vote_just_outside(0), None),
+        "outlier": lambda: (_outlier_profile(4), None),
+    }[case]()
+    res, stats, counts = _solve_with_counts(monkeypatch, wp, sv._newton, init)
+    assert stats["iterations"] == res.iterations > 0
+    for key in ("passes", "snap_tests", "newton_calls", "newton_trials_evaluated"):
+        assert stats[key] == counts[key], key
+    # The every-halving loop takes the same path and evaluates each halving
+    # the step proved rejected.
+    ref, _, ref_counts = _solve_with_counts(monkeypatch, wp, _reference_newton, init)
+    assert ref.point.tobytes() == res.point.tobytes()
+    assert ref_counts["newton_trials_evaluated"] \
+        == stats["newton_trials_evaluated"] + stats["newton_trials_proved"]
+    assert {
+        "smooth": counts["snap_tests"] == 0 and counts["newton_calls"] > 0,
+        "voter end": res.point.tobytes() == wp.voters[0].tobytes(),
+        "near vote": stats["newton_trials_proved"] > 0,
+        "outlier": counts["snap_tests"] > 0 and counts["newton_calls"] > 0,
+    }[case]
 
 
 @pytest.mark.parametrize("degrees", [22.5, 37.5])

@@ -34,10 +34,11 @@ errors/NAME.txt with the exit code and stderr of each, so the same diff shows
 every changed message: weights files that are header-only, hold a negative
 weight, a weight lost to normalizing, two columns, or too few rows; a non-SPD
 --pref-matrix, --skew-matrix and skewness --matrix; a non-finite --theta0;
---preset thm1 --X 1e40; and simulate configs with "trials": 0, with V_S = V_T,
-and with a 2x2 asymptotic preference_matrix. The script exits 1 if a run that
-must succeed fails, or a run that must fail exits 0, prints a traceback or
-leaves behind the --output it names last.
+best-response on the collinear profile; --preset thm1 --X 1e40; and simulate
+configs with "trials": 0, with V_S = V_T, with a 2x2 asymptotic
+preference_matrix, and with a uniform-ball "radius": true. The script exits 1
+if a run that must succeed fails, or a run that must fail exits 0, prints a
+traceback or leaves behind the --output it names last.
 """
 
 import json
@@ -93,6 +94,8 @@ ERRORS = {
                             "skewed-gm", "--skew-matrix", "inputs/not_spd2.csv"],
     "skewness_not_spd": ["skewness", "--matrix", "inputs/not_spd3.csv"],
     "theta0_nan": ["best-response", "--input", "inputs/triangle.csv", "--theta0", "nan,0"],
+    "best_response_collinear": ["best-response", "--input", "inputs/collinear.csv",
+                                "--theta0", "1,1,1"],
     "preset_thm1_x_1e40": ["best-response", "--preset", "thm1", "--X", "1e40", "--V", "50"],
     "simulate_no_trials": ["simulate", "--config", "inputs/byzantine_no_trials.json",
                            "--output", "simulate_byzantine_no_trials"],
@@ -100,6 +103,8 @@ ERRORS = {
                           "--output", "simulate_byzantine_majority"],
     "simulate_preference_2x2": ["simulate", "--config", "inputs/asymptotic_preference_2x2.json",
                                 "--output", "simulate_asymptotic_preference_2x2"],
+    "simulate_radius_true": ["simulate", "--config", "inputs/byzantine_radius_true.json",
+                             "--output", "simulate_byzantine_radius_true"],
 }
 
 
@@ -146,6 +151,9 @@ def write_inputs(out_dir):
     configs["byzantine_majority"] = dict(SIMULATE["byzantine_ball"][0], V_S=3)
     configs["asymptotic_preference_2x2"] = dict(SIMULATE["asymptotic"][0],
                                                 preference_matrix=np.eye(2).tolist())
+    ball = SIMULATE["byzantine_ball"][0]
+    configs["byzantine_radius_true"] = dict(ball, distribution=dict(ball["distribution"],
+                                                                     radius=True))
     for name, cfg in configs.items():
         with open(os.path.join(inputs, f"{name}.json"), "w", encoding="utf-8") as fh:
             json.dump(cfg, fh, indent=2, sort_keys=True)
