@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import SolverFailure
+from .errors import SolverFailure, check_count
 from .linalg import check_spd, one_blas_thread
 from .profiles import VoterProfile, WeightedProfile, uniform_profile
 from .reportio import (
@@ -30,7 +30,6 @@ from .simulate import (
     STRESS_GAMMAS,
     ExperimentConfig,
     PreferenceDistribution,
-    _integer,
     asymptotic_experiment,
     build_theorem1_instance,
     byzantine_experiment,
@@ -51,20 +50,13 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 
-def _seed(value: int, source: str) -> int:
-    """A seed as numpy takes it: a nonnegative integer."""
-    if value < 0:
-        raise ParseError(f"{source} must be a nonnegative integer, got {value}")
-    return value
-
-
 def _env_seed() -> int:
     env = os.environ.get("MEDIANFORGE_SEED") or "0"
     try:
         seed = int(env)
     except ValueError:
         raise ParseError(f"MEDIANFORGE_SEED must be an integer, got {env!r}") from None
-    return _seed(seed, "MEDIANFORGE_SEED")
+    return check_count(seed, "MEDIANFORGE_SEED", 0)
 
 
 def _build(source, make, *args):
@@ -171,9 +163,8 @@ def _parse_theta0(text: str) -> np.ndarray:
 
 
 def _cmd_best_response(args) -> int:
-    if args.restarts < 1:
-        raise ParseError(f"--restarts must be >= 1, got {args.restarts}")
-    seed = _env_seed() if args.seed is None else _seed(args.seed, "--seed")
+    check_count(args.restarts, "--restarts", 1)
+    seed = _env_seed() if args.seed is None else check_count(args.seed, "--seed", 0)
     pref = _build(args.pref_matrix, check_spd, read_matrix_csv(args.pref_matrix),
                   "preference matrix") if args.pref_matrix else None
 
@@ -240,17 +231,6 @@ def _csv_rows(rows):
                        for g in r.get("gains", ())}) for r in rows]
 
 
-def _number(value):
-    """A config number: a JSON int or float; never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _each(convert):
-    return lambda values: tuple(convert(v) for v in values)
-
-
 def _read(cfg, key, convert):
     """cfg[key] through convert; a malformed value raises ValueError naming key."""
     try:
@@ -260,31 +240,27 @@ def _read(cfg, key, convert):
 
 
 def _distribution(d):
-    optional = {key: _read(d, key, convert)
-                for key, convert in (("sigmas", _each(_number)), ("radius", _number))
-                if key in d}
-    return PreferenceDistribution(d["kind"], _read(d, "dim", _integer), **optional)
+    optional = {key: d[key] for key in ("sigmas", "radius") if key in d}
+    return PreferenceDistribution(d["kind"], d["dim"], **optional)
 
 
 def _bind_experiment(kind, cfg, parallel):
-    """Read every value of a simulate config before any trial runs.
+    """Bind a simulate config's values to the experiment call, unconverted:
+    the library judges each one before any trial runs.
 
-    Returns the experiment call with its arguments bound, and its CSV fields.
-    A missing key raises KeyError; a malformed value, ValueError naming it.
+    Returns the experiment call and its CSV fields. A missing key raises
+    KeyError; a malformed value, ValueError naming it.
     """
-    seed = _seed(_read(cfg, "seed", _integer), "seed") if "seed" in cfg else _env_seed()
+    seed = check_count(cfg["seed"], "seed", 0) if "seed" in cfg else _env_seed()
     if kind == "theorem1":
-        return functools.partial(theorem1_experiment, _read(cfg, "X", _number),
-                                 _read(cfg, "V_grid", _each(_integer)),
+        return functools.partial(theorem1_experiment, cfg["X"], cfg["V_grid"],
                                  parallel=parallel), THEOREM1_FIELDS
     dist = _read(cfg, "distribution", _distribution)
     if kind == "byzantine":
-        v_t, v_s, trials = (_read(cfg, key, _integer) for key in ("V_T", "V_S", "trials"))
-        return functools.partial(byzantine_experiment, dist, v_t, v_s, trials, seed,
-                                 parallel=parallel), BYZANTINE_FIELDS
-    floats = {key: _read(cfg, key, _number) for key in ("epsilon", "delta") if key in cfg}
-    config = ExperimentConfig(dist, _read(cfg, "V_grid", _each(_integer)),
-                              _read(cfg, "trials", _integer), seed, **floats)
+        return functools.partial(byzantine_experiment, dist, cfg["V_T"], cfg["V_S"],
+                                 cfg["trials"], seed, parallel=parallel), BYZANTINE_FIELDS
+    optional = {key: cfg[key] for key in ("epsilon", "delta") if key in cfg}
+    config = ExperimentConfig(dist, cfg["V_grid"], cfg["trials"], seed, **optional)
     if kind == "convergence":
         return functools.partial(convergence_diagnostics, config,
                                  parallel=parallel), CONVERGENCE_FIELDS

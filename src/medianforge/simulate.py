@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AtVoterPoint, DimensionMismatch, MajorityAttack, MedianForgeError,
-                     SolverFailure)
+                     SolverFailure, check_count, check_each, check_number, check_v_grid)
 from .linalg import check_spd, one_blas_thread, spd_inv, spd_sqrt
 from .profiles import VoterProfile, uniform_profile
 from .solvers import (_solve_gm, geometric_median, loss_gradient, loss_hessian,
@@ -47,14 +47,6 @@ DIST_KINDS = ("isotropic-gaussian", "diagonal-gaussian", "uniform-ball")
 STRESS_GAMMAS = (1.5, 3.0, 10.0)
 
 
-def _integer(value, name=None):
-    """A count: an int, numpy's too, or a float with no fraction; never a bool."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or
-                                       isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{name + ': ' if name else ''}expected an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class PreferenceDistribution:
     """I.i.d. sampler for voter preference vectors.
@@ -71,15 +63,16 @@ class PreferenceDistribution:
     def __post_init__(self):
         if self.kind not in DIST_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
-        if self.dim < 2:
-            raise ValueError("experiments need dim >= 2")
+        object.__setattr__(self, "dim", check_count(self.dim, "dim", 2))
+        if self.sigmas is not None:
+            object.__setattr__(self, "sigmas", check_each(self.sigmas, check_number, "sigmas"))
+        if self.radius is not None:
+            object.__setattr__(self, "radius", check_number(self.radius, "radius"))
         if self.kind == "diagonal-gaussian":
             if self.sigmas is None or len(self.sigmas) != self.dim:
                 raise ValueError("diagonal-gaussian needs one sigma per dimension")
             if not all(0 < s < math.inf for s in self.sigmas):
                 raise ValueError("sigmas must be finite and positive")
-            object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
         if self.kind == "uniform-ball" and (self.radius is None
                                             or not 0 < self.radius < math.inf):
             raise ValueError("uniform-ball needs a finite positive radius")
@@ -87,6 +80,9 @@ class PreferenceDistribution:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep's settings. delta, the claim's failure probability, is checked
+    as a number but not yet read by any experiment."""
+
     distribution: PreferenceDistribution
     V_grid: tuple
     trials: int
@@ -95,13 +91,11 @@ class ExperimentConfig:
     delta: float = 0.05
 
     def __post_init__(self):
-        grid = tuple(_integer(v, "V_grid") for v in self.V_grid)
-        if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("V_grid must be non-empty and strictly ascending")
-        object.__setattr__(self, "V_grid", grid)
-        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        object.__setattr__(self, "V_grid", check_v_grid(self.V_grid))
+        object.__setattr__(self, "trials", check_count(self.trials, "trials", 1))
+        object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
+        object.__setattr__(self, "epsilon", check_number(self.epsilon, "epsilon"))
+        object.__setattr__(self, "delta", check_number(self.delta, "delta"))
         if not 0.0 <= self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
 
@@ -122,10 +116,8 @@ def _corner_atoms(x: float) -> np.ndarray:
 
 def sample_profile(dist: PreferenceDistribution, v_count: int, seed: int) -> VoterProfile:
     """Draw v_count i.i.d. voters."""
-    v_count = _integer(v_count, "v_count")
-    if v_count < 1:
-        raise ValueError("need at least one voter")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    v_count = check_count(v_count, "v_count", 1)
+    rng = np.random.default_rng(np.random.SeedSequence(check_count(seed, "seed", 0)))
     if dist.kind == "isotropic-gaussian":
         pts = rng.standard_normal((v_count, dist.dim))
     elif dist.kind == "diagonal-gaussian":
@@ -186,13 +178,12 @@ def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
     norm along the ray c * (x^3, 1) is driven to 1/V by bisection on (0, 1].
     At c = 1 the four corners lie almost along -x, so the norm is about 4 > 1/V.
     """
+    x = check_number(x, "X")
     if not 8.0 <= x < math.inf:
         raise ValueError(f"the construction needs a finite corner abscissa X >= 8, got {x!r}")
     if x > sys.float_info.max ** (1.0 / 6.0):  # beyond, the gradient on the ray reads 0
         raise ValueError(f"corner abscissa {x!r} is too large: (x**3)**2 overflows")
-    v = _integer(v_per_corner, "V")
-    if v < 1:
-        raise ValueError("need at least one copy per corner")
+    v = check_count(v_per_corner, "V", 1)
     corners = uniform_profile(_corner_atoms(x))
 
     def grad_sum(z):  # min-norm: from X ~ 1e15 points of the ray can read as corners
@@ -225,7 +216,7 @@ def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
     if corners.affine_dim < 2:  # the rank test reads (+-X, +-1) as a line from X ~ 1e9
         raise ValueError(f"corner abscissa X={x!r} is too large: the corners read as collinear")
     return Theorem1Instance(
-        corner_x=float(x),
+        corner_x=x,
         v_per_corner=v,
         alpha_v=float(alpha_v),
         g_v=g_v,
@@ -234,9 +225,7 @@ def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
     )
 
 
-def _theorem1_task(args):
-    x, v = args
-    inst = build_theorem1_instance(x, v)
+def _theorem1_task(inst):
     honest = inst.honest_profile
     achievable = achievable_contains(honest, inst.strategic_vote)
     joined = uniform_profile(np.vstack([honest.voters, inst.strategic_vote[None, :]]))
@@ -247,8 +236,8 @@ def _theorem1_task(args):
     )
     ratio = inst.truthful_dist / strategic_dist
     return {
-        "X": x,
-        "V": v,
+        "X": inst.corner_x,
+        "V": inst.v_per_corner,
         "alpha_V": inst.alpha_v,
         "truthful_dist": inst.truthful_dist,
         "strategic_dist": strategic_dist,
@@ -263,10 +252,9 @@ def _theorem1_task(args):
 
 
 def theorem1_experiment(x: float, v_grid, parallel: int = 1) -> ExperimentReport:
-    """Measure gains of the closed-form strategic vote across voter counts."""
-    if len(v_grid) < 1:
-        raise ValueError("V_grid must list at least one voter count")
-    tasks = [(float(x), _integer(v, "V_grid")) for v in v_grid]
+    """Measure gains of the closed-form strategic vote along an ascending V
+    grid; every instance, so every X and V, is judged before any task runs."""
+    tasks = [build_theorem1_instance(x, v) for v in check_v_grid(v_grid)]
     rows = _run_tasks(_theorem1_task, tasks, parallel)
     summary = {
         "limit_ratio": rows[-1]["limit_ratio"],
@@ -505,17 +493,11 @@ def _byzantine_task(args):
 def byzantine_experiment(truthful_dist: PreferenceDistribution, v_t: int, v_s: int,
                          trials: int, seed: int, parallel: int = 1) -> ExperimentReport:
     """Adversarial placement trials against the resilience ball."""
-    v_t, v_s, trials = _integer(v_t, "V_T"), _integer(v_s, "V_S"), _integer(trials, "trials")
-    if v_t < 1:
-        raise ValueError(f"V_T must be >= 1, got {v_t}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if v_s < 0:
-        raise ValueError("V_S must be >= 0")
+    v_t, v_s = check_count(v_t, "V_T", 1), check_count(v_s, "V_S", 0)
+    trials, seed = check_count(trials, "trials", 1), check_count(seed, "seed", 0)
     if v_s >= v_t:
         raise MajorityAttack("strategic voters must be a strict minority")
-    d = truthful_dist
-    tasks = [(d, v_t, v_s, t, seed) for t in range(trials)]
+    tasks = [(truthful_dist, v_t, v_s, t, seed) for t in range(trials)]
     rows = _run_tasks(_byzantine_task, tasks, parallel)
     displacements = np.array([r["displacement"] for r in rows])
     summary = {
@@ -541,7 +523,7 @@ def fit_isotropizing_skew(dist: PreferenceDistribution, samples: int = 2000,
     diagonal; every distribution kind is axis-symmetric, so H is diagonal in
     the limit and that is isotropy up to sampling noise.
     """
-    voters = sample_profile(dist, samples, seed).voters
+    voters = sample_profile(dist, check_count(samples, "samples", 1), seed).voters
     d = np.ones(dist.dim)
     for _ in range(100):
         h = _solve_gm(uniform_profile(voters * d), 1e-8)[0].hessian()

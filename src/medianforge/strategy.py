@@ -18,6 +18,8 @@ from .errors import (
     MajorityAttack,
     NotSPD,
     SolverFailure,
+    check_count,
+    check_number,
 )
 from .linalg import check_spd, extreme_eigenvalues
 from .profiles import VoterProfile, WeightedProfile, _profile_scale, uniform_profile
@@ -103,7 +105,7 @@ def numeric_skewness(s, seed: int = 0) -> float:
     """
     a = check_spd(s)
     d = a.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed", 0))
 
     def ascend(x):
         x = x / np.linalg.norm(x)
@@ -437,8 +439,7 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     additional candidates and seed the search. The best candidate wins;
     ties break lexicographically on the vote.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    restarts, seed = check_count(restarts, "restarts", 1), check_count(seed, "seed", 0)
     _unit_forces(honest)
     theta0 = _vote(theta0, "theta0", honest.dim)
     extra_seeds = [_vote(v, f"extra vote {i}", honest.dim)
@@ -534,6 +535,7 @@ class ConditionReport:
 
 
 def condition_checker(honest: VoterProfile, beta: float, seed: int = 0) -> ConditionReport:
+    beta, seed = check_number(beta, "beta"), check_count(seed, "seed", 0)
     if not beta > 0.0:
         raise ValueError("beta must be positive")
     _unit_forces(honest)
@@ -634,8 +636,7 @@ def byzantine_bound(truthful: VoterProfile, num_strategic: int) -> float:
     num_strategic extra voters can push the geometric median out of:
     (1 - (S/T)^2)^(-1/2) * max_t ||theta_t - Gm(truthful)||.
     """
-    if num_strategic < 0:
-        raise ValueError("num_strategic must be nonnegative")
+    num_strategic = check_count(num_strategic, "num_strategic", 0)
     t_count = truthful.count
     if num_strategic >= t_count:
         raise MajorityAttack(

@@ -656,7 +656,7 @@ class TestSimulateCommand:
          "preference matrix has non-finite entries"),
         (json.dumps({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": 0,
                      "distribution": {"kind": "isotropic-gaussian", "dim": 3}}),
-         "trials must be >= 1"),
+         "trials must be >= 1, got 0"),
     ], ids=["byzantine-majority", "2x2-preference", "infinite-preference", "zero-trials"])
     def test_rejected_config_names_it_and_writes_nothing(self, text, message, tmp_path,
                                                          capsys):

@@ -62,6 +62,7 @@ class TestDistributions:
 
 
 ISO3 = sim.PreferenceDistribution("isotropic-gaussian", 3)
+TRIANGLE = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize("call,name", [
@@ -75,12 +76,57 @@ ISO3 = sim.PreferenceDistribution("isotropic-gaussian", 3)
     (lambda: sim.byzantine_experiment(ISO3, 3, 1, np.float64(2.5), 0), "trials"),
     (lambda: sim.PreferenceDistribution("isotropic-gaussian", 5.5), "dim"),
     (lambda: sim.sample_profile(ISO3, 10.5, 0), "v_count"),
+    *((lambda n=n: st.byzantine_bound(TRIANGLE, n), "num_strategic") for n in (1.5, True)),
+    (lambda: sim.fit_isotropizing_skew(ISO3, samples=200.5), "samples"),
+    *(call for seed in (1.5, True) for call in (
+        (lambda s=seed: sim.byzantine_experiment(ISO3, 3, 1, 2, s), "seed"),
+        (lambda s=seed: sim.ExperimentConfig(ISO3, V_grid=(200,), trials=2, seed=s), "seed"),
+        (lambda s=seed: sim.sample_profile(ISO3, 10, s), "seed"),
+        (lambda s=seed: st.best_response(np.full(2, 2.0), TRIANGLE, seed=s), "seed"),
+        (lambda s=seed: st.condition_checker(TRIANGLE, 0.1, seed=s), "seed"),
+        (lambda s=seed: st.numeric_skewness(np.eye(2), seed=s), "seed"),
+        (lambda s=seed: sim.fit_isotropizing_skew(ISO3, seed=s), "seed"),
+    )),
 ], ids=["config-V_grid", "config-V_grid-bool", "config-trials", "theorem1-V_grid",
         "theorem1-instance-V", "byzantine-V_T", "byzantine-V_S", "byzantine-trials",
-        "distribution-dim", "sample-v_count"])
-def test_library_refuses_counts_that_are_not_integers(call, name):
+        "distribution-dim", "sample-v_count", "byzantine_bound-1.5", "byzantine_bound-True",
+        "isotropizing-samples",
+        *(f"{where}-seed-{seed}" for seed in (1.5, True)
+          for where in ("byzantine", "config", "sample", "best_response", "condition_checker",
+                        "numeric_skewness", "isotropizing"))])
+def test_library_refuses_counts_that_are_not_integers(call, name, monkeypatch):
+    monkeypatch.setattr(sim, "_run_tasks", None)  # refused before any solve or task
+    monkeypatch.setattr(sim, "_solve_gm", None)
+    monkeypatch.setattr(st, "_solve_gm", None)
     with pytest.raises(ValueError, match=f"^{name}: expected an integer, got "):
         call()
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: sim.PreferenceDistribution("uniform-ball", 3, radius=True), "radius"),
+    (lambda: sim.PreferenceDistribution("diagonal-gaussian", 3, sigmas=(True, 1, 1)),
+     "sigmas"),
+    (lambda: sim.ExperimentConfig(ISO3, V_grid=(200,), trials=2, seed=1, epsilon=True),
+     "epsilon"),
+    (lambda: sim.ExperimentConfig(ISO3, V_grid=(200,), trials=2, seed=1, epsilon="0.1"),
+     "epsilon"),
+    (lambda: st.condition_checker(TRIANGLE, beta="0.1"), "beta"),
+], ids=["radius-true", "sigmas-true", "epsilon-true", "epsilon-string", "beta-string"])
+def test_library_refuses_numbers_that_are_bools_or_strings(call, name, monkeypatch):
+    monkeypatch.setattr(st, "_solve_gm", None)
+    with pytest.raises(ValueError, match=f"^{name}: expected a number, got "):
+        call()
+
+
+@pytest.mark.parametrize("grid,message", [
+    ([400, 200], "V_grid must be non-empty and strictly ascending, got [400, 200]"),
+    ([200, 200], "V_grid must be non-empty and strictly ascending, got [200, 200]"),
+    (200, "V_grid: expected a list, got 200"),
+], ids=["descending", "repeated", "bare-int"])
+def test_theorem1_grid_refused_before_any_task(grid, message, monkeypatch):
+    monkeypatch.setattr(sim, "_run_tasks", None)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sim.theorem1_experiment(20.0, grid)
 
 
 def test_library_takes_integral_counts_as_ints():

@@ -227,11 +227,13 @@ class TestBestResponse:
         with pytest.raises(ValueError, match=re.escape(f"theta0 [{far!r}, {far!r}] is too far")):
             st.best_response(np.full(2, far), prof, restarts=1)
 
-    @pytest.mark.parametrize("restarts", [0, -1])
+    @pytest.mark.parametrize("restarts", [0, -1, 2.5, True])
     def test_restarts_below_one_rejected_before_any_solve(self, restarts, monkeypatch):
         monkeypatch.setattr(st, "_solve_gm", None)
         prof = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+        message = (f"restarts must be >= 1, got {restarts}" if type(restarts) is int
+                   else f"restarts: expected an integer, got {restarts!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             st.best_response(np.full(2, 2.0), prof, restarts=restarts)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

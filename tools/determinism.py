@@ -34,11 +34,12 @@ errors/NAME.txt with the exit code and stderr of each, so the same diff shows
 every changed message: weights files that are header-only, hold a negative
 weight, a weight lost to normalizing, two columns, or too few rows; a non-SPD
 --pref-matrix, --skew-matrix and skewness --matrix; a non-finite --theta0;
-best-response on the collinear profile; --preset thm1 --X 1e40; and simulate
-configs with "trials": 0, with V_S = V_T, with a 2x2 asymptotic
-preference_matrix, and with a uniform-ball "radius": true. The script exits 1
-if a run that must succeed fails, or a run that must fail exits 0, prints a
-traceback or leaves behind the --output it names last.
+best-response on the collinear profile; best-response --restarts 0;
+--preset thm1 --X 1e40; and simulate configs with "trials": 0, with V_S = V_T,
+with a 2x2 asymptotic preference_matrix, with a uniform-ball "radius": true,
+with a descending theorem1 V_grid, and with a byzantine "seed": 1.5. The
+script exits 1 if a run that must succeed fails, or a run that must fail
+exits 0, prints a traceback or leaves behind the --output it names last.
 """
 
 import json
@@ -96,6 +97,8 @@ ERRORS = {
     "theta0_nan": ["best-response", "--input", "inputs/triangle.csv", "--theta0", "nan,0"],
     "best_response_collinear": ["best-response", "--input", "inputs/collinear.csv",
                                 "--theta0", "1,1,1"],
+    "best_response_restarts_zero": ["best-response", "--input", "inputs/triangle.csv",
+                                    "--theta0", "2,2", "--restarts", "0"],
     "preset_thm1_x_1e40": ["best-response", "--preset", "thm1", "--X", "1e40", "--V", "50"],
     "simulate_no_trials": ["simulate", "--config", "inputs/byzantine_no_trials.json",
                            "--output", "simulate_byzantine_no_trials"],
@@ -105,6 +108,10 @@ ERRORS = {
                                 "--output", "simulate_asymptotic_preference_2x2"],
     "simulate_radius_true": ["simulate", "--config", "inputs/byzantine_radius_true.json",
                              "--output", "simulate_byzantine_radius_true"],
+    "simulate_theorem1_descending": ["simulate", "--config", "inputs/theorem1_descending.json",
+                                     "--output", "simulate_theorem1_descending"],
+    "simulate_seed_fraction": ["simulate", "--config", "inputs/byzantine_seed_fraction.json",
+                               "--output", "simulate_byzantine_seed_fraction"],
 }
 
 
@@ -154,6 +161,8 @@ def write_inputs(out_dir):
     ball = SIMULATE["byzantine_ball"][0]
     configs["byzantine_radius_true"] = dict(ball, distribution=dict(ball["distribution"],
                                                                      radius=True))
+    configs["theorem1_descending"] = dict(SIMULATE["theorem1"][0], V_grid=[400, 200])
+    configs["byzantine_seed_fraction"] = dict(ball, seed=1.5)
     for name, cfg in configs.items():
         with open(os.path.join(inputs, f"{name}.json"), "w", encoding="utf-8") as fh:
             json.dump(cfg, fh, indent=2, sort_keys=True)
