@@ -21,7 +21,6 @@ from .reportio import (
     ParseError,
     dump_report,
     make_report,
-    read_matrix_csv,
     read_profile_csv,
     read_weights_csv,
     write_rows_csv,
@@ -92,8 +91,8 @@ def _cmd_aggregate(args) -> int:
         weights = read_weights_csv(args.weights, profile.count)
         profile = _build(args.weights, WeightedProfile, points, weights)
 
-    skew = _build(args.skew_matrix, check_spd, read_matrix_csv(args.skew_matrix),
-                  "skew matrix") if args.skew_matrix else None
+    skew = _build(args.skew_matrix, check_spd, read_profile_csv(args.skew_matrix),
+                  "skew matrix", profile.dim) if args.skew_matrix else None
 
     if args.method in ("avg", "cw"):
         point = average(profile) if args.method == "avg" \
@@ -136,7 +135,7 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_skewness(args) -> int:
-    matrix = read_matrix_csv(args.matrix)
+    matrix = read_profile_csv(args.matrix)
     result = dataclasses.asdict(_build(args.matrix, skewness, matrix))
     if args.numeric_check:
         num = numeric_skewness(matrix)
@@ -165,9 +164,6 @@ def _parse_theta0(text: str) -> np.ndarray:
 def _cmd_best_response(args) -> int:
     check_count(args.restarts, "--restarts", 1)
     seed = _env_seed() if args.seed is None else check_count(args.seed, "--seed", 0)
-    pref = _build(args.pref_matrix, check_spd, read_matrix_csv(args.pref_matrix),
-                  "preference matrix") if args.pref_matrix else None
-
     preset_info = None
     extra_votes = None
     if args.preset == "thm1":
@@ -193,6 +189,8 @@ def _cmd_best_response(args) -> int:
         honest = _build(args.input, VoterProfile, read_profile_csv(args.input))
         _build(args.input, _spans_plane, honest)
         theta0 = _parse_theta0(args.theta0)
+    pref = _build(args.pref_matrix, check_spd, read_profile_csv(args.pref_matrix),
+                  "preference matrix", honest.dim) if args.pref_matrix else None
 
     rep = best_response(theta0, honest, s=pref, restarts=args.restarts, seed=seed,
                         extra_votes=extra_votes)
@@ -273,6 +271,7 @@ def _bind_experiment(kind, cfg, parallel):
 
 
 def _cmd_simulate(args) -> int:
+    check_count(args.parallel, "--parallel", 1)
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)

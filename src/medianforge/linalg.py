@@ -1,5 +1,6 @@
-"""Small SPD-matrix helpers used throughout the package, and the OpenBLAS
-thread pin for the experiment pool and the command line."""
+"""The matrix and vector argument rules, small SPD-matrix helpers used
+throughout the package, and the OpenBLAS thread pin for the experiment pool
+and the command line."""
 
 import ctypes
 import functools
@@ -13,21 +14,35 @@ from .errors import DimensionMismatch, NotSPD
 SYMMETRY_RTOL = 1e-12
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
+def as_matrix(m, name: str = "matrix", dim: int = None) -> np.ndarray:
+    """A finite square matrix; d x d when a dimension d is given."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square {name}, got shape {a.shape}")
+    if dim is not None and a.shape[0] != dim:
+        raise DimensionMismatch(f"{name} has shape {a.shape}, dim is {dim}")
     if not np.all(np.isfinite(a)):
         raise NotSPD(f"{name} has non-finite entries")
     return a
 
 
-def check_spd(m, name: str = "matrix") -> np.ndarray:
-    """Validate symmetry (relative tolerance 1e-12) and positive definiteness.
+def as_vector(x, name: str = "vector", dim: int = None) -> np.ndarray:
+    """A finite non-empty 1-d vector; of length d when a dimension d is given."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 1 or a.size == 0:
+        raise DimensionMismatch(f"expected a 1-d {name}, got shape {a.shape}")
+    if dim is not None and a.size != dim:
+        raise DimensionMismatch(f"{name} has shape {a.shape}, dim is {dim}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} {a.tolist()} has non-finite entries")
+    return a
 
-    Returns the symmetrized matrix; raises NotSPD otherwise.
+
+def check_spd(m, name: str = "matrix", dim: int = None) -> np.ndarray:
+    """as_matrix, then symmetry (relative tolerance 1e-12) and positive
+    definiteness. Returns the symmetrized matrix; raises NotSPD otherwise.
     """
-    a = as_matrix(m, name)
+    a = as_matrix(m, name, dim)
     scale = np.max(np.abs(a)) if a.size else 0.0
     if scale == 0.0:
         raise NotSPD(f"{name} is zero")

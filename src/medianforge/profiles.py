@@ -21,7 +21,7 @@ def _canonical_order(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Lexicographic order on (column 0, ..., column d-1, weight): the argsort
     of column 0, unique when it has no tie (-0.0 == 0.0 is one), else lexsort."""
     order = np.argsort(points[:, 0])
-    first = points[order, 0]
+    first = points[:, 0].take(order)
     if not np.any(first[1:] == first[:-1]):
         return order
     keys = [points[:, j] for j in range(points.shape[1] - 1, -1, -1)]
@@ -110,8 +110,8 @@ class WeightedProfile:
         total = np.sort(w).sum()  # summed in sorted order, which no input order changes
         w = w / total
         order = _canonical_order(a, w)
-        a = a[order]
-        w = w[order]
+        a = a.take(order, axis=0)
+        w = w.take(order)
         a.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "voters", a)

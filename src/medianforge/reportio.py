@@ -1,8 +1,9 @@
-"""CSV profile/matrix parsing and the versioned JSON report document.
+"""CSV profile parsing and the versioned JSON report document.
 
 Profiles are CSV files, one voter per row, with an optional header row
-(detected by any non-numeric cell in the first row). Floats serialize with
-17 significant digits so a written profile re-parses to identical values.
+(detected by any non-numeric cell in the first row); a matrix or weights
+file is read as one. Floats serialize with 17 significant digits so a
+written profile re-parses to identical values.
 """
 
 import csv
@@ -17,7 +18,6 @@ from . import __version__
 __all__ = [
     "ParseError",
     "read_profile_csv",
-    "read_matrix_csv",
     "read_weights_csv",
     "write_profile_csv",
     "write_rows_csv",
@@ -94,13 +94,6 @@ def read_profile_csv(path: str) -> np.ndarray:
             )
         data.append([_parse_cell(c, path, line_no) for c in cells])
     return np.asarray(data, dtype=float)
-
-
-def read_matrix_csv(path: str) -> np.ndarray:
-    m = read_profile_csv(path)
-    if m.shape[0] != m.shape[1]:
-        raise ParseError(f"{path}:1: expected a square matrix, got shape {m.shape}")
-    return m
 
 
 def read_weights_csv(path: str, voter_count: int) -> np.ndarray:

@@ -7,13 +7,14 @@ be replayed in isolation from the indices recorded in its row.
 """
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AtVoterPoint, DimensionMismatch, MajorityAttack, MedianForgeError,
-                     SolverFailure, check_count, check_each, check_number, check_v_grid)
+from .errors import (AtVoterPoint, MajorityAttack, MedianForgeError, SolverFailure,
+                     check_count, check_each, check_number, check_v_grid)
 from .linalg import check_spd, one_blas_thread, spd_inv, spd_sqrt
 from .profiles import VoterProfile, uniform_profile
 from .solvers import (_solve_gm, geometric_median, loss_gradient, loss_hessian,
@@ -254,6 +255,7 @@ def _theorem1_task(inst):
 def theorem1_experiment(x: float, v_grid, parallel: int = 1) -> ExperimentReport:
     """Measure gains of the closed-form strategic vote along an ascending V
     grid; every instance, so every X and V, is judged before any task runs."""
+    parallel = check_count(parallel, "parallel", 1)
     tasks = [build_theorem1_instance(x, v) for v in check_v_grid(v_grid)]
     rows = _run_tasks(_theorem1_task, tasks, parallel)
     summary = {
@@ -338,14 +340,12 @@ def asymptotic_experiment(config: ExperimentConfig, s=None, median_skew=None,
     the plain median, with the preference norm mapped accordingly (gains are
     unchanged by the mapping, and the bound matrix is orthogonally similar).
     """
+    parallel = check_count(parallel, "parallel", 1)
     dist = config.distribution
     if dist.dim < 5:
         raise ValueError("asymptotic sweeps need dim >= 5 under a smooth density")
-    s_mat = np.eye(dist.dim) if s is None else check_spd(s, "preference matrix")
-    sk = None if median_skew is None else check_spd(median_skew, "median_skew")
-    for m, name in ((s_mat, "preference matrix"), (sk, "median_skew")):
-        if m is not None and m.shape != (dist.dim, dist.dim):
-            raise DimensionMismatch(f"{name} has shape {m.shape}, dim is {dist.dim}")
+    s_mat = np.eye(dist.dim) if s is None else check_spd(s, "preference matrix", dist.dim)
+    sk = None if median_skew is None else check_spd(median_skew, "median_skew", dist.dim)
     pref = s_mat
     if sk is not None:
         sk_inv = spd_inv(sk)
@@ -416,6 +416,7 @@ def _convergence_task(args):
 
 def convergence_diagnostics(config: ExperimentConfig, parallel: int = 1) -> ExperimentReport:
     """Decay of median and Hessian estimation error against a 10x reference."""
+    parallel = check_count(parallel, "parallel", 1)
     dist = config.distribution
     if dist.dim < 5:
         raise ValueError("convergence diagnostics need dim >= 5 under a smooth density")
@@ -495,6 +496,7 @@ def byzantine_experiment(truthful_dist: PreferenceDistribution, v_t: int, v_s: i
     """Adversarial placement trials against the resilience ball."""
     v_t, v_s = check_count(v_t, "V_T", 1), check_count(v_s, "V_S", 0)
     trials, seed = check_count(trials, "trials", 1), check_count(seed, "seed", 0)
+    parallel = check_count(parallel, "parallel", 1)
     if v_s >= v_t:
         raise MajorityAttack("strategic voters must be a strict minority")
     tasks = [(truthful_dist, v_t, v_s, t, seed) for t in range(trials)]
@@ -539,12 +541,12 @@ def fit_isotropizing_skew(dist: PreferenceDistribution, samples: int = 2000,
 
 
 def _run_tasks(fn, tasks, parallel):
+    workers = min(parallel, len(tasks), os.cpu_count() or 1)
     # workers fork inside the pin and inherit it, so every task runs
     # OpenBLAS on one thread whatever the worker count
     with one_blas_thread():
-        if parallel is None or parallel <= 1 or len(tasks) <= 1:
+        if workers <= 1:
             return [fn(t) for t in tasks]
-        workers = min(parallel, len(tasks))
         # 16 chunks a worker: ms tasks share round trips; under 16 a worker go singly
         chunk = max(1, len(tasks) // (16 * workers))
         from concurrent.futures import ProcessPoolExecutor

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtVoterPoint, DimensionMismatch, SolverFailure
+from .errors import AtVoterPoint, SolverFailure
 from .linalg import check_spd, extreme_eigenvalues
 from .profiles import WeightedProfile, _profile_scale
 
@@ -402,9 +402,7 @@ def skewed_geometric_median(
     so the core stops at ||g_y|| <= tol_grad / lambda_max(S), and its
     certificate on ||S z - S z*|| divided by lambda_min(S) bounds ||z - z*||.
     """
-    s = check_spd(sigma, "skew matrix")
-    if s.shape[0] != profile.dim:
-        raise DimensionMismatch("skew matrix dimension does not match the profile")
+    s = check_spd(sigma, "skew matrix", profile.dim)
     voters, weights = profile.voters, profile.weights
     lam_min, lam_max = extreme_eigenvalues(s)
     tol_y = tol_grad / lam_max

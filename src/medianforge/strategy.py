@@ -14,14 +14,13 @@ from .errors import (
     AtVoterPoint,
     BracketFailure,
     DegenerateDimension,
-    DimensionMismatch,
     MajorityAttack,
     NotSPD,
     SolverFailure,
     check_count,
     check_number,
 )
-from .linalg import check_spd, extreme_eigenvalues
+from .linalg import as_vector, check_spd, extreme_eigenvalues
 from .profiles import VoterProfile, WeightedProfile, _profile_scale, uniform_profile
 from .solvers import (
     MedianResult,
@@ -155,15 +154,6 @@ def _spans_plane(profile: WeightedProfile, needs="best response needs an honest 
     """Refuse a profile whose voters span an affine dimension below 2."""
     if profile.affine_dim < 2:
         raise DegenerateDimension(f"{needs} of dimension >= 2")
-
-
-def _vote(x, name: str, dim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise DimensionMismatch(f"{name} dimension does not match the profile")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} {x.tolist()} has non-finite entries")
-    return x
 
 
 def achievable_contains(honest: VoterProfile, z) -> bool:
@@ -441,13 +431,11 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
     """
     restarts, seed = check_count(restarts, "restarts", 1), check_count(seed, "seed", 0)
     _unit_forces(honest)
-    theta0 = _vote(theta0, "theta0", honest.dim)
-    extra_seeds = [_vote(v, f"extra vote {i}", honest.dim)
+    theta0 = as_vector(theta0, "theta0", honest.dim)
+    extra_seeds = [as_vector(v, f"extra vote {i}", honest.dim)
                    for i, v in enumerate(extra_votes or [])]
     _spans_plane(honest)
-    s_mat = np.eye(theta0.size) if s is None else check_spd(s, "preference matrix")
-    if s_mat.shape[0] != theta0.size:
-        raise DimensionMismatch("preference matrix dimension does not match theta0")
+    s_mat = np.eye(honest.dim) if s is None else check_spd(s, "preference matrix", honest.dim)
     radius = 1.0 / honest.count
     rng = np.random.default_rng(seed)
 
@@ -691,9 +679,7 @@ def no_shoe_check(s_v, s_w) -> NoShoeReport:
     skewness Skew(Sw^-1 Sv^2 Sw^-1); positive iff Sv, Sw are not proportional.
     """
     a = check_spd(s_v, "first preference matrix")
-    b = check_spd(s_w, "second preference matrix")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"preference matrices of shapes {a.shape} and {b.shape}")
+    b = check_spd(s_w, "second preference matrix", a.shape[0])
     b_inv = np.linalg.inv(b)
     m = b_inv @ a @ a @ b_inv
     rep = skewness(0.5 * (m + m.T))

@@ -7,7 +7,8 @@ at singular points is owned by the solvers, not by this layer.
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroVector
+from .errors import ZeroVector
+from .linalg import as_matrix, as_vector
 
 __all__ = [
     "unit_vector",
@@ -21,15 +22,6 @@ __all__ = [
 ]
 
 
-def _as_vector(z) -> np.ndarray:
-    a = np.asarray(z, dtype=float)
-    if a.ndim != 1 or a.size < 1:
-        raise DimensionMismatch(f"expected a 1-d vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("vector has non-finite entries")
-    return a
-
-
 def _norm(a: np.ndarray, what: str) -> float:
     """||a||, where the derivative `what` of a norm at a is defined."""
     r = np.linalg.norm(a)
@@ -40,7 +32,7 @@ def _norm(a: np.ndarray, what: str) -> float:
 
 def unit_vector(z) -> np.ndarray:
     """Gradient of the Euclidean norm: z / ||z||, a unit vector."""
-    a = _as_vector(z)
+    a = as_vector(z)
     return a / _norm(a, "gradient of the Euclidean norm")
 
 
@@ -49,7 +41,7 @@ def euclid_hessian(z) -> np.ndarray:
 
     Eigenvalue 0 along z, eigenvalue 1/||z|| on the orthogonal complement.
     """
-    a = _as_vector(z)
+    a = as_vector(z)
     r = _norm(a, "Hessian of the Euclidean norm")
     u = a / r
     return (np.eye(a.size) - np.outer(u, u)) / r
@@ -62,7 +54,7 @@ def euclid_third_derivative(z) -> np.ndarray:
     which reduces to (3u_i^3 - 3u_i)/||z||^2 on the diagonal. Fully symmetric
     by construction; every entry is bounded by 6/||z||^2.
     """
-    a = _as_vector(z)
+    a = as_vector(z)
     r = _norm(a, "third derivative of the Euclidean norm")
     u = a / r
     d = a.size
@@ -79,7 +71,7 @@ def euclid_third_derivative(z) -> np.ndarray:
 
 
 def lp_norm(z, p: float) -> float:
-    a = _as_vector(z)
+    a = as_vector(z)
     if p == np.inf:
         return float(np.max(np.abs(a)))
     return float(np.sum(np.abs(a) ** p) ** (1.0 / p))
@@ -91,7 +83,7 @@ def lp_gradient(z, p: float) -> np.ndarray:
     Tie policy: for p = 1 a zero coordinate contributes 0; for p = inf the
     full unit mass goes on the lowest-index coordinate of maximal modulus.
     """
-    a = _as_vector(z)
+    a = as_vector(z)
     if not (p >= 1.0):
         raise ValueError(f"p must lie in [1, inf], got {p}")
     if p == 1.0:
@@ -113,19 +105,10 @@ def lp_gradient(z, p: float) -> np.ndarray:
     return num / den
 
 
-def _check_skew_dims(a: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    s = np.asarray(sigma, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] != a.size:
-        raise DimensionMismatch(
-            f"skew matrix of shape {s.shape} does not match vector of dimension {a.size}"
-        )
-    return s
-
-
 def skewed_norm(z, sigma) -> float:
     """||z||_S = ||S z||_2."""
-    a = _as_vector(z)
-    s = _check_skew_dims(a, sigma)
+    a = as_vector(z)
+    s = as_matrix(sigma, "skew matrix", a.size)
     return float(np.linalg.norm(s @ a))
 
 
@@ -134,16 +117,16 @@ def skewed_gradient(z, sigma) -> np.ndarray:
 
     Applying S^{-1} to the result always yields a Euclidean unit vector.
     """
-    a = _as_vector(z)
-    s = _check_skew_dims(a, sigma)
+    a = as_vector(z)
+    s = as_matrix(sigma, "skew matrix", a.size)
     sz = s @ a
     return s @ sz / _norm(sz, "gradient of the skewed norm")
 
 
 def skewed_hessian_of_norm(z, sigma) -> np.ndarray:
     """Hessian of the skewed norm: S H(S z) S with H the Euclidean-norm Hessian."""
-    a = _as_vector(z)
-    s = _check_skew_dims(a, sigma)
+    a = as_vector(z)
+    s = as_matrix(sigma, "skew matrix", a.size)
     sz = s @ a
     _norm(sz, "Hessian of the skewed norm")
     return s @ euclid_hessian(sz) @ s

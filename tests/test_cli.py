@@ -118,8 +118,8 @@ class TestAggregate:
              "--skew-matrix", mat],
             capsys,
         )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (code, out, err) == (2, "", f"error: {mat}: skew matrix has shape (3, 3), "
+                                           "dim is 2\n")
 
     def test_nonpositive_tol_exit_2(self, triangle_csv, capsys):
         for tol in ("-1", "0"):
@@ -326,6 +326,12 @@ class TestSkewnessCommand:
         assert code == 2
         assert "symmetric" in err
 
+    def test_non_square_names_its_file(self, tmp_path, capsys):
+        mat = write_csv(tmp_path / "m23.csv", "1,0,0\n0,1,0\n")
+        code, out, err = run_cli(["skewness", "--matrix", mat], capsys)
+        assert (code, out, err) == (2, "", f"error: {mat}: expected a square matrix, "
+                                           "got shape (2, 3)\n")
+
 
 class TestBestResponseCommand:
     def test_center_gains_nothing(self, tmp_path, capsys):
@@ -432,8 +438,8 @@ class TestBestResponseCommand:
              "--pref-matrix", mat],
             capsys,
         )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (code, out, err) == (2, "", f"error: {mat}: preference matrix has shape "
+                                           "(1, 1), dim is 2\n")
 
     def test_preset_overflowing_x_exit_2(self, capsys):
         code, out, err = run_cli(
@@ -618,6 +624,15 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (out_dir / "asymptotic_report.json").exists()
 
+    @pytest.mark.parametrize("parallel", ["0", "-3"])
+    def test_parallel_below_one_exit_2(self, parallel, tmp_path, capsys):
+        path = write_csv(tmp_path / "c.json", json.dumps(THEOREM1))
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(["simulate", "--config", path, "--parallel", parallel,
+                                  "--output", str(out_dir)], capsys)
+        assert (code, out, err) == (2, "", f"error: --parallel must be >= 1, got {parallel}\n")
+        assert not out_dir.exists()
+
     def test_failed_trials_exit_3(self, tmp_path, capsys):
         # two voters in d=5: every trial fails, and the run still writes its report
         cfg = {"experiment": "asymptotic", "seed": 0, "V_grid": [2], "trials": 2,
@@ -652,7 +667,8 @@ class TestSimulateCommand:
                      "distribution": DIAG5, "preference_matrix": np.eye(2).tolist()}),
          "preference matrix has shape (2, 2), dim is 5"),
         ('{"experiment": "asymptotic", "V_grid": [200], "trials": 1, "distribution": '
-         + json.dumps(DIAG5) + ', "preference_matrix": [[1e309, 0], [0, 1]]}',
+         + json.dumps(DIAG5) + ', "preference_matrix": '
+         + json.dumps(np.eye(5).tolist()).replace("1.0", "1e309", 1) + "}",
          "preference matrix has non-finite entries"),
         (json.dumps({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": 0,
                      "distribution": {"kind": "isotropic-gaussian", "dim": 3}}),

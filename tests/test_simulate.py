@@ -13,6 +13,7 @@ import pytest
 from medianforge import simulate as sim
 from medianforge import solvers as sv
 from medianforge import strategy as st
+from medianforge import vectorcalc as vc
 from medianforge.errors import DimensionMismatch, MajorityAttack, NotSPD
 from medianforge.linalg import _openblas_thread_controls, one_blas_thread, spd_inv, spd_sqrt
 from medianforge.profiles import VoterProfile, uniform_profile
@@ -99,6 +100,90 @@ def test_library_refuses_counts_that_are_not_integers(call, name, monkeypatch):
     monkeypatch.setattr(sim, "_solve_gm", None)
     monkeypatch.setattr(st, "_solve_gm", None)
     with pytest.raises(ValueError, match=f"^{name}: expected an integer, got "):
+        call()
+
+
+CONFIG5 = sim.ExperimentConfig(sim.PreferenceDistribution("isotropic-gaussian", 5),
+                               V_grid=(200,), trials=1, seed=0)
+EXPERIMENTS = {
+    "theorem1": lambda p: sim.theorem1_experiment(20.0, [200], parallel=p),
+    "asymptotic": lambda p: sim.asymptotic_experiment(CONFIG5, parallel=p),
+    "convergence": lambda p: sim.convergence_diagnostics(
+        sim.ExperimentConfig(CONFIG5.distribution, (100, 200), 1, 0), parallel=p),
+    "byzantine": lambda p: sim.byzantine_experiment(ISO3, 3, 1, 2, 0, parallel=p),
+}
+
+
+@pytest.mark.parametrize("parallel,message", [
+    (0, "parallel must be >= 1, got 0"),
+    (2.5, "parallel: expected an integer, got 2.5"),
+])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_experiments_refuse_parallel_before_any_task(experiment, parallel, message,
+                                                     monkeypatch):
+    monkeypatch.setattr(sim, "_run_tasks", None)
+    monkeypatch.setattr(sim, "build_theorem1_instance", None)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EXPERIMENTS[experiment](parallel)
+
+
+@pytest.mark.parametrize("cores,parallel,tasks,workers", [
+    (2, 64, 10, 2), (8, 3, 10, 3), (8, 64, 5, 5), (None, 4, 10, None), (8, 4, 1, None),
+], ids=["cores", "parallel", "tasks", "unknown-cores", "one-task"])
+def test_pool_workers_capped_by_cores_and_tasks(cores, parallel, tasks, workers,
+                                                monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class Pool:  # records the worker count and runs the tasks inline
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert sim._run_tasks(abs, list(range(-tasks, 0)), parallel) == list(range(tasks, 0, -1))
+    assert started == ([] if workers is None else [workers])
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called before the arguments were judged")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: sv.skewed_geometric_median(TRIANGLE, np.eye(3)),
+     "skew matrix has shape (3, 3), dim is 2"),
+    (lambda: st.best_response(np.zeros(2), TRIANGLE, s=np.eye(3)),
+     "preference matrix has shape (3, 3), dim is 2"),
+    (lambda: st.best_response(np.zeros(3), TRIANGLE), "theta0 has shape (3,), dim is 2"),
+    (lambda: st.best_response(np.zeros(2), TRIANGLE, extra_votes=[np.zeros(2), np.zeros(1)]),
+     "extra vote 1 has shape (1,), dim is 2"),
+    (lambda: st.no_shoe_check(np.eye(2), np.eye(3)),
+     "second preference matrix has shape (3, 3), dim is 2"),
+    # the two asymptotic messages are the parent's, kept as they were
+    (lambda: sim.asymptotic_experiment(CONFIG5, s=np.eye(2)),
+     "preference matrix has shape (2, 2), dim is 5"),
+    (lambda: sim.asymptotic_experiment(CONFIG5, median_skew=np.eye(3)),
+     "median_skew has shape (3, 3), dim is 5"),
+    *((lambda f=f: f([1.0, 2.0, 3.0], np.eye(2)), "skew matrix has shape (2, 2), dim is 3")
+      for f in (vc.skewed_norm, vc.skewed_gradient, vc.skewed_hessian_of_norm)),
+], ids=["skewed-median", "best-response-preference", "best-response-theta0",
+        "best-response-extra-vote", "no-shoe", "asymptotic-preference",
+        "asymptotic-median-skew", "skewed-norm", "skewed-gradient", "skewed-hessian"])
+def test_library_refuses_arrays_of_the_wrong_size(call, message, monkeypatch):
+    for module, name in ((sv, "_solve_gm"), (sv, "_solve_gm_raw"), (st, "_solve_gm"),
+                         (st, "_solve_gm_raw"), (sim, "_solve_gm"), (sim, "_run_tasks")):
+        monkeypatch.setattr(module, name, _never_called)
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -1,6 +1,6 @@
 """Write every --deterministic report and CSV of a fixed command set.
 
-Usage: python tools/determinism.py OUTDIR
+Usage: python tools/determinism.py [--record] OUTDIR
 
 Runs the medianforge CLI from the src/ directory of the checkout that holds
 this script, once per command of a fixed set, each in a fresh interpreter
@@ -12,7 +12,12 @@ report echoes where it was written, and two checkouts agree exactly when
     python tools/determinism.py /tmp/b       # in the other
     diff -r /tmp/a /tmp/b
 
-prints nothing. The set: aggregate gm (uniform, weighted, the same weights times
+prints nothing. With --record, the script also rewrites
+tests/determinism.sha256: the numpy, scipy and OpenBLAS versions, then one
+SHA-256 digest per file of OUTDIR, which tests/test_determinism.py compares
+against a fresh run.
+
+The set: aggregate gm (uniform, weighted, the same weights times
 2^1020, whose float sum overflows, triangle, the same
 triangle shrunk to 1e-20, whose thresholds follow the profile's scale, a collinear
 profile of affine rank 1, so the report says degenerate_dimension true, and a
@@ -33,7 +38,9 @@ It also runs a fixed set of commands that must fail, and writes
 errors/NAME.txt with the exit code and stderr of each, so the same diff shows
 every changed message: weights files that are header-only, hold a negative
 weight, a weight lost to normalizing, two columns, or too few rows; a non-SPD
---pref-matrix, --skew-matrix and skewness --matrix; a non-finite --theta0;
+--pref-matrix, --skew-matrix and skewness --matrix; a 3x3 --skew-matrix on a
+2-d profile, a 2x2 --pref-matrix on a 3-d one and a 2x3 skewness --matrix;
+a non-finite --theta0;
 best-response on the collinear profile; best-response --restarts 0;
 --preset thm1 --X 1e40; and simulate configs with "trials": 0, with V_S = V_T,
 with a 2x2 asymptotic preference_matrix, with a uniform-ball "radius": true,
@@ -42,6 +49,7 @@ script exits 1 if a run that must succeed fails, or a run that must fail
 exits 0, prints a traceback or leaves behind the --output it names last.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -49,8 +57,11 @@ import subprocess
 import sys
 
 import numpy as np
+import scipy
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+RECORD = os.path.join(ROOT, "tests", "determinism.sha256")
 
 # The profile run's theta0 = (0.3, 0.2, 0.1), scaled exactly like its voters.
 TINY_THETA0 = ",".join(repr(math.ldexp(x, -64)) for x in (0.3, 0.2, 0.1))
@@ -94,6 +105,11 @@ ERRORS = {
     "skew_matrix_not_spd": ["aggregate", "--input", "inputs/triangle.csv", "--method",
                             "skewed-gm", "--skew-matrix", "inputs/not_spd2.csv"],
     "skewness_not_spd": ["skewness", "--matrix", "inputs/not_spd3.csv"],
+    "skew_matrix_wrong_size": ["aggregate", "--input", "inputs/triangle.csv", "--method",
+                               "skewed-gm", "--skew-matrix", "inputs/skew3.csv"],
+    "pref_matrix_wrong_size": ["best-response", "--input", "inputs/profile.csv", "--theta0",
+                               "0.3,0.2,0.1", "--pref-matrix", "inputs/skew2.csv"],
+    "skewness_not_square": ["skewness", "--matrix", "inputs/matrix_2x3.csv"],
     "theta0_nan": ["best-response", "--input", "inputs/triangle.csv", "--theta0", "nan,0"],
     "best_response_collinear": ["best-response", "--input", "inputs/collinear.csv",
                                 "--theta0", "1,1,1"],
@@ -147,6 +163,7 @@ def write_inputs(out_dir):
     write_csv(os.path.join(inputs, "skew2.csv"), np.diag([1.0, 0.5]))
     write_csv(os.path.join(inputs, "not_spd3.csv"), np.diag([1.0, -1.0, 1.0]))
     write_csv(os.path.join(inputs, "not_spd2.csv"), np.diag([1.0, -1.0]))
+    write_csv(os.path.join(inputs, "matrix_2x3.csv"), np.ones((2, 3)))
     with open(os.path.join(inputs, "bad_weights_header.csv"), "w", encoding="utf-8") as fh:
         fh.write("weight\n")
     write_csv(os.path.join(inputs, "bad_weights_negative.csv"), [[1.0], [-1.0], [1.0]])
@@ -212,10 +229,51 @@ def commands():
                "--output", f"simulate_{name}", *det]
 
 
+def versions() -> dict:
+    """The versions the bytes depend on: numpy, scipy and numpy's OpenBLAS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "openblas": blas.get("version")}
+
+
+def digests(out_dir) -> dict:
+    """SHA-256 of every file under out_dir, by its /-separated relative path."""
+    found = {}
+    for dirpath, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            found[os.path.relpath(path, out_dir).replace(os.sep, "/")] = digest
+    return found
+
+
+def read_record() -> tuple:
+    """(versions, digests) as write_record wrote them."""
+    recorded, found = {}, {}
+    with open(RECORD, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("# "):
+                key, value = line[2:].split(None, 1)
+                recorded[key] = value.strip()
+            elif line.strip():
+                digest, name = line.rstrip("\n").split("  ", 1)
+                found[name] = digest
+    return recorded, found
+
+
+def write_record(out_dir) -> None:
+    """Versions as '# name version' lines, then sha256sum-style digest lines."""
+    with open(RECORD, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {k} {v}\n" for k, v in versions().items())
+        fh.writelines(f"{d}  {name}\n" for name, d in sorted(digests(out_dir).items()))
+
+
 def main(argv):
-    if len(argv) != 2:
+    record = argv[1:2] == ["--record"]
+    if len(argv) != 2 + record:
         sys.exit(__doc__.split("\n\n")[1])
-    out_dir = os.path.abspath(argv[1])
+    out_dir = os.path.abspath(argv[-1])
     write_inputs(out_dir)
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("MEDIANFORGE_SEED", None)
@@ -242,7 +300,11 @@ def main(argv):
             failed += 1
             print(f"expected a clean failure that writes nothing, got exit {proc.returncode}: "
                   f"medianforge {' '.join(cmd)}\n{proc.stderr}", file=sys.stderr)
-    return 1 if failed else 0
+    if failed:
+        return 1
+    if record:
+        write_record(out_dir)
+    return 0
 
 
 if __name__ == "__main__":
