@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import SolverFailure, check_count
-from .linalg import check_spd, one_blas_thread
+from .linalg import as_vector, check_spd, one_blas_thread
 from .profiles import VoterProfile, WeightedProfile, uniform_profile
 from .reportio import (
     ParseError,
@@ -148,17 +148,17 @@ def _cmd_skewness(args) -> int:
 # -- best response ------------------------------------------------------------
 
 
-def _parse_theta0(text: str) -> np.ndarray:
+def _parse_theta0(text: str) -> tuple[str, np.ndarray]:
+    """(source, theta0): the file that --theta0 names, or the flag itself for inline CSV."""
     if os.path.exists(text):
         arr = read_profile_csv(text)
         if arr.shape[0] != 1:
             raise ParseError(f"{text}:1: theta0 file must contain exactly one row")
-        return arr[0]
+        return text, arr[0]
     try:
-        theta0 = np.array([float(x) for x in text.split(",")])
+        return "--theta0", np.array([float(x) for x in text.split(",")])
     except ValueError:
         raise ParseError(f"theta0 {text!r} is neither a file nor inline CSV") from None
-    return theta0
 
 
 def _cmd_best_response(args) -> int:
@@ -188,7 +188,8 @@ def _cmd_best_response(args) -> int:
             raise ParseError("best-response requires --input and --theta0 (or --preset)")
         honest = _build(args.input, VoterProfile, read_profile_csv(args.input))
         _build(args.input, _spans_plane, honest)
-        theta0 = _parse_theta0(args.theta0)
+        source, theta0 = _parse_theta0(args.theta0)
+        theta0 = _build(source, as_vector, theta0, "theta0", honest.dim)
     pref = _build(args.pref_matrix, check_spd, read_profile_csv(args.pref_matrix),
                   "preference matrix", honest.dim) if args.pref_matrix else None
 

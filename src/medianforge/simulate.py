@@ -17,11 +17,11 @@ from .errors import (AtVoterPoint, MajorityAttack, MedianForgeError, SolverFailu
                      check_count, check_each, check_number, check_v_grid)
 from .linalg import check_spd, one_blas_thread, spd_inv, spd_sqrt
 from .profiles import VoterProfile, uniform_profile
-from .solvers import (_solve_gm, geometric_median, loss_gradient, loss_hessian,
-                      min_norm_subgradient)
+from .solvers import _solve_gm, loss_gradient, loss_hessian, min_norm_subgradient
 from .strategy import (
     _last_inside,
-    _resilience_radius,
+    _median_with_vote,
+    _resilience,
     _sphere_objective,
     achievable_contains,
     best_response,
@@ -232,9 +232,7 @@ def _theorem1_task(inst):
     joined = uniform_profile(np.vstack([honest.voters, inst.strategic_vote[None, :]]))
     manipulated = _solve_gm(joined)[0].z
     strategic_dist = float(np.linalg.norm(manipulated - inst.theta0))
-    truthful_check = geometric_median(
-        uniform_profile(np.vstack([honest.voters, inst.theta0[None, :]]))
-    )
+    truthful_check = _median_with_vote(honest.voters, inst.theta0, None)
     ratio = inst.truthful_dist / strategic_dist
     return {
         "X": inst.corner_x,
@@ -455,9 +453,7 @@ def _byzantine_task(args):
     trial_seed = _derived_seed(seed, 3, v_t, v_s, trial)
     rng = np.random.default_rng(np.random.SeedSequence(trial_seed))
     truthful = sample_profile(dist, v_t, _derived_seed(trial_seed, 0))
-    g_t = _solve_gm(truthful)[0].z
-    delta = float(np.max(np.linalg.norm(truthful.voters - g_t, axis=1)))
-    bound = _resilience_radius(delta, v_s, v_t)
+    g_t, delta, bound = _resilience(truthful, v_s)
 
     attack = ATTACK_KINDS[trial % len(ATTACK_KINDS)]
     if v_s == 0:

@@ -166,6 +166,19 @@ def achievable_contains(honest: VoterProfile, z) -> bool:
     return bool(np.linalg.norm(g) <= 1.0 / honest.count + 1e-9)
 
 
+def _excess(profile: WeightedProfile, z, level: float) -> float:
+    """Loss-gradient norm at z less level: z is in the level set iff it is <= 0."""
+    return np.linalg.norm(min_norm_subgradient(profile, z)) - level
+
+
+def _pull_inside(profile: WeightedProfile, g, level: float, z) -> np.ndarray:
+    """z if it is in the level set; else the last point found inside from g to z."""
+    if _excess(profile, z, level) <= 0.0:
+        return z
+    ray = z - g
+    return g + _last_inside(lambda t: _excess(profile, g + t * ray, level), 100) * ray
+
+
 def _last_inside(excess, steps):
     """Largest t in [0, 1] that bisection finds with excess(t) <= 0, given
     excess(0) <= 0; stops once lo and hi are adjacent floats, or after steps
@@ -198,7 +211,7 @@ def boundary_point(honest_wp: WeightedProfile, center, direction, level: float) 
     u = u / np.linalg.norm(u)
 
     def excess(t):
-        return np.linalg.norm(min_norm_subgradient(honest_wp, center + t * u)) - level
+        return _excess(honest_wp, center + t * u, level)
 
     spread = float(np.max(np.linalg.norm(honest_wp.voters - center, axis=1)))
     lo, hi = 0.0, 2.0 * spread or 1.0
@@ -269,9 +282,6 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
     d = theta0.size
     ss = s @ s
 
-    def constraint_excess(z):
-        return np.linalg.norm(min_norm_subgradient(honest_wp, z)) - radius
-
     def penalized(z, mu):
         p = _evaluate(honest_wp, z)
         try:
@@ -287,12 +297,6 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
         if n > radius:
             grad = grad + mu * 2.0 * (n - radius) * (h @ grad_l) / n
         return val, grad
-
-    def pull_inside(z):
-        if constraint_excess(z) <= 0.0:
-            return z
-        ray = z - g_honest
-        return g_honest + _last_inside(lambda t: constraint_excess(g_honest + t * ray), 100) * ray
 
     def slide(z, iters=25):
         # descend the skewed distance along the constraint boundary
@@ -332,7 +336,7 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
                 break
         return z
 
-    if constraint_excess(theta0) <= 0.0:
+    if _excess(honest_wp, theta0, radius) <= 0.0:
         return theta0.copy()
 
     starts = [g_honest]
@@ -362,8 +366,8 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
                 options={"maxiter": 150, "ftol": 1e-16, "gtol": 1e-12},
             )
             z = res.x
-        z = slide(pull_inside(z))
-        z = pull_inside(z)
+        z = slide(_pull_inside(honest_wp, g_honest, radius, z))
+        z = _pull_inside(honest_wp, g_honest, radius, z)
         d_here = _pref_dist(z, theta0, s)
         if best is None or d_here < best[1]:
             best = (z, d_here)
@@ -613,10 +617,12 @@ def hessian_at_median(profile: VoterProfile) -> np.ndarray:
     return check_spd(_solve_gm(profile)[0].hessian(), "Hessian at the median")
 
 
-def _resilience_radius(delta: float, num_strategic: int, t_count: int) -> float:
-    """(1 - (S/T)^2)^(-1/2) * delta, the ball radius of byzantine_bound."""
-    rho = num_strategic / t_count
-    return delta / float(np.sqrt(1.0 - rho * rho))
+def _resilience(truthful: VoterProfile, num_strategic: int):
+    """(g, delta, radius): truthful median, max_t ||theta_t - g||, delta / sqrt(1 - (S/T)^2)."""
+    g = _solve_gm(truthful)[0].z
+    delta = float(np.max(np.linalg.norm(truthful.voters - g, axis=1)))
+    rho = num_strategic / truthful.count
+    return g, delta, delta / float(np.sqrt(1.0 - rho * rho))
 
 
 def byzantine_bound(truthful: VoterProfile, num_strategic: int) -> float:
@@ -625,15 +631,11 @@ def byzantine_bound(truthful: VoterProfile, num_strategic: int) -> float:
     (1 - (S/T)^2)^(-1/2) * max_t ||theta_t - Gm(truthful)||.
     """
     num_strategic = check_count(num_strategic, "num_strategic", 0)
-    t_count = truthful.count
-    if num_strategic >= t_count:
-        raise MajorityAttack(
-            f"{num_strategic} strategic vs {t_count} truthful voters: bound is vacuous"
-        )
+    if num_strategic >= truthful.count:
+        raise MajorityAttack(f"{num_strategic} strategic vs {truthful.count} truthful voters: "
+                             "bound is vacuous")
     _unit_forces(truthful)
-    g = _solve_gm(truthful)[0].z
-    delta = float(np.max(np.linalg.norm(truthful.voters - g, axis=1)))
-    return _resilience_radius(delta, num_strategic, t_count)
+    return _resilience(truthful, num_strategic)[2]
 
 
 def hull_distance(points, z) -> float:

@@ -390,7 +390,17 @@ class TestBestResponseCommand:
             ["best-response", "--input", triangle_csv, "--theta0", theta0], capsys
         )
         assert (code, out) == (2, "")
-        assert err.startswith("error: theta0") and err.count("\n") == 1
+        assert err.startswith("error: --theta0: theta0") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("in_file", [False, True], ids=["inline", "file"])
+    def test_wrong_size_theta0_names_its_source(self, triangle_csv, tmp_path, capsys,
+                                                in_file):
+        theta0 = write_csv(tmp_path / "th3.csv", "1,2,3\n") if in_file else "1,2,3"
+        code, out, err = run_cli(
+            ["best-response", "--input", triangle_csv, "--theta0", theta0], capsys
+        )
+        source = theta0 if in_file else "--theta0"
+        assert (code, out, err) == (2, "", f"error: {source}: theta0 has shape (3,), dim is 2\n")
 
     def test_theta0_whose_distance_overflows_exit_2(self, triangle_csv, capsys):
         code, out, err = run_cli(

@@ -645,14 +645,24 @@ class TestByzantineExperiment:
             return solve(*args, **kwargs)
 
         # every median of a profile, certified or not, goes through _solve_gm
-        monkeypatch.setattr(sim, "_solve_gm", counted)
-        monkeypatch.setattr(sv, "_solve_gm", counted)
+        for module in (sim, sv, st):
+            monkeypatch.setattr(module, "_solve_gm", counted)
         dist = sim.PreferenceDistribution("isotropic-gaussian", 3)
         row = sim._byzantine_task((dist, 11, 5, 0, 7))
         # the truthful median and the median of the combined profile
         assert len(calls) == 2
         truthful = sim.sample_profile(dist, 11, sim._derived_seed(row["seed"], 0))
         assert row["bound"] == st.byzantine_bound(truthful, 5)
+
+    @pytest.mark.parametrize("v_t,v_s", [(3, 1), (11, 5), (11, 0), (101, 49)])
+    def test_row_reads_the_ball_of_byzantine_bound(self, v_t, v_s):
+        dist = sim.PreferenceDistribution("isotropic-gaussian", 3)
+        for trial in range(3):  # each attack kind
+            row = sim._byzantine_task((dist, v_t, v_s, trial, 7))
+            truthful = sim.sample_profile(dist, v_t, sim._derived_seed(row["seed"], 0))
+            # with no strategic voter the radius is delta itself
+            assert row["delta"] == st.byzantine_bound(truthful, 0)
+            assert row["bound"] == st.byzantine_bound(truthful, v_s)
 
 
 def test_fit_isotropizing_skew_reduces_hessian_skewness():
@@ -697,11 +707,11 @@ class TestConsumersReadTheSolve:
                 raise AssertionError("geometric_median called for an uncertified median")
             return certified(*args, **kwargs)
 
-        monkeypatch.setattr(sim, "geometric_median", vote_median_only)
         monkeypatch.setattr(st, "geometric_median", vote_median_only)
         iso = sim.PreferenceDistribution("isotropic-gaussian", 3)
         prof = sim.sample_profile(iso, 400, 5)
         sim._convergence_task((iso, (100,), 1000, 0, 14))
+        sim._theorem1_task(sim.build_theorem1_instance(20, 200))
         sim._stress_gains(sim.sample_profile(iso, 30, 2), np.eye(3), 2)
         sim.fit_isotropizing_skew(iso, samples=100, seed=1)
         st.hessian_at_median(prof)

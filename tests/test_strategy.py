@@ -188,6 +188,22 @@ class TestAchievableSet:
         assert 0.0 <= 1.0 - 200 * np.linalg.norm(loss_gradient(tiny, z)) <= 1e-13
         assert np.linalg.norm(z / s - z_unit) <= 1e-13 * np.linalg.norm(z_unit)
 
+    def test_pull_inside_lands_on_the_inside_of_the_boundary(self, rng):
+        prof = VoterProfile(rng.standard_normal((15, 3)))
+        g, level = geometric_median(prof).point, 1.0 / 15
+        for u in rng.standard_normal((5, 3)):
+            z = g + 3.0 * u / np.linalg.norm(u)
+            assert st._excess(prof, z, level) > 0.0
+            pulled = st._pull_inside(prof, g, level, z)
+            assert st._excess(prof, pulled, level) <= 0.0
+            # on the segment from g to z, and the last point inside along it
+            t = (pulled - g) @ (z - g) / ((z - g) @ (z - g))
+            assert 0.0 < t < 1.0 and np.allclose(pulled, g + t * (z - g), rtol=0, atol=1e-15)
+            assert st._excess(prof, g + (t + 1e-9) * (z - g), level) > 0.0
+        for z in (g, g + 1e-3 * rng.standard_normal(3)):
+            assert st._excess(prof, z, level) <= 0.0
+            assert st._pull_inside(prof, g, level, z) is z
+
     def test_unreachable_level_is_a_bracket_failure(self, rng):
         # the loss gradient is an average of unit vectors: its norm never reaches 2
         prof = VoterProfile(rng.standard_normal((12, 3)))

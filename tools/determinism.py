@@ -4,7 +4,8 @@ Usage: python tools/determinism.py [--record] OUTDIR
 
 Runs the medianforge CLI from the src/ directory of the checkout that holds
 this script, once per command of a fixed set, each in a fresh interpreter
-with fixed inputs and seeds. OUTDIR receives the generated inputs and every
+with fixed inputs and seeds, two commands at a time on a machine with two
+or more cores. OUTDIR receives the generated inputs and every
 report and CSV. The commands run inside OUTDIR on relative paths, so no
 report echoes where it was written, and two checkouts agree exactly when
 
@@ -40,7 +41,8 @@ every changed message: weights files that are header-only, hold a negative
 weight, a weight lost to normalizing, two columns, or too few rows; a non-SPD
 --pref-matrix, --skew-matrix and skewness --matrix; a 3x3 --skew-matrix on a
 2-d profile, a 2x2 --pref-matrix on a 3-d one and a 2x3 skewness --matrix;
-a non-finite --theta0;
+a non-finite --theta0, and an inline and a file --theta0 of 3 entries on a
+2-d profile;
 best-response on the collinear profile; best-response --restarts 0;
 --preset thm1 --X 1e40; and simulate configs with "trials": 0, with V_S = V_T,
 with a 2x2 asymptotic preference_matrix, with a uniform-ball "radius": true,
@@ -55,6 +57,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy
@@ -111,6 +114,10 @@ ERRORS = {
                                "0.3,0.2,0.1", "--pref-matrix", "inputs/skew2.csv"],
     "skewness_not_square": ["skewness", "--matrix", "inputs/matrix_2x3.csv"],
     "theta0_nan": ["best-response", "--input", "inputs/triangle.csv", "--theta0", "nan,0"],
+    "theta0_wrong_size": ["best-response", "--input", "inputs/triangle.csv", "--theta0",
+                          "1,2,3"],
+    "theta0_file_wrong_size": ["best-response", "--input", "inputs/triangle.csv", "--theta0",
+                               "inputs/theta0_3d.csv"],
     "best_response_collinear": ["best-response", "--input", "inputs/collinear.csv",
                                 "--theta0", "1,1,1"],
     "best_response_restarts_zero": ["best-response", "--input", "inputs/triangle.csv",
@@ -164,6 +171,7 @@ def write_inputs(out_dir):
     write_csv(os.path.join(inputs, "not_spd3.csv"), np.diag([1.0, -1.0, 1.0]))
     write_csv(os.path.join(inputs, "not_spd2.csv"), np.diag([1.0, -1.0]))
     write_csv(os.path.join(inputs, "matrix_2x3.csv"), np.ones((2, 3)))
+    write_csv(os.path.join(inputs, "theta0_3d.csv"), [[1.0, 2.0, 3.0]])
     with open(os.path.join(inputs, "bad_weights_header.csv"), "w", encoding="utf-8") as fh:
         fh.write("weight\n")
     write_csv(os.path.join(inputs, "bad_weights_negative.csv"), [[1.0], [-1.0], [1.0]])
@@ -283,16 +291,19 @@ def main(argv):
                               env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                               text=True)
 
+    cmds = list(commands())
+    # the commands, then the failing ones, two at a time (never more than the
+    # cores); the results come back in command order
+    with ThreadPoolExecutor(min(2, os.cpu_count() or 1)) as pool:
+        procs = list(pool.map(run, [*cmds, *ERRORS.values()]))
     failed = 0
-    for cmd in commands():
-        proc = run(cmd)
+    for cmd, proc in zip(cmds, procs):
         if proc.returncode != 0:
             failed += 1
             print(f"exit {proc.returncode}: medianforge {' '.join(cmd)}\n{proc.stderr}",
                   file=sys.stderr)
     os.makedirs(os.path.join(out_dir, "errors"), exist_ok=True)
-    for name, cmd in ERRORS.items():
-        proc = run(cmd)
+    for (name, cmd), proc in zip(ERRORS.items(), procs[len(cmds):]):
         with open(os.path.join(out_dir, "errors", f"{name}.txt"), "w", encoding="utf-8") as fh:
             fh.write(f"exit {proc.returncode}\n{proc.stderr}")
         if proc.returncode == 0 or "Traceback" in proc.stderr or \
