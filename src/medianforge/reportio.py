@@ -123,8 +123,6 @@ def write_rows_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
                 value = row.get(key)
                 if isinstance(value, float):
                     out[key] = fmt_float(value)
-                elif isinstance(value, np.ndarray):
-                    out[key] = " ".join(fmt_float(x) for x in value)
                 else:
                     out[key] = value
             writer.writerow(out)

@@ -286,7 +286,7 @@ def _stress_gains(profile, pref, seed):
     x_star = q[:, 0] / math.sqrt(w[0]) + q[:, -1] / math.sqrt(w[-1])
     skew_num = float(_sphere_objective(bound_matrix, x_star) - 1.0)
     pull_dir = np.linalg.solve(hess, pref_inv @ x_star)
-    z_b = boundary_point(profile, g, pull_dir, 1.0 / v_count)
+    z_b = boundary_point(profile, g, pull_dir)
     outward = v_count * loss_gradient(profile, z_b)
     outward /= np.linalg.norm(outward)
 

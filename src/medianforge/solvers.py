@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtVoterPoint, SolverFailure
-from .linalg import check_spd, extreme_eigenvalues
+from .linalg import as_vector, check_spd, extreme_eigenvalues
 from .profiles import WeightedProfile, _profile_scale
 
 __all__ = [
@@ -221,19 +221,19 @@ def _evaluate(profile: WeightedProfile, z) -> _Pass:
 
 def loss_eval(profile: WeightedProfile, z) -> float:
     """Weighted average of Euclidean distances to the voters."""
-    return _evaluate(profile, z).loss
+    return _evaluate(profile, as_vector(z, "point", profile.dim)).loss
 
 
 def loss_gradient(profile: WeightedProfile, z) -> np.ndarray:
-    return _evaluate(profile, z).gradient()
+    return _evaluate(profile, as_vector(z, "point", profile.dim)).gradient()
 
 
 def loss_hessian(profile: WeightedProfile, z) -> np.ndarray:
-    return _evaluate(profile, z).hessian()
+    return _evaluate(profile, as_vector(z, "point", profile.dim)).hessian()
 
 
 def loss_third_deriv(profile: WeightedProfile, z) -> np.ndarray:
-    return _evaluate(profile, z).third_deriv()
+    return _evaluate(profile, as_vector(z, "point", profile.dim)).third_deriv()
 
 
 def min_norm_subgradient(profile: WeightedProfile, z) -> np.ndarray:
@@ -243,7 +243,7 @@ def min_norm_subgradient(profile: WeightedProfile, z) -> np.ndarray:
     coincident voters contribute a ball of radius equal to their weight, and
     the minimum-norm selection shrinks the remaining pull accordingly.
     """
-    return _evaluate(profile, z).g
+    return _evaluate(profile, as_vector(z, "point", profile.dim)).g
 
 
 def _newton(p: _Pass, at, stats):
@@ -351,6 +351,7 @@ def geometric_median(profile: WeightedProfile, tol_grad: float = DEFAULT_TOL_GRA
     when first read, by the CLI's degenerate_dimension or the dimension check
     of best_response.
     """
+    init = None if init is None else as_vector(init, "init", profile.dim)
     final, stats = _solve_gm(profile, tol_grad, init)
     return MedianResult(
         point=final.z,

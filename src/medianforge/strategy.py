@@ -17,6 +17,7 @@ from .errors import (
     MajorityAttack,
     NotSPD,
     SolverFailure,
+    ZeroVector,
     check_count,
     check_number,
 )
@@ -135,8 +136,6 @@ def numeric_skewness(s, seed: int = 0) -> float:
     inits = [rng.standard_normal(d) for _ in range(64)]
     inits.extend(np.eye(d))
     for x0 in inits:
-        if np.linalg.norm(x0) == 0.0:
-            continue
         best = max(best, ascend(x0))
     return float(best - 1.0)
 
@@ -162,21 +161,20 @@ def achievable_contains(honest: VoterProfile, z) -> bool:
     Euclidean norm at most 1/V. An absolute slack of 1e-9 admits medians
     computed to a gradient tolerance, which sit that close to the boundary."""
     _unit_forces(honest)
-    g = min_norm_subgradient(honest, np.asarray(z, dtype=float))
-    return bool(np.linalg.norm(g) <= 1.0 / honest.count + 1e-9)
+    return bool(np.linalg.norm(min_norm_subgradient(honest, z)) <= 1.0 / honest.count + 1e-9)
 
 
-def _excess(profile: WeightedProfile, z, level: float) -> float:
-    """Loss-gradient norm at z less level: z is in the level set iff it is <= 0."""
-    return np.linalg.norm(min_norm_subgradient(profile, z)) - level
+def _excess(profile: WeightedProfile, z) -> float:
+    """Loss-gradient norm at z less 1/V: z is in the achievable set iff it is <= 0."""
+    return _evaluate(profile, z).gn - 1.0 / profile.count
 
 
-def _pull_inside(profile: WeightedProfile, g, level: float, z) -> np.ndarray:
-    """z if it is in the level set; else the last point found inside from g to z."""
-    if _excess(profile, z, level) <= 0.0:
+def _pull_inside(profile: WeightedProfile, g, z) -> np.ndarray:
+    """z if it is in the achievable set; else the last point found inside from g to z."""
+    if _excess(profile, z) <= 0.0:
         return z
     ray = z - g
-    return g + _last_inside(lambda t: _excess(profile, g + t * ray, level), 100) * ray
+    return g + _last_inside(lambda t: _excess(profile, g + t * ray), 100) * ray
 
 
 def _last_inside(excess, steps):
@@ -195,25 +193,28 @@ def _last_inside(excess, steps):
     return lo
 
 
-def boundary_point(honest_wp: WeightedProfile, center, direction, level: float) -> np.ndarray:
-    """Point along center + t * direction where the loss-gradient norm hits level.
+def boundary_point(honest: WeightedProfile, center, direction) -> np.ndarray:
+    """Point along center + t * direction where the loss-gradient norm hits 1/V.
 
-    Brent root finding on the ray parameter; assumes the gradient norm is
-    below the level at the center. The bracket starts at t = twice the
-    farthest voter's distance (1 when every voter sits at the center), so it
-    and Brent's tolerance follow the profile's scale, and doubles;
-    BracketFailure after 60 doublings.
+    Brent root finding on the ray parameter, from a center inside the
+    achievable set. The bracket starts at t = twice the farthest voter's
+    distance (1 when every voter sits at the center), so it and Brent's
+    tolerance follow the profile's scale, and doubles; BracketFailure after
+    60 doublings, or when the center and the first bracket end are outside.
     """
     from scipy import optimize
 
-    center = np.asarray(center, dtype=float)
-    u = np.asarray(direction, dtype=float)
-    u = u / np.linalg.norm(u)
+    center = as_vector(center, "center", honest.dim)
+    u = as_vector(direction, "direction", honest.dim)
+    norm = np.linalg.norm(u)
+    if norm == 0.0:
+        raise ZeroVector(f"direction {u.tolist()} is zero")
+    u = u / norm
 
     def excess(t):
-        return _excess(honest_wp, center + t * u, level)
+        return _excess(honest, center + t * u)
 
-    spread = float(np.max(np.linalg.norm(honest_wp.voters - center, axis=1)))
+    spread = float(np.max(np.linalg.norm(honest.voters - center, axis=1)))
     lo, hi = 0.0, 2.0 * spread or 1.0
     f_hi = excess(hi)
     grow = 0
@@ -223,8 +224,11 @@ def boundary_point(honest_wp: WeightedProfile, center, direction, level: float) 
         grow += 1
     if f_hi <= 0.0:
         raise BracketFailure("could not bracket the achievable-set boundary")
-    root = optimize.brentq(excess, lo, hi, xtol=1e-15 * hi, rtol=8.9e-16)
-    # land on the inside of the level set
+    try:
+        root = optimize.brentq(excess, lo, hi, xtol=1e-15 * hi, rtol=8.9e-16)
+    except ValueError:  # the same sign at both ends: lo is 0, as any lo > 0 reads <= 0
+        raise BracketFailure(f"center {center.tolist()} is outside the achievable set") from None
+    # land on the inside of the set
     t = root
     for _ in range(60):
         if excess(t) <= 0.0:
@@ -264,12 +268,11 @@ def _pref_dist(x, y, s):
 
 
 def _median_with_vote(honest_voters: np.ndarray, vote: np.ndarray, init) -> MedianResult:
-    pts = np.vstack([honest_voters, vote[None, :]])
-    return geometric_median(uniform_profile(pts), init=init)
+    return geometric_median(uniform_profile(np.vstack([honest_voters, vote[None, :]])), init=init)
 
 
-def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
-    """Minimize ||z - theta0||_S subject to ||grad L_honest(z)||_2 <= radius.
+def _projection_response(theta0, honest, s, g_honest, rng):
+    """Minimize ||z - theta0||_S subject to ||grad L_honest(z)||_2 <= 1/V.
 
     Exterior penalty with continuation in mu, multi-started from the honest
     median and from boundary crossings of rays toward (and around) theta0.
@@ -281,12 +284,12 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
 
     d = theta0.size
     ss = s @ s
+    radius = 1.0 / honest.count
 
     def penalized(z, mu):
-        p = _evaluate(honest_wp, z)
+        p = _evaluate(honest, z)
         try:
-            grad_l = p.gradient()
-            h = p.hessian()
+            grad_l, h = p.gradient(), p.hessian()
         except AtVoterPoint:
             return np.inf, np.zeros(d)
         n = np.linalg.norm(grad_l)
@@ -298,12 +301,12 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
             grad = grad + mu * 2.0 * (n - radius) * (h @ grad_l) / n
         return val, grad
 
-    def slide(z, iters=25):
+    def slide(z):
         # descend the skewed distance along the constraint boundary
         dist = _pref_dist(z, theta0, s)
         step = 0.5
-        for _ in range(iters):
-            p = _evaluate(honest_wp, z)
+        for _ in range(25):
+            p = _evaluate(honest, z)
             try:
                 grad_l = p.gradient()
                 normal = p.hessian() @ grad_l
@@ -322,7 +325,7 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
             while step > 1e-12:
                 cand = z - step * dist * tangent / tn
                 try:
-                    cand = boundary_point(honest_wp, g_honest, cand - g_honest, radius)
+                    cand = boundary_point(honest, g_honest, cand - g_honest)
                 except BracketFailure:
                     break
                 cand_dist = _pref_dist(cand, theta0, s)
@@ -336,7 +339,7 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
                 break
         return z
 
-    if _excess(honest_wp, theta0, radius) <= 0.0:
+    if _excess(honest, theta0) <= 0.0:
         return theta0.copy()
 
     starts = [g_honest]
@@ -350,7 +353,7 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
             directions.append(bump / np.linalg.norm(bump))
     for u in directions:
         try:
-            starts.append(boundary_point(honest_wp, g_honest, u, radius))
+            starts.append(boundary_point(honest, g_honest, u))
         except BracketFailure:
             continue
 
@@ -366,15 +369,15 @@ def _projection_response(theta0, honest_wp, s, g_honest, radius, rng):
                 options={"maxiter": 150, "ftol": 1e-16, "gtol": 1e-12},
             )
             z = res.x
-        z = slide(_pull_inside(honest_wp, g_honest, radius, z))
-        z = _pull_inside(honest_wp, g_honest, radius, z)
+        z = slide(_pull_inside(honest, g_honest, z))
+        z = _pull_inside(honest, g_honest, z)
         d_here = _pref_dist(z, theta0, s)
         if best is None or d_here < best[1]:
             best = (z, d_here)
     return best[0]
 
 
-def _blackbox_response(theta0, honest_voters, s, seeds, restarts, rng, scale, g_honest):
+def _blackbox_response(theta0, honest, s, seeds, restarts, rng, g_honest):
     """Nelder-Mead simplex search over the strategic vote itself.
 
     Median solves are warm-started from the previous evaluation; the median
@@ -385,8 +388,8 @@ def _blackbox_response(theta0, honest_voters, s, seeds, restarts, rng, scale, g_
     from scipy import optimize
 
     d = theta0.size
-    v1 = honest_voters.shape[0] + 1
-    stacked = np.vstack([honest_voters, np.zeros((1, d))])
+    v1 = honest.count + 1
+    stacked = np.vstack([honest.voters, np.zeros((1, d))])
     weights = np.full(v1, 1.0 / v1)
     warm = {"z": g_honest.copy()}
 
@@ -403,7 +406,7 @@ def _blackbox_response(theta0, honest_voters, s, seeds, restarts, rng, scale, g_
     starts = list(seeds)
     while len(starts) < restarts:
         base = seeds[len(starts) % len(seeds)]
-        starts.append(base + 0.05 * scale * rng.standard_normal(d))
+        starts.append(base + 0.05 * honest.scale * rng.standard_normal(d))
     best_vote, best_val = None, np.inf
     for x0 in starts[:restarts]:
         res = optimize.minimize(
@@ -412,7 +415,7 @@ def _blackbox_response(theta0, honest_voters, s, seeds, restarts, rng, scale, g_
             method="Nelder-Mead",
             options={
                 "maxfev": 80 * d,
-                "xatol": 1e-10 * scale,
+                "xatol": 1e-10 * honest.scale,
                 "fatol": 1e-12,
                 "adaptive": True,
             },
@@ -440,7 +443,6 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
                    for i, v in enumerate(extra_votes or [])]
     _spans_plane(honest)
     s_mat = np.eye(honest.dim) if s is None else check_spd(s, "preference matrix", honest.dim)
-    radius = 1.0 / honest.count
     rng = np.random.default_rng(seed)
 
     g_honest = _solve_gm(honest)[0].z
@@ -464,12 +466,11 @@ def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
         add(f"extra_{i}", vote)
 
     rng_proj = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    proj_vote = _projection_response(theta0, honest, s_mat, g_honest, radius, rng_proj)
+    proj_vote = _projection_response(theta0, honest, s_mat, g_honest, rng_proj)
     add("projection", proj_vote)
 
     nm_seeds = extra_seeds + [theta0, proj_vote, g_honest]
-    nm_vote = _blackbox_response(theta0, honest.voters, s_mat, nm_seeds, restarts, rng,
-                                 honest.scale, g_honest)
+    nm_vote = _blackbox_response(theta0, honest, s_mat, nm_seeds, restarts, rng, g_honest)
     add("blackbox", nm_vote)
 
     def rank(item):
@@ -532,42 +533,28 @@ def condition_checker(honest: VoterProfile, beta: float, seed: int = 0) -> Condi
         raise ValueError("beta must be positive")
     _unit_forces(honest)
     d = honest.dim
-    v_count = honest.count
     rng = np.random.default_rng(seed)
     g = _solve_gm(honest)[0].z
 
-    dists = np.linalg.norm(honest.voters - g, axis=1)
-    min_dist = float(dists.min())
+    min_dist = float(np.linalg.norm(honest.voters - g, axis=1).min())
     smooth_ok = min_dist > 2.0 * beta
-
+    skew_ok = True  # cleared by a sampled Hessian that is not SPD
     worst: dict[str, np.ndarray] = {}
 
     def sphere(n):
         x = rng.standard_normal((n, d))
         return x / np.linalg.norm(x, axis=1, keepdims=True)
 
-    min_slope = np.inf
+    min_slope, min_curv, max_skew = np.nan, np.inf, 0.0
     if smooth_ok:
+        min_slope = np.inf
         for u in sphere(64 * d):
             slope = float(u @ loss_gradient(honest, g + beta * u))
             if slope < min_slope:
                 min_slope = slope
                 worst["containment"] = g + beta * u
-        containment_ok = min_slope > 1.0 / v_count
-    else:
-        containment_ok = False
-        min_slope = np.nan
-
-    min_curv = np.inf
-    max_skew = 0.0
-    convexity_ok = skew_ok = False
-    if smooth_ok:
-        directions = sphere(256)
-        radii = beta * rng.random(256) ** (1.0 / d)
-        convexity_ok = True
-        skew_ok = True
         try:
-            for u, r in zip(directions, radii):
+            for u, r in zip(sphere(256), beta * rng.random(256) ** (1.0 / d)):
                 z = g + r * u
                 p = _evaluate(honest, z)
                 grad, hess, third = p.gradient(), p.hessian(), p.third_deriv()
@@ -588,20 +575,16 @@ def condition_checker(honest: VoterProfile, beta: float, seed: int = 0) -> Condi
         except AtVoterPoint:
             # a voter inside the sampling ball contradicts condition 1
             smooth_ok = False
-            convexity_ok = False
-            skew_ok = False
-        if min_curv <= 0.0:
-            convexity_ok = False
 
     return ConditionReport(
         beta=beta,
         smooth_ok=smooth_ok,
         min_voter_distance=min_dist,
-        containment_ok=containment_ok,
+        containment_ok=min_slope > 1.0 / honest.count,
         min_shell_slope=float(min_slope),
-        convexity_ok=convexity_ok,
+        convexity_ok=smooth_ok and min_curv > 0.0,
         min_curvature_eig=float(min_curv) if np.isfinite(min_curv) else np.nan,
-        skew_ok=skew_ok,
+        skew_ok=smooth_ok and skew_ok,
         alpha=float(max_skew),
         worst_points=worst,
     )
@@ -653,7 +636,7 @@ def hull_distance(points, z) -> float:
     """
     from scipy import optimize
 
-    diff = np.asarray(points, dtype=float) - np.asarray(z, dtype=float)
+    diff = np.asarray(points, dtype=float) - as_vector(z, "point", np.shape(points)[1])
     s = _profile_scale(diff)
     a = np.ones((diff.shape[1] + 1, diff.shape[0]))
     np.divide(diff.T, s, out=a[:-1])

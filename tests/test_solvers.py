@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from medianforge import solvers as sv
-from medianforge.errors import AtVoterPoint, SolverFailure
+from medianforge.errors import AtVoterPoint, DimensionMismatch, SolverFailure
 from medianforge.profiles import WeightedProfile, uniform_profile
 from medianforge.strategy import boundary_point
 
@@ -303,7 +304,7 @@ def _vote_just_outside(seed):
     rng = np.random.default_rng(seed)
     honest = uniform_profile(rng.standard_normal((200, 3)) * [1.0, 1.0, 3.0])
     g = sv.geometric_median(honest).point
-    zb = boundary_point(honest, g, rng.standard_normal(3), 1.0 / 200)
+    zb = boundary_point(honest, g, rng.standard_normal(3))
     return uniform_profile(np.vstack([honest.voters, zb + 1e-6 * (zb - g)]))
 
 
@@ -753,6 +754,27 @@ def test_skewed_tolerance_that_underflows_rejected():
     # 1e-320 / 2e4 rounds to 0.0: the core tolerance is no longer positive
     with pytest.raises(ValueError, match="tol_grad must be positive"):
         sv.skewed_geometric_median(uniform_profile(UNIT_TRIANGLE), np.diag([2e4, 1.0]), 1e-320)
+
+
+@pytest.mark.parametrize("entry,name", [
+    (sv.loss_eval, "point"),
+    (sv.loss_gradient, "point"),
+    (sv.loss_hessian, "point"),
+    (sv.loss_third_deriv, "point"),
+    (sv.min_norm_subgradient, "point"),
+    (lambda wp, z: sv.geometric_median(wp, init=z), "init"),
+], ids=["loss_eval", "loss_gradient", "loss_hessian", "loss_third_deriv",
+        "min_norm_subgradient", "geometric_median_init"])
+@pytest.mark.parametrize("z,error,message", [
+    ([0.5, 0.5, 0.5], DimensionMismatch, "{} has shape (3,), dim is 2"),
+    ([[0.5, 0.5]], DimensionMismatch, "expected a 1-d {}, got shape (1, 2)"),
+    ([math.nan, 0.5], ValueError, "{} [nan, 0.5] has non-finite entries"),
+], ids=["too-long", "2-d", "nan"])
+def test_point_arguments_judged_where_they_enter(entry, name, z, error, message):
+    # numpy broadcast a wrong length or a 1 x d point, a NaN point read as
+    # NaN and a NaN start failed the solve as if it were the solver's fault
+    with pytest.raises(error, match="^" + re.escape(message.format(name)) + "$"):
+        entry(uniform_profile(UNIT_TRIANGLE), z)
 
 
 @hs.composite

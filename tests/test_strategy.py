@@ -8,12 +8,14 @@ from hypothesis import strategies as hs
 
 from medianforge import strategy as st
 from medianforge.errors import (
+    AtVoterPoint,
     BracketFailure,
     DegenerateDimension,
     DimensionMismatch,
     MajorityAttack,
     NotSPD,
     SolverFailure,
+    ZeroVector,
 )
 from medianforge.linalg import check_spd
 from medianforge.profiles import VoterProfile, WeightedProfile, uniform_profile
@@ -22,6 +24,7 @@ from medianforge.solvers import (
     geometric_median,
     loss_gradient,
     loss_hessian,
+    loss_third_deriv,
 )
 
 from conftest import random_spd
@@ -162,6 +165,15 @@ class TestAchievableSet:
         g = geometric_median(prof).point
         assert st.achievable_contains(prof, g)
 
+    @pytest.mark.parametrize("z,error,message", [
+        ([0.5, 0.5, 0.5], DimensionMismatch, "point has shape (3,), dim is 2"),
+        ([math.nan, 0.5], ValueError, "point [nan, 0.5] has non-finite entries"),
+    ])
+    def test_bad_point_refused(self, z, error, message):
+        prof = VoterProfile(np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]]))
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            st.achievable_contains(prof, z)
+
     def test_far_point_excluded(self, rng):
         prof = VoterProfile(rng.standard_normal((15, 3)))
         assert not st.achievable_contains(prof, np.array([100.0, 100.0, 100.0]))
@@ -171,7 +183,7 @@ class TestAchievableSet:
             prof = VoterProfile(rng.standard_normal((12, 3)))
             g = geometric_median(prof).point
             direction = rng.standard_normal(3)
-            z = st.boundary_point(prof, g, direction, 1.0 / 12.0)
+            z = st.boundary_point(prof, g, direction)
             assert st.achievable_contains(prof, z)
             res = geometric_median(uniform_profile(np.vstack([prof.voters, z])))
             assert np.linalg.norm(res.point - z) <= max(res.additive_bound, 1e-9)
@@ -183,33 +195,59 @@ class TestAchievableSet:
         rng = np.random.default_rng(0)
         pts, u = rng.standard_normal((200, 3)), rng.standard_normal(3)
         unit, tiny = VoterProfile(pts), VoterProfile(pts * s)
-        z_unit = st.boundary_point(unit, geometric_median(unit).point, u, 1.0 / 200)
-        z = st.boundary_point(tiny, geometric_median(tiny).point, u, 1.0 / 200)
+        z_unit = st.boundary_point(unit, geometric_median(unit).point, u)
+        z = st.boundary_point(tiny, geometric_median(tiny).point, u)
         assert 0.0 <= 1.0 - 200 * np.linalg.norm(loss_gradient(tiny, z)) <= 1e-13
         assert np.linalg.norm(z / s - z_unit) <= 1e-13 * np.linalg.norm(z_unit)
 
     def test_pull_inside_lands_on_the_inside_of_the_boundary(self, rng):
         prof = VoterProfile(rng.standard_normal((15, 3)))
-        g, level = geometric_median(prof).point, 1.0 / 15
+        g = geometric_median(prof).point
         for u in rng.standard_normal((5, 3)):
             z = g + 3.0 * u / np.linalg.norm(u)
-            assert st._excess(prof, z, level) > 0.0
-            pulled = st._pull_inside(prof, g, level, z)
-            assert st._excess(prof, pulled, level) <= 0.0
+            assert st._excess(prof, z) > 0.0
+            pulled = st._pull_inside(prof, g, z)
+            assert st._excess(prof, pulled) <= 0.0
             # on the segment from g to z, and the last point inside along it
             t = (pulled - g) @ (z - g) / ((z - g) @ (z - g))
             assert 0.0 < t < 1.0 and np.allclose(pulled, g + t * (z - g), rtol=0, atol=1e-15)
-            assert st._excess(prof, g + (t + 1e-9) * (z - g), level) > 0.0
+            assert st._excess(prof, g + (t + 1e-9) * (z - g)) > 0.0
         for z in (g, g + 1e-3 * rng.standard_normal(3)):
-            assert st._excess(prof, z, level) <= 0.0
-            assert st._pull_inside(prof, g, level, z) is z
+            assert st._excess(prof, z) <= 0.0
+            assert st._pull_inside(prof, g, z) is z
 
-    def test_unreachable_level_is_a_bracket_failure(self, rng):
-        # the loss gradient is an average of unit vectors: its norm never reaches 2
+    def test_excess_is_measured_against_one_over_v(self, rng):
+        prof = VoterProfile(rng.standard_normal((15, 3)))
+        z = rng.standard_normal(3)
+        assert st._excess(prof, z) == np.linalg.norm(loss_gradient(prof, z)) - 1.0 / 15
+
+    def test_unreachable_level_is_a_bracket_failure(self):
+        # off its voter, one voter's loss gradient is a unit vector: its norm
+        # is 1 = 1/V everywhere, so the ray never leaves the set
+        prof = VoterProfile(np.array([[0.5, -1.0, 2.0]]))
+        with pytest.raises(BracketFailure, match="could not bracket"):
+            st.boundary_point(prof, prof.voters[0], np.eye(3)[0])
+
+    def test_center_outside_the_set_is_a_bracket_failure(self, rng):
+        prof = VoterProfile(rng.standard_normal((12, 3)))
+        center = np.array([5.0, 0.0, 0.0])
+        assert not st.achievable_contains(prof, center)
+        with pytest.raises(BracketFailure, match=re.escape(
+                "center [5.0, 0.0, 0.0] is outside the achievable set")):
+            st.boundary_point(prof, center, np.ones(3))
+
+    def test_zero_direction_refused(self, rng):
         prof = VoterProfile(rng.standard_normal((12, 3)))
         g = geometric_median(prof).point
-        with pytest.raises(BracketFailure):
-            st.boundary_point(prof, g, np.ones(3), level=2.0)
+        with pytest.raises(ZeroVector, match=re.escape("direction [0.0, -0.0, 0.0] is zero")):
+            st.boundary_point(prof, g, np.array([0.0, -0.0, 0.0]))
+
+    @pytest.mark.parametrize("direction", [np.ones(2), np.ones(4), np.ones((1, 3))])
+    def test_direction_of_wrong_shape_refused(self, rng, direction):
+        prof = VoterProfile(rng.standard_normal((12, 3)))
+        g = geometric_median(prof).point
+        with pytest.raises(DimensionMismatch, match="direction"):
+            st.boundary_point(prof, g, direction)
 
 
 class TestBestResponse:
@@ -280,7 +318,7 @@ class TestBestResponse:
             prof = VoterProfile(rng.standard_normal((v, 2)))
             g = geometric_median(prof).point
             u = rng.standard_normal(2)
-            z_b = st.boundary_point(prof, g, u, 1.0 / v)
+            z_b = st.boundary_point(prof, g, u)
             outward = v * loss_gradient(prof, z_b)
             theta0 = z_b + (3.0 / v) * outward / np.linalg.norm(outward)
             rep = st.best_response(theta0, prof, seed=trial)
@@ -350,7 +388,7 @@ class TestBestResponse:
         pts *= rng.uniform(size=(200, 1)) ** 0.2 / np.linalg.norm(pts, axis=1, keepdims=True)
         prof = VoterProfile(pts)
         g = geometric_median(prof).point
-        z_b = st.boundary_point(prof, g, rng.standard_normal(5), 1.0 / 200)
+        z_b = st.boundary_point(prof, g, rng.standard_normal(5))
         outward = loss_gradient(prof, z_b)
         theta0 = z_b + (1.5 / 200) * outward / np.linalg.norm(outward)
         unit = st.best_response(theta0, prof, seed=0).gain_alpha
@@ -401,6 +439,58 @@ class TestConditionChecker:
             b = g + beta * v / np.linalg.norm(v) * rng.random()
             mid = 0.5 * (a + b)
             assert sq(mid) <= 0.5 * (sq(a) + sq(b)) + 1e-9
+
+    def test_hessian_that_is_not_spd_fails_the_skew_condition(self):
+        # Off a line of voters, at r <= beta from the median, the Hessian's
+        # across-line eigenvalue is about (r / distance)^2 of its largest,
+        # far below rounding: the samples read Hessians that are not SPD.
+        line = np.outer([-3.0, -2.0, -1.0, 1.0, 2.5, 4.0], [1.0, -2.0]) + 0.25
+        prof = VoterProfile(line)
+        rep = st.condition_checker(prof, 1e-9, seed=0)
+        assert rep.smooth_ok and not rep.skew_ok and not rep.all_ok
+        with pytest.raises(NotSPD):
+            check_spd(loss_hessian(prof, rep.worst_points["skew"]))
+
+    def test_negative_curvature_fails_convexity(self):
+        # ||grad L||^2 bends down near the triangle's voters
+        prof = VoterProfile(np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]]))
+        rep = st.condition_checker(prof, 0.7, seed=0)
+        assert rep.smooth_ok and rep.skew_ok
+        assert rep.min_curvature_eig < 0.0 and not rep.convexity_ok and not rep.all_ok
+        # a second difference of ||grad L||^2 at the worst point agrees
+        z = rep.worst_points["curvature"]
+        h, grad = loss_hessian(prof, z), loss_gradient(prof, z)
+        m = h @ h + loss_third_deriv(prof, z) @ grad
+        lam, vecs = np.linalg.eigh(0.5 * (m + m.T))
+        assert lam[0] == pytest.approx(rep.min_curvature_eig, rel=1e-12)
+        sq = lambda x: float(np.sum(loss_gradient(prof, x) ** 2))
+        step = 1e-4 * vecs[:, 0]
+        assert sq(z + step) - 2.0 * sq(z) + sq(z - step) < 0.0
+
+    def test_voter_in_the_ball_fails_smoothness(self, rng, monkeypatch):
+        # No profile puts a voter in the sampling ball once the median is
+        # 2 beta from every voter, so the 10th sampled pass says it is on one.
+        prof = VoterProfile(rng.standard_normal((300, 3)))
+        clean = st.condition_checker(prof, 0.01, seed=4)
+        evaluate, calls = st._evaluate, []
+
+        class OnVoter:
+            def gradient(self):
+                raise AtVoterPoint("evaluation point coincides with a voter's point")
+
+        def tenth_on_voter(profile, z):
+            calls.append(z)
+            return OnVoter() if len(calls) == 10 else evaluate(profile, z)
+
+        monkeypatch.setattr(st, "_evaluate", tenth_on_voter)
+        rep = st.condition_checker(prof, 0.01, seed=4)
+        assert clean.all_ok and len(calls) == 10
+        assert not (rep.smooth_ok or rep.convexity_ok or rep.skew_ok)
+        # the shell is sampled first: its slope and verdict stand
+        assert (rep.min_shell_slope, rep.containment_ok) == (clean.min_shell_slope, True)
+        # the extremes of the 9 samples before the voter
+        assert rep.min_curvature_eig >= clean.min_curvature_eig
+        assert 0.0 < rep.alpha <= clean.alpha
 
 
 class TestByzantineBound:
@@ -472,6 +562,15 @@ class TestNoShoe:
 
 
 class TestHullDistance:
+    @pytest.mark.parametrize("z,error,message", [
+        ([0.5, 0.5, 0.5], DimensionMismatch, "point has shape (3,), dim is 2"),
+        ([math.nan, 0.5], ValueError, "point [nan, 0.5] has non-finite entries"),
+    ])
+    def test_bad_point_refused(self, z, error, message):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            st.hull_distance(square, z)
+
     def test_inside_and_outside(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         assert st.hull_distance(square, [0.5, 0.5]) <= 1e-9
