@@ -23,15 +23,7 @@ from .solvers import (
     loss_third_deriv,
     skewed_geometric_median,
 )
-from .vectorcalc import (
-    euclid_hessian,
-    euclid_third_derivative,
-    lp_gradient,
-    skewed_gradient,
-    skewed_hessian_of_norm,
-    skewed_norm,
-    unit_vector,
-)
+from .vectorcalc import lp_gradient
 
 __version__ = "0.1.0"
 
@@ -51,8 +43,6 @@ __all__ = [
     "__version__",
     "average",
     "coordinatewise_median",
-    "euclid_hessian",
-    "euclid_third_derivative",
     "geometric_median",
     "loss_eval",
     "loss_gradient",
@@ -60,9 +50,5 @@ __all__ = [
     "loss_third_deriv",
     "lp_gradient",
     "skewed_geometric_median",
-    "skewed_gradient",
-    "skewed_hessian_of_norm",
-    "skewed_norm",
     "uniform_profile",
-    "unit_vector",
 ]

@@ -280,6 +280,8 @@ def _cmd_simulate(args) -> int:
         raise ParseError(f"{args.config}: cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{args.config}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{args.config}: invalid JSON: nested too deeply") from None
     if not isinstance(cfg, dict):
         raise ParseError(f"{args.config}: config must be a JSON object")
 

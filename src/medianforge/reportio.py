@@ -52,9 +52,12 @@ def _parse_cell(text: str, path: str, line_no: int) -> float:
 def _read_rows(path: str) -> list[tuple[int, list[str]]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            raw = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            raw = list(reader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read file: {exc}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     rows = [(i + 1, [c.strip() for c in row]) for i, row in enumerate(raw)
             if any(c.strip() for c in row)]
     if not rows:

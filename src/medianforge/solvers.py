@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtVoterPoint, SolverFailure
-from .linalg import as_vector, check_spd, extreme_eigenvalues
+from .linalg import as_matrix, as_vector, check_spd, extreme_eigenvalues
 from .profiles import WeightedProfile, _profile_scale
 
 __all__ = [
@@ -366,13 +366,15 @@ def geometric_median(profile: WeightedProfile, tol_grad: float = DEFAULT_TOL_GRA
 
 
 def skewed_loss_eval(profile: WeightedProfile, sigma: np.ndarray, z) -> float:
-    z = np.asarray(z, dtype=float)
+    z = as_vector(z, "point", profile.dim)
+    sigma = as_matrix(sigma, "skew matrix", profile.dim)
     diffs = (z - profile.voters) @ sigma.T
     return float(profile.weights @ np.linalg.norm(diffs, axis=1))
 
 
 def skewed_loss_gradient(profile: WeightedProfile, sigma: np.ndarray, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
+    z = as_vector(z, "point", profile.dim)
+    sigma = as_matrix(sigma, "skew matrix", profile.dim)
     sdiffs = (z - profile.voters) @ sigma.T
     dists = np.linalg.norm(sdiffs, axis=1)
     if np.any(dists <= VOTER_POINT_RTOL * profile.scale):
@@ -381,7 +383,8 @@ def skewed_loss_gradient(profile: WeightedProfile, sigma: np.ndarray, z) -> np.n
 
 
 def skewed_loss_hessian(profile: WeightedProfile, sigma: np.ndarray, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
+    z = as_vector(z, "point", profile.dim)
+    sigma = as_matrix(sigma, "skew matrix", profile.dim)
     sdiffs = (z - profile.voters) @ sigma.T
     dists = np.linalg.norm(sdiffs, axis=1)
     if np.any(dists <= VOTER_POINT_RTOL * profile.scale):

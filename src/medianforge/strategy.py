@@ -22,7 +22,8 @@ from .errors import (
     check_number,
 )
 from .linalg import as_vector, check_spd, extreme_eigenvalues
-from .profiles import VoterProfile, WeightedProfile, _profile_scale, uniform_profile
+from .profiles import (VoterProfile, WeightedProfile, _profile_scale, _validate_points,
+                       uniform_profile)
 from .solvers import (
     MedianResult,
     _evaluate,
@@ -206,9 +207,14 @@ def boundary_point(honest: WeightedProfile, center, direction) -> np.ndarray:
 
     center = as_vector(center, "center", honest.dim)
     u = as_vector(direction, "direction", honest.dim)
-    norm = np.linalg.norm(u)
-    if norm == 0.0:
-        raise ZeroVector(f"direction {u.tolist()} is zero")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(u)
+    if not 0.0 < norm < np.inf:  # u is zero, or u . u left the floats
+        top = np.max(np.abs(u))
+        if top == 0.0:
+            raise ZeroVector(f"direction {u.tolist()} is zero")
+        u = u / top
+        norm = np.linalg.norm(u)
     u = u / norm
 
     def excess(t):
@@ -636,7 +642,8 @@ def hull_distance(points, z) -> float:
     """
     from scipy import optimize
 
-    diff = np.asarray(points, dtype=float) - as_vector(z, "point", np.shape(points)[1])
+    points = _validate_points(points)
+    diff = points - as_vector(z, "point", points.shape[1])
     s = _profile_scale(diff)
     a = np.ones((diff.shape[1] + 1, diff.shape[0]))
     np.divide(diff.T, s, out=a[:-1])

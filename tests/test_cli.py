@@ -86,6 +86,12 @@ class TestAggregate:
         assert code == 2
         assert ":2:" in err
 
+    def test_cell_over_the_csv_field_limit_exit_2(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "big.csv", "1" * 131073 + "\n")
+        code, out, err = run_cli(["aggregate", "--input", path, "--method", "gm"], capsys)
+        assert (code, out, err) == (
+            2, "", f"error: {path}:1: field larger than field limit (131072)\n")
+
     def test_ragged_rows_exit_2(self, tmp_path, capsys):
         path = write_csv(tmp_path / "ragged.csv", "1,2\n3\n")
         code, _, err = run_cli(["aggregate", "--input", path, "--method", "avg"], capsys)
@@ -513,6 +519,15 @@ class TestSimulateCommand:
             ["simulate", "--config", cfg, "--output", str(tmp_path / "o")], capsys
         )
         assert code == 2
+
+    def test_config_nested_too_deeply_exit_2(self, tmp_path, capsys):
+        # past the JSON decoder's recursion limit; 900 deep is a list, not a config
+        cfg = write_csv(tmp_path / "c.json", "[" * 1100 + "]" * 1100)
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(["simulate", "--config", cfg, "--output", str(out_dir)],
+                                 capsys)
+        assert (code, out, err) == (2, "", f"error: {cfg}: invalid JSON: nested too deeply\n")
+        assert not out_dir.exists()
 
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

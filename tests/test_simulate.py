@@ -13,7 +13,6 @@ import pytest
 from medianforge import simulate as sim
 from medianforge import solvers as sv
 from medianforge import strategy as st
-from medianforge import vectorcalc as vc
 from medianforge.errors import DimensionMismatch, MajorityAttack, NotSPD
 from medianforge.linalg import _openblas_thread_controls, one_blas_thread, spd_inv, spd_sqrt
 from medianforge.profiles import VoterProfile, uniform_profile
@@ -174,8 +173,10 @@ def _never_called(*args, **kwargs):
      "preference matrix has shape (2, 2), dim is 5"),
     (lambda: sim.asymptotic_experiment(CONFIG5, median_skew=np.eye(3)),
      "median_skew has shape (3, 3), dim is 5"),
-    *((lambda f=f: f([1.0, 2.0, 3.0], np.eye(2)), "skew matrix has shape (2, 2), dim is 3")
-      for f in (vc.skewed_norm, vc.skewed_gradient, vc.skewed_hessian_of_norm)),
+    # the skewed norm and its derivatives: the skewed loss of one voter at the origin
+    *((lambda f=f: f(uniform_profile(np.zeros((1, 3))), np.eye(2), [1.0, 2.0, 3.0]),
+       "skew matrix has shape (2, 2), dim is 3")
+      for f in (sv.skewed_loss_eval, sv.skewed_loss_gradient, sv.skewed_loss_hessian)),
 ], ids=["skewed-median", "best-response-preference", "best-response-theta0",
         "best-response-extra-vote", "no-shoe", "asymptotic-preference",
         "asymptotic-median-skew", "skewed-norm", "skewed-gradient", "skewed-hessian"])

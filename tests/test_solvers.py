@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from medianforge import solvers as sv
-from medianforge.errors import AtVoterPoint, DimensionMismatch, SolverFailure
+from medianforge.errors import AtVoterPoint, DimensionMismatch, NotSPD, SolverFailure
 from medianforge.profiles import WeightedProfile, uniform_profile
 from medianforge.strategy import boundary_point
 
@@ -763,8 +763,12 @@ def test_skewed_tolerance_that_underflows_rejected():
     (sv.loss_third_deriv, "point"),
     (sv.min_norm_subgradient, "point"),
     (lambda wp, z: sv.geometric_median(wp, init=z), "init"),
+    (lambda wp, z: sv.skewed_loss_eval(wp, np.eye(2), z), "point"),
+    (lambda wp, z: sv.skewed_loss_gradient(wp, np.eye(2), z), "point"),
+    (lambda wp, z: sv.skewed_loss_hessian(wp, np.eye(2), z), "point"),
 ], ids=["loss_eval", "loss_gradient", "loss_hessian", "loss_third_deriv",
-        "min_norm_subgradient", "geometric_median_init"])
+        "min_norm_subgradient", "geometric_median_init", "skewed_loss_eval",
+        "skewed_loss_gradient", "skewed_loss_hessian"])
 @pytest.mark.parametrize("z,error,message", [
     ([0.5, 0.5, 0.5], DimensionMismatch, "{} has shape (3,), dim is 2"),
     ([[0.5, 0.5]], DimensionMismatch, "expected a 1-d {}, got shape (1, 2)"),
@@ -775,6 +779,19 @@ def test_point_arguments_judged_where_they_enter(entry, name, z, error, message)
     # NaN and a NaN start failed the solve as if it were the solver's fault
     with pytest.raises(error, match="^" + re.escape(message.format(name)) + "$"):
         entry(uniform_profile(UNIT_TRIANGLE), z)
+
+
+@pytest.mark.parametrize("entry", [sv.skewed_loss_eval, sv.skewed_loss_gradient,
+                                   sv.skewed_loss_hessian])
+@pytest.mark.parametrize("sigma,error,message", [
+    (np.eye(3), DimensionMismatch, "skew matrix has shape (3, 3), dim is 2"),
+    (np.ones(2), DimensionMismatch, "expected a square skew matrix, got shape (2,)"),
+    ([[1.0, 0.0], [0.0, math.nan]], NotSPD, "skew matrix has non-finite entries"),
+], ids=["3x3", "1-d", "nan"])
+def test_skew_matrix_judged_where_it_enters(entry, sigma, error, message):
+    # numpy's matmul or broadcast message, or a NaN result, before
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        entry(uniform_profile(UNIT_TRIANGLE), sigma, [0.3, 0.3])
 
 
 @hs.composite

@@ -242,6 +242,14 @@ class TestAchievableSet:
         with pytest.raises(ZeroVector, match=re.escape("direction [0.0, -0.0, 0.0] is zero")):
             st.boundary_point(prof, g, np.array([0.0, -0.0, 0.0]))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-170], ids=["overflows", "underflows"])
+    def test_direction_whose_square_leaves_the_floats(self, rng, scale):
+        # u . u is inf or 0 here; the ray is the same as along (1, 1, 1)
+        prof = VoterProfile(rng.standard_normal((12, 3)))
+        g = geometric_median(prof).point
+        expected = st.boundary_point(prof, g, np.ones(3))
+        np.testing.assert_array_equal(st.boundary_point(prof, g, np.full(3, scale)), expected)
+
     @pytest.mark.parametrize("direction", [np.ones(2), np.ones(4), np.ones((1, 3))])
     def test_direction_of_wrong_shape_refused(self, rng, direction):
         prof = VoterProfile(rng.standard_normal((12, 3)))
@@ -570,6 +578,12 @@ class TestHullDistance:
         square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(error, match="^" + re.escape(message) + "$"):
             st.hull_distance(square, z)
+
+    @pytest.mark.parametrize("points", [np.ones(3), np.ones((1, 1, 3))], ids=["1-d", "3-d"])
+    def test_points_not_v_by_d_refused(self, points):
+        message = f"expected a (V, d) array of voters, got shape {points.shape}"
+        with pytest.raises(DimensionMismatch, match="^" + re.escape(message) + "$"):
+            st.hull_distance(points, np.ones(3))
 
     def test_inside_and_outside(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

@@ -42,11 +42,13 @@ weight, a weight lost to normalizing, two columns, or too few rows; a non-SPD
 --pref-matrix, --skew-matrix and skewness --matrix; a 3x3 --skew-matrix on a
 2-d profile, a 2x2 --pref-matrix on a 3-d one and a 2x3 skewness --matrix;
 a non-finite --theta0, and an inline and a file --theta0 of 3 entries on a
-2-d profile;
+2-d profile; a profile CSV with a cell of 131,073 characters, over the csv
+module's field limit;
 best-response on the collinear profile; best-response --restarts 0;
 --preset thm1 --X 1e40; and simulate configs with "trials": 0, with V_S = V_T,
 with a 2x2 asymptotic preference_matrix, with a uniform-ball "radius": true,
-with a descending theorem1 V_grid, and with a byzantine "seed": 1.5. The
+with a descending theorem1 V_grid, with a byzantine "seed": 1.5, and one
+nested 1,100 lists deep, past the JSON decoder's recursion limit. The
 script exits 1 if a run that must succeed fails, or a run that must fail
 exits 0, prints a traceback or leaves behind the --output it names last.
 """
@@ -118,6 +120,8 @@ ERRORS = {
                           "1,2,3"],
     "theta0_file_wrong_size": ["best-response", "--input", "inputs/triangle.csv", "--theta0",
                                "inputs/theta0_3d.csv"],
+    "profile_field_too_large": ["aggregate", "--input", "inputs/field_too_large.csv",
+                                "--method", "gm"],
     "best_response_collinear": ["best-response", "--input", "inputs/collinear.csv",
                                 "--theta0", "1,1,1"],
     "best_response_restarts_zero": ["best-response", "--input", "inputs/triangle.csv",
@@ -135,6 +139,8 @@ ERRORS = {
                                      "--output", "simulate_theorem1_descending"],
     "simulate_seed_fraction": ["simulate", "--config", "inputs/byzantine_seed_fraction.json",
                                "--output", "simulate_byzantine_seed_fraction"],
+    "simulate_nested_too_deeply": ["simulate", "--config", "inputs/nested_too_deeply.json",
+                                   "--output", "simulate_nested_too_deeply"],
 }
 
 
@@ -178,6 +184,10 @@ def write_inputs(out_dir):
     write_csv(os.path.join(inputs, "bad_weights_underflow.csv"), [[5e-324], [1.0], [1.0]])
     write_csv(os.path.join(inputs, "bad_weights_two_columns.csv"), np.ones((3, 2)))
     write_csv(os.path.join(inputs, "bad_weights_too_few.csv"), [[1.0], [1.0]])
+    with open(os.path.join(inputs, "field_too_large.csv"), "w", encoding="utf-8") as fh:
+        fh.write("1" * 131073 + "\n")
+    with open(os.path.join(inputs, "nested_too_deeply.json"), "w", encoding="utf-8") as fh:
+        fh.write("[" * 1100 + "]" * 1100)
     configs = {name: cfg for name, (cfg, _) in SIMULATE.items()}
     configs["byzantine_no_trials"] = dict(SIMULATE["byzantine_ball"][0], trials=0)
     configs["byzantine_majority"] = dict(SIMULATE["byzantine_ball"][0], V_S=3)
