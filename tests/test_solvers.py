@@ -789,7 +789,6 @@ def test_point_arguments_judged_where_they_enter(entry, name, z, error, message)
     ([[1.0, 0.0], [0.0, math.nan]], NotSPD, "skew matrix has non-finite entries"),
 ], ids=["3x3", "1-d", "nan"])
 def test_skew_matrix_judged_where_it_enters(entry, sigma, error, message):
-    # numpy's matmul or broadcast message, or a NaN result, before
     with pytest.raises(error, match="^" + re.escape(message) + "$"):
         entry(uniform_profile(UNIT_TRIANGLE), sigma, [0.3, 0.3])
 
