@@ -11,7 +11,7 @@ from .errors import (
     SolverFailure,
     ZeroVector,
 )
-from .profiles import VoterProfile, WeightedProfile, uniform_profile
+from .profiles import WeightedProfile, uniform_profile
 from .solvers import (
     MedianResult,
     average,
@@ -37,7 +37,6 @@ __all__ = [
     "MedianResult",
     "NotSPD",
     "SolverFailure",
-    "VoterProfile",
     "WeightedProfile",
     "ZeroVector",
     "__version__",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SolverFailure, check_count
 from .linalg import as_vector, check_spd, one_blas_thread
-from .profiles import VoterProfile, WeightedProfile, uniform_profile
+from .profiles import WeightedProfile, uniform_profile
 from .reportio import (
     ParseError,
     dump_report,
@@ -97,28 +97,16 @@ def _cmd_aggregate(args) -> int:
     if args.method in ("avg", "cw"):
         point = average(profile) if args.method == "avg" \
             else coordinatewise_median(profile)
-        result = {
-            "point": point,
-            "method": args.method,
-            "loss": loss_eval(profile, point),
-        }
-        certs = {}
+        result, certs = {"loss": loss_eval(profile, point)}, {}
     else:
         if args.method == "gm":
             res = geometric_median(profile, args.tol)
         else:
             res = skewed_geometric_median(profile, skew, args.tol)
         point = res.point
-        result = {
-            "point": res.point,
-            "method": args.method,
-            "loss": res.loss,
-            "iterations": res.iterations,
-        }
-        certs = {
-            "grad_norm": res.grad_norm,
-            "additive_bound": res.additive_bound,
-        }
+        result = {"loss": res.loss, "iterations": res.iterations}
+        certs = {"grad_norm": res.grad_norm, "additive_bound": res.additive_bound}
+    result.update(point=point, method=args.method)  # the report sorts its keys
     # rounding alone puts a hull point about 1e-16 of the scale outside
     floor = 1e-9 * profile.scale
     hull_tol = max(certs.get("additive_bound", 0.0), floor)
@@ -186,7 +174,7 @@ def _cmd_best_response(args) -> int:
     else:
         if not args.input or not args.theta0:
             raise ParseError("best-response requires --input and --theta0 (or --preset)")
-        honest = _build(args.input, VoterProfile, read_profile_csv(args.input))
+        honest = _build(args.input, uniform_profile, read_profile_csv(args.input))
         _build(args.input, _spans_plane, honest)
         source, theta0 = _parse_theta0(args.theta0)
         theta0 = _build(source, as_vector, theta0, "theta0", honest.dim)
@@ -221,7 +209,13 @@ BYZANTINE_FIELDS = ["V_T", "V_S", "trial", "seed", "attack", "delta", "bound",
 ASYMPTOTIC_FIELDS = ["V", "trial", "seed", "skew_closed", "skew_numeric",
                      *(f"gain_gamma_{g}" for g in STRESS_GAMMAS), "max_gain", "error"]
 CONVERGENCE_FIELDS = ["V", "trial", "seed", "ref_seed", "median_err", "hessian_err"]
-EXPERIMENTS = ("asymptotic", "theorem1", "byzantine", "convergence")
+CONFIG_KEYS = {  # each experiment and the keys it reads besides "experiment"
+    "asymptotic": ("distribution", "V_grid", "trials", "seed", "epsilon", "delta",
+                   "preference_matrix", "median_skew"),
+    "theorem1": ("X", "V_grid"),
+    "byzantine": ("distribution", "V_T", "V_S", "trials", "seed"),
+    "convergence": ("distribution", "V_grid", "trials", "seed", "epsilon", "delta"),
+}
 
 
 def _csv_rows(rows):
@@ -238,9 +232,18 @@ def _read(cfg, key, convert):
         raise ValueError(f"{key}: {exc}") from None
 
 
+def _only(keys, given: dict, reader: str) -> None:
+    """Refuse a key reader does not read, which would leave a default in force."""
+    unread = sorted(set(given) - set(keys))
+    if unread:
+        raise ValueError(f"{reader} reads no key {', '.join(map(repr, unread))}")
+
+
 def _distribution(d):
     optional = {key: d[key] for key in ("sigmas", "radius") if key in d}
-    return PreferenceDistribution(d["kind"], d["dim"], **optional)
+    dist = PreferenceDistribution(d["kind"], d["dim"], **optional)
+    _only(("kind", "dim", "sigmas", "radius"), d, dist.kind)
+    return dist
 
 
 def _bind_experiment(kind, cfg, parallel):
@@ -250,10 +253,10 @@ def _bind_experiment(kind, cfg, parallel):
     Returns the experiment call and its CSV fields. A missing key raises
     KeyError; a malformed value, ValueError naming it.
     """
-    seed = check_count(cfg["seed"], "seed", 0) if "seed" in cfg else _env_seed()
     if kind == "theorem1":
         return functools.partial(theorem1_experiment, cfg["X"], cfg["V_grid"],
                                  parallel=parallel), THEOREM1_FIELDS
+    seed = check_count(cfg["seed"], "seed", 0) if "seed" in cfg else _env_seed()
     dist = _read(cfg, "distribution", _distribution)
     if kind == "byzantine":
         return functools.partial(byzantine_experiment, dist, cfg["V_T"], cfg["V_S"],
@@ -286,13 +289,15 @@ def _cmd_simulate(args) -> int:
         raise ParseError(f"{args.config}: config must be a JSON object")
 
     kind = cfg.get("experiment")
-    if kind not in EXPERIMENTS:
+    if kind not in CONFIG_KEYS:
         raise ParseError(f"{args.config}: experiment must be one of "
-                         f"{', '.join(EXPERIMENTS)}; got {kind!r}")
+                         f"{', '.join(CONFIG_KEYS)}; got {kind!r}")
     try:
         experiment, fields = _build(args.config, _bind_experiment, kind, cfg, args.parallel)
     except KeyError as exc:
         raise ParseError(f"{args.config}: {kind} needs {exc}") from None
+    # after the values, so a bad value is named before a stray key
+    _build(args.config, _only, ("experiment", *CONFIG_KEYS[kind]), cfg, kind)
     report = _build(args.config, experiment)  # so a rejected config writes nothing
     try:
         os.makedirs(args.output, exist_ok=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-__all__ = ["VoterProfile", "WeightedProfile", "uniform_profile", "affine_dimension"]
+__all__ = ["WeightedProfile", "uniform_profile", "affine_dimension"]
 
 
 def _canonical_order(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -137,16 +137,10 @@ class WeightedProfile:
         return _lower_median(self.voters, self.weights)
 
 
-class VoterProfile(WeightedProfile):
+def uniform_profile(points) -> WeightedProfile:
     """A finite multiset of d-dimensional preference vectors, one voter one
     unit force: the WeightedProfile whose weights are all 1/V."""
-
-    def __init__(self, voters):
-        super().__init__(voters)
-
-
-def uniform_profile(points) -> VoterProfile:
-    return VoterProfile(points)
+    return WeightedProfile(points)
 
 
 def affine_dimension(points) -> int:

@@ -2,8 +2,8 @@
 
 Profiles are CSV files, one voter per row, with an optional header row
 (detected by any non-numeric cell in the first row); a matrix or weights
-file is read as one. Floats serialize with 17 significant digits so a
-written profile re-parses to identical values.
+file is read as one. Floats serialize with 17 significant digits, so a
+written value re-parses to the identical float.
 """
 
 import csv
@@ -19,7 +19,6 @@ __all__ = [
     "ParseError",
     "read_profile_csv",
     "read_weights_csv",
-    "write_profile_csv",
     "write_rows_csv",
     "fmt_float",
     "make_report",
@@ -108,27 +107,14 @@ def read_weights_csv(path: str, voter_count: int) -> np.ndarray:
     return w[:, 0]
 
 
-def write_profile_csv(path: str, points: np.ndarray) -> None:
-    with _open_for_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(points):
-            writer.writerow([fmt_float(x) for x in row])
-
-
 def write_rows_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
     """Long-form CSV, one row per trial; floats at 17 significant digits."""
     with _open_for_write(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            out = {}
-            for key in fieldnames:
-                value = row.get(key)
-                if isinstance(value, float):
-                    out[key] = fmt_float(value)
-                else:
-                    out[key] = value
-            writer.writerow(out)
+        for row in rows:  # a missing field is written empty, as None is
+            writer.writerow({k: fmt_float(v) if isinstance(v, float) else v
+                             for k, v in row.items()})
 
 
 def _jsonable(obj):

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (AtVoterPoint, MajorityAttack, MedianForgeError, SolverFailure,
                      check_count, check_each, check_number, check_v_grid)
 from .linalg import check_spd, one_blas_thread, spd_inv, spd_sqrt
-from .profiles import VoterProfile, uniform_profile
+from .profiles import WeightedProfile, uniform_profile
 from .solvers import _solve_gm, loss_gradient, loss_hessian, min_norm_subgradient
 from .strategy import (
     _last_inside,
@@ -53,7 +53,7 @@ class PreferenceDistribution:
     """I.i.d. sampler for voter preference vectors.
 
     kinds: isotropic-gaussian, diagonal-gaussian (per-axis sigmas),
-    uniform-ball (radius).
+    uniform-ball (radius); no other kind takes sigmas or a radius.
     """
 
     kind: str
@@ -77,6 +77,9 @@ class PreferenceDistribution:
         if self.kind == "uniform-ball" and (self.radius is None
                                             or not 0 < self.radius < math.inf):
             raise ValueError("uniform-ball needs a finite positive radius")
+        for name, owner in (("sigmas", "diagonal-gaussian"), ("radius", "uniform-ball")):
+            if getattr(self, name) is not None and self.kind != owner:
+                raise ValueError(f"{self.kind} takes no {name}; only {owner} does")
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,7 @@ def _corner_atoms(x: float) -> np.ndarray:
     return np.array([[-x, -1.0], [-x, 1.0], [x, -1.0], [x, 1.0]])
 
 
-def sample_profile(dist: PreferenceDistribution, v_count: int, seed: int) -> VoterProfile:
+def sample_profile(dist: PreferenceDistribution, v_count: int, seed: int) -> WeightedProfile:
     """Draw v_count i.i.d. voters."""
     v_count = check_count(v_count, "v_count", 1)
     rng = np.random.default_rng(np.random.SeedSequence(check_count(seed, "seed", 0)))
@@ -128,7 +131,7 @@ def sample_profile(dist: PreferenceDistribution, v_count: int, seed: int) -> Vot
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         r = dist.radius * rng.random(v_count) ** (1.0 / dist.dim)
         pts = u * r[:, None]
-    return VoterProfile(pts)
+    return uniform_profile(pts)
 
 
 # -- adversarial instance ------------------------------------------------------
@@ -152,8 +155,8 @@ class Theorem1Instance:
     strategic_vote: np.ndarray
 
     @property
-    def honest_profile(self) -> VoterProfile:
-        return VoterProfile(np.repeat(_corner_atoms(self.corner_x), self.v_per_corner, axis=0))
+    def honest_profile(self) -> WeightedProfile:
+        return uniform_profile(np.repeat(_corner_atoms(self.corner_x), self.v_per_corner, axis=0))
 
     @property
     def truthful_dist(self) -> float:
@@ -229,8 +232,7 @@ def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
 def _theorem1_task(inst):
     honest = inst.honest_profile
     achievable = achievable_contains(honest, inst.strategic_vote)
-    joined = uniform_profile(np.vstack([honest.voters, inst.strategic_vote[None, :]]))
-    manipulated = _solve_gm(joined)[0].z
+    manipulated = _median_with_vote(honest.voters, inst.strategic_vote, None).point
     strategic_dist = float(np.linalg.norm(manipulated - inst.theta0))
     truthful_check = _median_with_vote(honest.voters, inst.theta0, None)
     ratio = inst.truthful_dist / strategic_dist
@@ -312,7 +314,7 @@ def _asymptotic_task(args):
     try:
         profile = sample_profile(dist, v_count, trial_seed)
         if median_skew is not None:
-            profile = VoterProfile(profile.voters @ median_skew.T)
+            profile = uniform_profile(profile.voters @ median_skew.T)
         gains, skew_closed, skew_num = _stress_gains(profile, pref, trial_seed)
         row.update(
             {

@@ -22,8 +22,7 @@ from .errors import (
     check_number,
 )
 from .linalg import as_vector, check_spd, extreme_eigenvalues
-from .profiles import (VoterProfile, WeightedProfile, _profile_scale, _validate_points,
-                       uniform_profile)
+from .profiles import WeightedProfile, _profile_scale, _validate_points, uniform_profile
 from .solvers import (
     MedianResult,
     _evaluate,
@@ -38,7 +37,6 @@ __all__ = [
     "SkewnessReport",
     "skewness",
     "numeric_skewness",
-    "hessian_at_median",
     "achievable_contains",
     "boundary_point",
     "StrategyReport",
@@ -150,13 +148,13 @@ def _unit_forces(profile: WeightedProfile) -> None:
         raise ValueError("one voter, one unit force: the profile's weights are not all equal")
 
 
-def _spans_plane(profile: WeightedProfile, needs="best response needs an honest profile"):
+def _spans_plane(profile: WeightedProfile):
     """Refuse a profile whose voters span an affine dimension below 2."""
     if profile.affine_dim < 2:
-        raise DegenerateDimension(f"{needs} of dimension >= 2")
+        raise DegenerateDimension("best response needs an honest profile of dimension >= 2")
 
 
-def achievable_contains(honest: VoterProfile, z) -> bool:
+def achievable_contains(honest: WeightedProfile, z) -> bool:
     """Whether a single strategic voter can turn z into the geometric median:
     the honest-loss gradient (minimum-norm subgradient on voter points) has
     Euclidean norm at most 1/V. An absolute slack of 1e-9 admits medians
@@ -431,7 +429,7 @@ def _blackbox_response(theta0, honest, s, seeds, restarts, rng, g_honest):
     return best_vote
 
 
-def best_response(theta0, honest: VoterProfile, s=None, restarts: int = 5,
+def best_response(theta0, honest: WeightedProfile, s=None, restarts: int = 5,
                   seed: int = 0, extra_votes=None) -> StrategyReport:
     """Search for the strategic vote minimizing the skewed distance of the
     manipulated median to theta0, via two cross-checked paths.
@@ -533,7 +531,7 @@ class ConditionReport:
         return self.smooth_ok and self.containment_ok and self.convexity_ok and self.skew_ok
 
 
-def condition_checker(honest: VoterProfile, beta: float, seed: int = 0) -> ConditionReport:
+def condition_checker(honest: WeightedProfile, beta: float, seed: int = 0) -> ConditionReport:
     beta, seed = check_number(beta, "beta"), check_count(seed, "seed", 0)
     if not beta > 0.0:
         raise ValueError("beta must be positive")
@@ -599,14 +597,7 @@ def condition_checker(honest: VoterProfile, beta: float, seed: int = 0) -> Condi
 # -- resilience and impossibility ----------------------------------------------
 
 
-def hessian_at_median(profile: VoterProfile) -> np.ndarray:
-    """Loss Hessian at the computed geometric median (finite-voter estimate
-    of the limiting Hessian)."""
-    _spans_plane(profile, "Hessian estimate needs a profile")
-    return check_spd(_solve_gm(profile)[0].hessian(), "Hessian at the median")
-
-
-def _resilience(truthful: VoterProfile, num_strategic: int):
+def _resilience(truthful: WeightedProfile, num_strategic: int):
     """(g, delta, radius): truthful median, max_t ||theta_t - g||, delta / sqrt(1 - (S/T)^2)."""
     g = _solve_gm(truthful)[0].z
     delta = float(np.max(np.linalg.norm(truthful.voters - g, axis=1)))
@@ -614,7 +605,7 @@ def _resilience(truthful: VoterProfile, num_strategic: int):
     return g, delta, delta / float(np.sqrt(1.0 - rho * rho))
 
 
-def byzantine_bound(truthful: VoterProfile, num_strategic: int) -> float:
+def byzantine_bound(truthful: WeightedProfile, num_strategic: int) -> float:
     """Radius of the ball around the truthful median that no coalition of
     num_strategic extra voters can push the geometric median out of:
     (1 - (S/T)^2)^(-1/2) * max_t ||theta_t - Gm(truthful)||.

@@ -15,11 +15,19 @@ from .linalg import as_vector
 __all__ = ["lp_gradient", "lp_norm"]
 
 
+def _check_p(p) -> None:
+    if not (p >= 1.0):
+        raise ValueError(f"p must lie in [1, inf], got {p}")
+
+
 def lp_norm(z, p: float) -> float:
+    """1-homogeneous: rescale by max|z| before exponentiating, as lp_gradient does."""
     a = as_vector(z)
-    if p == np.inf:
-        return float(np.max(np.abs(a)))
-    return float(np.sum(np.abs(a) ** p) ** (1.0 / p))
+    _check_p(p)
+    top = float(np.max(np.abs(a)))
+    if p == np.inf or top == 0.0:
+        return top
+    return top * float(np.sum((np.abs(a) / top) ** p) ** (1.0 / p))
 
 
 def lp_gradient(z, p: float) -> np.ndarray:
@@ -29,8 +37,7 @@ def lp_gradient(z, p: float) -> np.ndarray:
     full unit mass goes on the lowest-index coordinate of maximal modulus.
     """
     a = as_vector(z)
-    if not (p >= 1.0):
-        raise ValueError(f"p must lie in [1, inf], got {p}")
+    _check_p(p)
     if p == 1.0:
         return np.sign(a)
     if p == np.inf:
@@ -39,13 +46,9 @@ def lp_gradient(z, p: float) -> np.ndarray:
         s = np.sign(a[j])
         g[j] = s if s != 0.0 else 1.0
         return g
-    if p == 2.0:
-        r = np.linalg.norm(a)
-        if r == 0.0:
-            raise ZeroVector("gradient of the Euclidean norm is undefined at the origin")
-        return a / r
     if np.all(a == 0.0):
-        raise ZeroVector(f"gradient of the l{p} norm is undefined at the origin")
+        name = "Euclidean" if p == 2.0 else f"l{p}"
+        raise ZeroVector(f"gradient of the {name} norm is undefined at the origin")
     # 0-homogeneous: rescale by max|z| before exponentiating for stability.
     w = np.abs(a) / np.max(np.abs(a))
     num = np.sign(a) * w ** (p - 1.0)

@@ -14,7 +14,7 @@ from medianforge import simulate as sim
 from medianforge import solvers as sv
 from medianforge import strategy as st
 from medianforge import vectorcalc as vc
-from medianforge.profiles import VoterProfile, uniform_profile
+from medianforge.profiles import uniform_profile
 
 from conftest import fd_gradient, fd_jacobian, grid_refine_median, random_spd
 
@@ -116,7 +116,7 @@ def test_criterion_05_byzantine_ball():
         )
     check("criterion 5a (ball never escaped)", all_ok, "; ".join(details))
 
-    prof = VoterProfile(sim.sample_profile(dist, 9, 123).voters)
+    prof = sim.sample_profile(dist, 9, 123)
     g = sv.geometric_median(prof).point
     delta = float(np.max(np.linalg.norm(prof.voters - g, axis=1)))
     radius0 = st.byzantine_bound(prof, 0)

@@ -7,7 +7,7 @@ import pytest
 
 from medianforge import cli, errors, solvers
 from medianforge.cli import main
-from medianforge.reportio import fmt_float, read_profile_csv, write_profile_csv
+from medianforge.reportio import fmt_float, read_profile_csv
 
 
 def write_csv(path, text):
@@ -60,7 +60,7 @@ class TestAggregate:
         # 1e-16 of the coordinates, far above an absolute 1e-9
         x = np.random.default_rng(seed).standard_normal((40, 3)) * 1e9 + 5e9
         path = str(tmp_path / "far.csv")
-        write_profile_csv(path, x)
+        np.savetxt(path, x, delimiter=",", fmt="%.17g")
         code, out, _ = run_cli(["aggregate", "--input", path, "--method", method], capsys)
         assert code == 0
         assert json.loads(out)["results"]["hull_member"] is True
@@ -91,6 +91,11 @@ class TestAggregate:
         code, out, err = run_cli(["aggregate", "--input", path, "--method", "gm"], capsys)
         assert (code, out, err) == (
             2, "", f"error: {path}:1: field larger than field limit (131072)\n")
+
+    def test_infinite_cell_exit_2(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "inf.csv", "1,2\n3,inf\n")
+        code, out, err = run_cli(["aggregate", "--input", path, "--method", "gm"], capsys)
+        assert (code, out, err) == (2, "", f"error: {path}:2: cell 'inf' is not finite\n")
 
     def test_ragged_rows_exit_2(self, tmp_path, capsys):
         path = write_csv(tmp_path / "ragged.csv", "1,2\n3\n")
@@ -264,8 +269,8 @@ class TestAggregate:
         reports = []
         for name, order in zip("ab", orders):
             path, wpath = str(tmp_path / f"{name}.csv"), str(tmp_path / f"w{name}.csv")
-            write_profile_csv(path, x[order])
-            write_profile_csv(wpath, w[order])
+            np.savetxt(path, x[order], delimiter=",", fmt="%.17g")
+            np.savetxt(wpath, w[order], delimiter=",", fmt="%.17g")
             code, out, _ = run_cli(["aggregate", "--input", path, "--weights", wpath,
                                     "--method", method, "--skew-matrix", skew], capsys)
             assert code == 0
@@ -331,6 +336,11 @@ class TestSkewnessCommand:
         code, _, err = run_cli(["skewness", "--matrix", mat], capsys)
         assert code == 2
         assert "symmetric" in err
+
+    def test_zero_matrix_exit_2(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "zero.csv", "0,0\n0,0\n")
+        code, out, err = run_cli(["skewness", "--matrix", path], capsys)
+        assert (code, out, err) == (2, "", f"error: {path}: matrix is zero\n")
 
     def test_non_square_names_its_file(self, tmp_path, capsys):
         mat = write_csv(tmp_path / "m23.csv", "1,0,0\n0,1,0\n")
@@ -414,6 +424,15 @@ class TestBestResponseCommand:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: theta0 [1e+160, 1e+160]") and err.count("\n") == 1
+
+    def test_preset_without_v_exit_2(self, capsys):
+        code, out, err = run_cli(["best-response", "--preset", "thm1", "--X", "20"], capsys)
+        assert (code, out, err) == (2, "", "error: --preset thm1 requires --X and --V\n")
+
+    def test_input_without_theta0_exit_2(self, triangle_csv, capsys):
+        code, out, err = run_cli(["best-response", "--input", triangle_csv], capsys)
+        assert (code, out, err) == (
+            2, "", "error: best-response requires --input and --theta0 (or --preset)\n")
 
     def test_preset_small_x_exit_2(self, capsys):
         code, out, err = run_cli(
@@ -698,7 +717,35 @@ class TestSimulateCommand:
         (json.dumps({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": 0,
                      "distribution": {"kind": "isotropic-gaussian", "dim": 3}}),
          "trials must be >= 1, got 0"),
-    ], ids=["byzantine-majority", "2x2-preference", "infinite-preference", "zero-trials"])
+        ('{"experiment": "theorem1", "X": 1' + "0" * 400 + ', "V_grid": [10]}',
+         f"X: {10**400!r} overflows a float"),
+        (json.dumps({"experiment": "convergence", "V_grid": [100, 200], "trials": 1,
+                     "distribution": {"kind": "isotropic-gaussian", "dim": 3}}),
+         "convergence diagnostics need dim >= 5 under a smooth density"),
+        # a key the experiment does not read, judged after every value it reads
+        (json.dumps({"experiment": "asymptotic", "V_grid": [200], "trials": 1,
+                     "distribution": DIAG5, "median_skw": np.eye(5).tolist()}),
+         "asymptotic reads no key 'median_skw'"),
+        (json.dumps({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": 1,
+                     "V_grid": [100], "epsilon": 0.1,
+                     "distribution": {"kind": "isotropic-gaussian", "dim": 3}}),
+         "byzantine reads no key 'V_grid', 'epsilon'"),
+        (json.dumps(dict(THEOREM1, seed=3)), "theorem1 reads no key 'seed'"),
+        (json.dumps({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": 1,
+                     "distribution": {"kind": "isotropic-gaussian", "dim": 3,
+                                      "radius": -4}}),
+         "distribution: isotropic-gaussian takes no radius; only uniform-ball does"),
+        (json.dumps({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": 1,
+                     "distribution": {"kind": "uniform-ball", "dim": 3, "radius": 1,
+                                      "sigmas": [1, 1, 1]}}),
+         "distribution: uniform-ball takes no sigmas; only diagonal-gaussian does"),
+        (json.dumps({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": 1,
+                     "distribution": {"kind": "isotropic-gaussian", "dim": 3, "X": 8}}),
+         "distribution: isotropic-gaussian reads no key 'X'"),
+    ], ids=["byzantine-majority", "2x2-preference", "infinite-preference", "zero-trials",
+            "theorem1-X-401-digits", "convergence-dim-3", "misspelled-median-skew",
+            "byzantine-unread-keys", "theorem1-seed", "gaussian-radius", "ball-sigmas",
+            "unread-distribution-key"])
     def test_rejected_config_names_it_and_writes_nothing(self, text, message, tmp_path,
                                                          capsys):
         path = write_csv(tmp_path / "c.json", text)
@@ -724,8 +771,10 @@ class TestSimulateCommand:
 
     def test_config_seed_overrides_a_bad_env_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MEDIANFORGE_SEED", "abc")
+        byzantine = {"experiment": "byzantine", "V_T": 3, "V_S": 1, "trials": 2,
+                     "distribution": {"kind": "isotropic-gaussian", "dim": 2}}
         codes = []
-        for cfg in (THEOREM1, dict(THEOREM1, seed=3)):
+        for cfg in (byzantine, dict(byzantine, seed=3)):
             path = write_csv(tmp_path / "c.json", json.dumps(cfg))
             codes.append(run_cli(
                 ["simulate", "--config", path, "--output", str(tmp_path / "o")], capsys
@@ -735,8 +784,7 @@ class TestSimulateCommand:
     def test_theorem1_run_and_csv(self, tmp_path, capsys):
         cfg = write_csv(
             tmp_path / "c.json",
-            json.dumps({"experiment": "theorem1", "X": 20, "V_grid": [200, 400],
-                        "seed": 3}),
+            json.dumps({"experiment": "theorem1", "X": 20, "V_grid": [200, 400]}),
         )
         out_dir = str(tmp_path / "out")
         code, _, err = run_cli(
@@ -823,7 +871,7 @@ class TestRoundTrip:
     def test_profile_write_read_identical(self, tmp_path, rng):
         pts = rng.standard_normal((20, 4)) * np.pi
         path = str(tmp_path / "roundtrip.csv")
-        write_profile_csv(path, pts)
+        np.savetxt(path, pts, delimiter=",", fmt="%.17g")
         back = read_profile_csv(path)
         np.testing.assert_array_equal(back, pts)
 

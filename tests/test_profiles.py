@@ -10,7 +10,6 @@ from medianforge import profiles
 from medianforge import solvers as sv
 from medianforge.errors import DimensionMismatch
 from medianforge.profiles import (
-    VoterProfile,
     WeightedProfile,
     _canonical_order,
     affine_dimension,
@@ -20,8 +19,8 @@ from medianforge.profiles import (
 
 def test_canonical_order_is_permutation_invariant(rng):
     pts = rng.standard_normal((12, 3))
-    a = VoterProfile(pts)
-    b = VoterProfile(pts[rng.permutation(12)])
+    a = uniform_profile(pts)
+    b = uniform_profile(pts[rng.permutation(12)])
     np.testing.assert_array_equal(a.voters, b.voters)
 
 
@@ -98,7 +97,7 @@ def test_nonpositive_or_nonfinite_weight_named(weights, named):
 
 
 def test_duplicates_allowed():
-    p = VoterProfile([[1.0, 2.0], [1.0, 2.0]])
+    p = uniform_profile([[1.0, 2.0], [1.0, 2.0]])
     assert p.count == 2
 
 
@@ -119,17 +118,24 @@ def test_raw_weights_normalized():
 
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
-        VoterProfile([[np.nan, 0.0]])
+        uniform_profile([[np.nan, 0.0]])
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_empty_profile_rejected(shape):
+    with pytest.raises(ValueError,
+                       match="^profile needs at least one voter and one dimension$"):
+        uniform_profile(np.empty(shape))
 
 
 def test_coordinates_whose_squares_overflow_rejected():
     for e in (155, 200):
         with pytest.raises(ValueError, match=rf"^coordinate 1e\+{e} is too large"):
-            VoterProfile([[0.0, 0.0], [10.0**e, 0.0], [0.0, 10.0**e]])
+            uniform_profile([[0.0, 0.0], [10.0**e, 0.0], [0.0, 10.0**e]])
     with pytest.raises(ValueError, match=r"^coordinate -1.4e\+154 is too large"):
-        VoterProfile([[-1.4e154, 0.0], [1.3e154, 1.0], [0.0, 1.3e154]])
+        uniform_profile([[-1.4e154, 0.0], [1.3e154, 1.0], [0.0, 1.3e154]])
     # at 1e154 the solve still finds the Fermat point
-    res = sv.geometric_median(VoterProfile([[0.0, 0.0], [1e154, 0.0], [0.0, 1e154]]))
+    res = sv.geometric_median(uniform_profile([[0.0, 0.0], [1e154, 0.0], [0.0, 1e154]]))
     np.testing.assert_allclose(res.point, [(3 - np.sqrt(3)) / 6 * 1e154] * 2, rtol=1e-9)
     assert res.grad_norm <= 1e-10 and np.isfinite(res.loss)
 
@@ -140,15 +146,14 @@ def test_coordinates_whose_squares_underflow_rejected(e):
     # voter (0, 0) with grad_norm 0.0, 0.30 s from the Fermat point.
     s = 10.0**e
     with pytest.raises(ValueError, match=rf"^coordinates span only 1e-{-e}: .* underflow"):
-        VoterProfile([[0.0, 0.0], [s, 0.0], [0.0, s]])
-    VoterProfile([[s, s]] * 3)  # one point repeated has no distances to lose
+        uniform_profile([[0.0, 0.0], [s, 0.0], [0.0, s]])
+    uniform_profile([[s, s]] * 3)  # one point repeated has no distances to lose
 
 
 def test_voter_profile_is_the_uniform_weighted_profile(rng):
     x = rng.standard_normal((9, 3))
     p = uniform_profile(x)
-    assert isinstance(VoterProfile(x), WeightedProfile)
-    assert type(p) is VoterProfile
+    assert type(p) is WeightedProfile
     w = WeightedProfile(x)
     assert p.voters.tobytes() == w.voters.tobytes()
     assert p.weights.tobytes() == w.weights.tobytes()
@@ -272,8 +277,7 @@ def test_affine_dimension():
     assert affine_dimension(line) == 1
 
 
-@pytest.mark.parametrize("build", [uniform_profile, VoterProfile],
-                         ids=["uniform_profile", "VoterProfile"])
+@pytest.mark.parametrize("build", [uniform_profile], ids=["uniform_profile"])
 def test_construction_copies_the_voters_once(build):
     x = np.random.default_rng(0).standard_normal((200_000, 10))
     tracemalloc.start()

@@ -14,8 +14,9 @@ from medianforge import simulate as sim
 from medianforge import solvers as sv
 from medianforge import strategy as st
 from medianforge.errors import DimensionMismatch, MajorityAttack, NotSPD
-from medianforge.linalg import _openblas_thread_controls, one_blas_thread, spd_inv, spd_sqrt
-from medianforge.profiles import VoterProfile, uniform_profile
+from medianforge.linalg import (_openblas_thread_controls, check_spd, one_blas_thread, spd_inv,
+                                spd_sqrt)
+from medianforge.profiles import uniform_profile
 from medianforge.solvers import geometric_median, loss_gradient
 from medianforge.strategy import achievable_contains, skewness
 
@@ -30,6 +31,20 @@ class TestDistributions:
             sim.PreferenceDistribution("diagonal-gaussian", 3, sigmas=(1.0, 2.0))
         with pytest.raises(ValueError, match="unknown distribution kind 'four-corner'"):
             sim.PreferenceDistribution("four-corner", 2)
+
+    @pytest.mark.parametrize("kind,extra,message", [
+        ("isotropic-gaussian", {"radius": -4}, "isotropic-gaussian takes no radius; "
+         "only uniform-ball does"),
+        ("diagonal-gaussian", {"sigmas": (1, 1, 1), "radius": 1.0},
+         "diagonal-gaussian takes no radius; only uniform-ball does"),
+        ("uniform-ball", {"radius": 1.0, "sigmas": (1, 1, 1)},
+         "uniform-ball takes no sigmas; only diagonal-gaussian does"),
+        ("isotropic-gaussian", {"sigmas": (1, 1, 1)},
+         "isotropic-gaussian takes no sigmas; only diagonal-gaussian does"),
+    ], ids=["gaussian-radius", "diagonal-radius", "ball-sigmas", "gaussian-sigmas"])
+    def test_parameter_of_another_kind_refused(self, kind, extra, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sim.PreferenceDistribution(kind, 3, **extra)
 
     def test_same_seed_same_profile(self):
         d = sim.PreferenceDistribution("uniform-ball", 4, radius=2.0)
@@ -62,7 +77,7 @@ class TestDistributions:
 
 
 ISO3 = sim.PreferenceDistribution("isotropic-gaussian", 3)
-TRIANGLE = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+TRIANGLE = uniform_profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize("call,name", [
@@ -311,9 +326,7 @@ class TestAsymptoticExperiment:
             # replaying the recorded seed recovers the trial's profile and
             # hence its Hessian skewness
             prof = sim.sample_profile(d, row["V"], row["seed"])
-            from medianforge.strategy import hessian_at_median
-
-            h = hessian_at_median(prof)
+            h = check_spd(sv.loss_hessian(prof, geometric_median(prof).point))
             assert skewness(h).value == pytest.approx(row["skew_closed"], abs=1e-9)
         assert rep.summary["300"]["fraction_within_bound"] == 1.0
 
@@ -412,7 +425,7 @@ class TestAsymptoticExperiment:
         sk = np.diag([1.0, 1.0, 1.0, 1.0, 3.0])
         cfg = sim.ExperimentConfig(dist, V_grid=(200,), trials=1, seed=7)
         row = sim.asymptotic_experiment(cfg, median_skew=sk).rows[0]
-        mapped = VoterProfile(sim.sample_profile(dist, 200, row["seed"]).voters @ sk.T)
+        mapped = uniform_profile(sim.sample_profile(dist, 200, row["seed"]).voters @ sk.T)
         pref = np.ascontiguousarray(spd_sqrt(spd_inv(sk) @ spd_inv(sk)))
         gains, skew_closed, skew_num = sim._stress_gains(mapped, pref, row["seed"])
         assert row["gains"] == gains
@@ -715,6 +728,5 @@ class TestConsumersReadTheSolve:
         sim._theorem1_task(sim.build_theorem1_instance(20, 200))
         sim._stress_gains(sim.sample_profile(iso, 30, 2), np.eye(3), 2)
         sim.fit_isotropizing_skew(iso, samples=100, seed=1)
-        st.hessian_at_median(prof)
         st.byzantine_bound(prof, 10)
         st.condition_checker(prof, 0.05)

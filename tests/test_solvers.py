@@ -139,6 +139,12 @@ class TestLossStack:
             with pytest.raises(AtVoterPoint):
                 fn(wp, [1.0, 1.0])
 
+    def test_skewed_derivatives_at_voter_point_raise(self):
+        wp = uniform_profile([[0.0, 0.0], [1.0, 1.0]])
+        for fn in (sv.skewed_loss_gradient, sv.skewed_loss_hessian):
+            with pytest.raises(AtVoterPoint):
+                fn(wp, np.diag([2.0, 0.5]), [1.0, 1.0])
+
     def test_min_norm_subgradient_on_voter(self):
         wp = uniform_profile([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
         g = sv.min_norm_subgradient(wp, [0.0, 0.0])

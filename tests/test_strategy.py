@@ -18,7 +18,7 @@ from medianforge.errors import (
     ZeroVector,
 )
 from medianforge.linalg import check_spd
-from medianforge.profiles import VoterProfile, WeightedProfile, uniform_profile
+from medianforge.profiles import WeightedProfile, uniform_profile
 from medianforge.solvers import (
     coordinatewise_median,
     geometric_median,
@@ -137,7 +137,8 @@ class TestHessianAtMedian:
             corners = np.repeat(
                 np.array([[-x, -1.0], [-x, 1.0], [x, -1.0], [x, 1.0]]), 3, axis=0
             )
-            h = st.hessian_at_median(VoterProfile(corners))
+            p = uniform_profile(corners)
+            h = check_spd(loss_hessian(p, geometric_median(p).point))
             expected = (1.0 + x * x) ** -1.5 * np.diag([1.0, x * x])
             np.testing.assert_allclose(h, expected, atol=1e-9)
 
@@ -145,23 +146,15 @@ class TestHessianAtMedian:
         # all signed unit vectors: symmetric under coordinate permutations
         # and sign flips, so the Hessian estimate is a multiple of I
         pts = np.vstack([np.eye(3), -np.eye(3)])
-        h = st.hessian_at_median(VoterProfile(pts))
+        p = uniform_profile(pts)
+        h = check_spd(loss_hessian(p, geometric_median(p).point))
         off = h - np.eye(3) * h[0, 0]
         assert np.max(np.abs(off)) <= 1e-9
-
-    def test_degenerate_profile_rejected(self):
-        with pytest.raises(DegenerateDimension):
-            st.hessian_at_median(VoterProfile(np.outer(np.arange(4.0), [1.0, 1.0])))
-
-    def test_same_bits_as_a_fresh_pass_at_the_certified_median(self, rng):
-        prof = VoterProfile(rng.standard_normal((300, 4)) * [1.0, 2.0, 1.0, 0.5])
-        fresh = check_spd(loss_hessian(prof, geometric_median(prof).point))
-        assert st.hessian_at_median(prof).tobytes() == fresh.tobytes()
 
 
 class TestAchievableSet:
     def test_contains_honest_median(self, rng):
-        prof = VoterProfile(rng.standard_normal((15, 3)))
+        prof = uniform_profile(rng.standard_normal((15, 3)))
         g = geometric_median(prof).point
         assert st.achievable_contains(prof, g)
 
@@ -170,17 +163,17 @@ class TestAchievableSet:
         ([math.nan, 0.5], ValueError, "point [nan, 0.5] has non-finite entries"),
     ])
     def test_bad_point_refused(self, z, error, message):
-        prof = VoterProfile(np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]]))
+        prof = uniform_profile(np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]]))
         with pytest.raises(error, match="^" + re.escape(message) + "$"):
             st.achievable_contains(prof, z)
 
     def test_far_point_excluded(self, rng):
-        prof = VoterProfile(rng.standard_normal((15, 3)))
+        prof = uniform_profile(rng.standard_normal((15, 3)))
         assert not st.achievable_contains(prof, np.array([100.0, 100.0, 100.0]))
 
     def test_membership_fixed_point(self, rng):
         for _ in range(5):
-            prof = VoterProfile(rng.standard_normal((12, 3)))
+            prof = uniform_profile(rng.standard_normal((12, 3)))
             g = geometric_median(prof).point
             direction = rng.standard_normal(3)
             z = st.boundary_point(prof, g, direction)
@@ -194,14 +187,14 @@ class TestAchievableSet:
         # an absolute bracket of 1 loses the root as the profile shrinks.
         rng = np.random.default_rng(0)
         pts, u = rng.standard_normal((200, 3)), rng.standard_normal(3)
-        unit, tiny = VoterProfile(pts), VoterProfile(pts * s)
+        unit, tiny = uniform_profile(pts), uniform_profile(pts * s)
         z_unit = st.boundary_point(unit, geometric_median(unit).point, u)
         z = st.boundary_point(tiny, geometric_median(tiny).point, u)
         assert 0.0 <= 1.0 - 200 * np.linalg.norm(loss_gradient(tiny, z)) <= 1e-13
         assert np.linalg.norm(z / s - z_unit) <= 1e-13 * np.linalg.norm(z_unit)
 
     def test_pull_inside_lands_on_the_inside_of_the_boundary(self, rng):
-        prof = VoterProfile(rng.standard_normal((15, 3)))
+        prof = uniform_profile(rng.standard_normal((15, 3)))
         g = geometric_median(prof).point
         for u in rng.standard_normal((5, 3)):
             z = g + 3.0 * u / np.linalg.norm(u)
@@ -217,19 +210,19 @@ class TestAchievableSet:
             assert st._pull_inside(prof, g, z) is z
 
     def test_excess_is_measured_against_one_over_v(self, rng):
-        prof = VoterProfile(rng.standard_normal((15, 3)))
+        prof = uniform_profile(rng.standard_normal((15, 3)))
         z = rng.standard_normal(3)
         assert st._excess(prof, z) == np.linalg.norm(loss_gradient(prof, z)) - 1.0 / 15
 
     def test_unreachable_level_is_a_bracket_failure(self):
         # off its voter, one voter's loss gradient is a unit vector: its norm
         # is 1 = 1/V everywhere, so the ray never leaves the set
-        prof = VoterProfile(np.array([[0.5, -1.0, 2.0]]))
+        prof = uniform_profile(np.array([[0.5, -1.0, 2.0]]))
         with pytest.raises(BracketFailure, match="could not bracket"):
             st.boundary_point(prof, prof.voters[0], np.eye(3)[0])
 
     def test_center_outside_the_set_is_a_bracket_failure(self, rng):
-        prof = VoterProfile(rng.standard_normal((12, 3)))
+        prof = uniform_profile(rng.standard_normal((12, 3)))
         center = np.array([5.0, 0.0, 0.0])
         assert not st.achievable_contains(prof, center)
         with pytest.raises(BracketFailure, match=re.escape(
@@ -237,7 +230,7 @@ class TestAchievableSet:
             st.boundary_point(prof, center, np.ones(3))
 
     def test_zero_direction_refused(self, rng):
-        prof = VoterProfile(rng.standard_normal((12, 3)))
+        prof = uniform_profile(rng.standard_normal((12, 3)))
         g = geometric_median(prof).point
         with pytest.raises(ZeroVector, match=re.escape("direction [0.0, -0.0, 0.0] is zero")):
             st.boundary_point(prof, g, np.array([0.0, -0.0, 0.0]))
@@ -245,14 +238,14 @@ class TestAchievableSet:
     @pytest.mark.parametrize("scale", [1e200, 1e-170], ids=["overflows", "underflows"])
     def test_direction_whose_square_leaves_the_floats(self, rng, scale):
         # u . u is inf or 0 here; the ray is the same as along (1, 1, 1)
-        prof = VoterProfile(rng.standard_normal((12, 3)))
+        prof = uniform_profile(rng.standard_normal((12, 3)))
         g = geometric_median(prof).point
         expected = st.boundary_point(prof, g, np.ones(3))
         np.testing.assert_array_equal(st.boundary_point(prof, g, np.full(3, scale)), expected)
 
     @pytest.mark.parametrize("direction", [np.ones(2), np.ones(4), np.ones((1, 3))])
     def test_direction_of_wrong_shape_refused(self, rng, direction):
-        prof = VoterProfile(rng.standard_normal((12, 3)))
+        prof = uniform_profile(rng.standard_normal((12, 3)))
         g = geometric_median(prof).point
         with pytest.raises(DimensionMismatch, match="direction"):
             st.boundary_point(prof, g, direction)
@@ -263,12 +256,12 @@ class TestBestResponse:
         pts = np.array(
             [[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0], [3.0, 1.0], [-3.0, -1.0]]
         )
-        rep = st.best_response(np.zeros(2), VoterProfile(pts), seed=0)
+        rep = st.best_response(np.zeros(2), uniform_profile(pts), seed=0)
         assert rep.gain_alpha == pytest.approx(0.0, abs=1e-9)
         assert rep.exact_capture
 
     def test_achievable_preference_captured_exactly(self, rng):
-        prof = VoterProfile(rng.standard_normal((10, 2)))
+        prof = uniform_profile(rng.standard_normal((10, 2)))
         g = geometric_median(prof).point
         rep = st.best_response(g, prof, seed=0)
         assert rep.exact_capture
@@ -277,7 +270,7 @@ class TestBestResponse:
 
     def test_gain_nonnegative_and_median_achievable(self, rng):
         for trial in range(4):
-            prof = VoterProfile(rng.standard_normal((12, 2)))
+            prof = uniform_profile(rng.standard_normal((12, 2)))
             theta0 = rng.standard_normal(2) * 0.3
             rep = st.best_response(theta0, prof, seed=trial)
             assert rep.gain_alpha >= -1e-9
@@ -285,14 +278,14 @@ class TestBestResponse:
 
     @pytest.mark.parametrize("far", [1e154, 1e155])
     def test_theta0_whose_distance_overflows_rejected(self, far):
-        prof = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        prof = uniform_profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match=re.escape(f"theta0 [{far!r}, {far!r}] is too far")):
             st.best_response(np.full(2, far), prof, restarts=1)
 
     @pytest.mark.parametrize("restarts", [0, -1, 2.5, True])
     def test_restarts_below_one_rejected_before_any_solve(self, restarts, monkeypatch):
         monkeypatch.setattr(st, "_solve_gm", None)
-        prof = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        prof = uniform_profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         message = (f"restarts must be >= 1, got {restarts}" if type(restarts) is int
                    else f"restarts: expected an integer, got {restarts!r}")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -301,7 +294,7 @@ class TestBestResponse:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_theta0_rejected_before_any_solve(self, bad, monkeypatch):
         monkeypatch.setattr(st, "_solve_gm", None)
-        prof = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        prof = uniform_profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match=r"theta0 \[.*\] has non-finite entries"):
             st.best_response(np.array([bad, 0.0]), prof, restarts=1)
 
@@ -309,13 +302,13 @@ class TestBestResponse:
                                             ([math.nan, 0.0], ValueError)])
     def test_bad_extra_vote_rejected_before_any_solve(self, vote, error, monkeypatch):
         monkeypatch.setattr(st, "_solve_gm", None)
-        prof = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        prof = uniform_profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(error, match=r"^extra vote 1 "):
             st.best_response(np.full(2, 2.0), prof, restarts=1,
                              extra_votes=[[0.5, 0.5], vote])
 
     def test_far_theta0_still_runs(self):
-        prof = VoterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        prof = uniform_profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         rep = st.best_response(np.full(2, 1e150), prof, restarts=1)
         assert rep.truthful_dist == pytest.approx(math.sqrt(2.0) * 1e150, rel=1e-12)
 
@@ -323,7 +316,7 @@ class TestBestResponse:
         worst = 0.0
         for trial in range(5):
             v = int(rng.integers(10, 50))
-            prof = VoterProfile(rng.standard_normal((v, 2)))
+            prof = uniform_profile(rng.standard_normal((v, 2)))
             g = geometric_median(prof).point
             u = rng.standard_normal(2)
             z_b = st.boundary_point(prof, g, u)
@@ -337,7 +330,7 @@ class TestBestResponse:
 
     def test_blackbox_matches_vote_grid_oracle(self, rng):
         # exhaustive scan over strategic votes on a 2-d instance
-        prof = VoterProfile(rng.standard_normal((8, 2)))
+        prof = uniform_profile(rng.standard_normal((8, 2)))
         g = geometric_median(prof).point
         theta0 = g + np.array([0.35, -0.2])
         rep = st.best_response(theta0, prof, seed=3)
@@ -355,7 +348,7 @@ class TestBestResponse:
     def test_failed_blackbox_solve_does_not_end_the_search(self, rng, monkeypatch):
         # One Nelder-Mead evaluation's 1e-8 solve fails; the search goes on
         # and the winner is still certified at 1e-10.
-        prof = VoterProfile(rng.standard_normal((8, 2)))
+        prof = uniform_profile(rng.standard_normal((8, 2)))
         theta0 = geometric_median(prof).point + np.array([0.35, -0.2])
         calls = []
         solve = st._solve_gm_raw
@@ -374,19 +367,19 @@ class TestBestResponse:
 
     def test_gain_invariant_under_translation(self, rng):
         pts = rng.standard_normal((14, 2))
-        prof = VoterProfile(pts)
+        prof = uniform_profile(pts)
         g = geometric_median(prof).point
         theta0 = g + np.array([0.3, 0.1])
         s = np.diag([2.0, 1.0])
         rep0 = st.best_response(theta0, prof, s=s, seed=5)
         tau = np.array([10.0, -4.0])
-        rep1 = st.best_response(theta0 + tau, VoterProfile(pts + tau), s=s, seed=5)
+        rep1 = st.best_response(theta0 + tau, uniform_profile(pts + tau), s=s, seed=5)
         assert rep1.gain_alpha == pytest.approx(rep0.gain_alpha, rel=1e-3, abs=1e-6)
 
     def test_degenerate_profile_rejected(self):
         line = np.outer(np.arange(5.0), [1.0, 0.0])
         with pytest.raises(DegenerateDimension):
-            st.best_response(np.array([0.0, 1.0]), VoterProfile(line))
+            st.best_response(np.array([0.0, 1.0]), uniform_profile(line))
 
     def test_gain_is_scale_free(self):
         # theta0 just outside the achievable set of 200 voters in the unit
@@ -394,18 +387,18 @@ class TestBestResponse:
         rng = np.random.default_rng(13)
         pts = rng.standard_normal((200, 5))
         pts *= rng.uniform(size=(200, 1)) ** 0.2 / np.linalg.norm(pts, axis=1, keepdims=True)
-        prof = VoterProfile(pts)
+        prof = uniform_profile(pts)
         g = geometric_median(prof).point
         z_b = st.boundary_point(prof, g, rng.standard_normal(5))
         outward = loss_gradient(prof, z_b)
         theta0 = z_b + (1.5 / 200) * outward / np.linalg.norm(outward)
         unit = st.best_response(theta0, prof, seed=0).gain_alpha
-        tiny = st.best_response(theta0 * 1e-20, VoterProfile(pts * 1e-20), seed=0).gain_alpha
+        tiny = st.best_response(theta0 * 1e-20, uniform_profile(pts * 1e-20), seed=0).gain_alpha
         assert unit > 1e-5
         assert tiny == pytest.approx(unit, rel=1e-9)
 
     def test_theta0_of_wrong_length_rejected(self):
-        triangle = VoterProfile(np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]]))
+        triangle = uniform_profile(np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]]))
         for theta0 in (np.zeros(3), np.zeros(1), np.zeros((1, 2))):
             with pytest.raises(DimensionMismatch):
                 st.best_response(theta0, triangle)
@@ -414,28 +407,34 @@ class TestBestResponse:
 class TestConditionChecker:
     def test_isotropic_sample_passes(self, rng):
         pts = rng.standard_normal((1000, 5))
-        prof = VoterProfile(pts)
-        h = st.hessian_at_median(prof)
+        prof = uniform_profile(pts)
+        h = check_spd(loss_hessian(prof, geometric_median(prof).point))
         lam_min = float(np.linalg.eigvalsh(h)[0])
         beta = 2.0 / (lam_min * prof.count)
         rep = st.condition_checker(prof, beta, seed=1)
         assert rep.all_ok
         assert rep.alpha == pytest.approx(st.skewness(h).value, abs=0.05)
 
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    def test_nonpositive_beta_rejected(self, beta):
+        prof = uniform_profile(np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]]))
+        with pytest.raises(ValueError, match="^beta must be positive$"):
+            st.condition_checker(prof, beta)
+
     def test_close_voter_fails_condition_one(self, rng):
         pts = rng.standard_normal((200, 5))
-        prof = VoterProfile(pts)
+        prof = uniform_profile(pts)
         g = geometric_median(prof).point
         beta = 0.5
         sabotage = np.vstack([pts, g + 0.1 * beta * np.ones(5) / math.sqrt(5.0)])
-        rep = st.condition_checker(VoterProfile(sabotage), beta, seed=1)
+        rep = st.condition_checker(uniform_profile(sabotage), beta, seed=1)
         assert not rep.smooth_ok
         assert not rep.all_ok
 
     def test_convexity_condition_implies_segment_inequality(self, rng):
         pts = rng.standard_normal((500, 5))
-        prof = VoterProfile(pts)
-        h = st.hessian_at_median(prof)
+        prof = uniform_profile(pts)
+        h = check_spd(loss_hessian(prof, geometric_median(prof).point))
         beta = 2.0 / (float(np.linalg.eigvalsh(h)[0]) * prof.count)
         rep = st.condition_checker(prof, beta, seed=2)
         assert rep.convexity_ok
@@ -453,7 +452,7 @@ class TestConditionChecker:
         # across-line eigenvalue is about (r / distance)^2 of its largest,
         # far below rounding: the samples read Hessians that are not SPD.
         line = np.outer([-3.0, -2.0, -1.0, 1.0, 2.5, 4.0], [1.0, -2.0]) + 0.25
-        prof = VoterProfile(line)
+        prof = uniform_profile(line)
         rep = st.condition_checker(prof, 1e-9, seed=0)
         assert rep.smooth_ok and not rep.skew_ok and not rep.all_ok
         with pytest.raises(NotSPD):
@@ -461,7 +460,7 @@ class TestConditionChecker:
 
     def test_negative_curvature_fails_convexity(self):
         # ||grad L||^2 bends down near the triangle's voters
-        prof = VoterProfile(np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]]))
+        prof = uniform_profile(np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]]))
         rep = st.condition_checker(prof, 0.7, seed=0)
         assert rep.smooth_ok and rep.skew_ok
         assert rep.min_curvature_eig < 0.0 and not rep.convexity_ok and not rep.all_ok
@@ -478,7 +477,7 @@ class TestConditionChecker:
     def test_voter_in_the_ball_fails_smoothness(self, rng, monkeypatch):
         # No profile puts a voter in the sampling ball once the median is
         # 2 beta from every voter, so the 10th sampled pass says it is on one.
-        prof = VoterProfile(rng.standard_normal((300, 3)))
+        prof = uniform_profile(rng.standard_normal((300, 3)))
         clean = st.condition_checker(prof, 0.01, seed=4)
         evaluate, calls = st._evaluate, []
 
@@ -503,23 +502,23 @@ class TestConditionChecker:
 
 class TestByzantineBound:
     def test_no_strategic_is_max_distance(self, rng):
-        prof = VoterProfile(rng.standard_normal((6, 2)))
+        prof = uniform_profile(rng.standard_normal((6, 2)))
         g = geometric_median(prof).point
         delta = np.max(np.linalg.norm(prof.voters - g, axis=1))
         assert st.byzantine_bound(prof, 0) == pytest.approx(float(delta))
 
     def test_three_one_formula(self, rng):
-        prof = VoterProfile(rng.standard_normal((3, 2)))
+        prof = uniform_profile(rng.standard_normal((3, 2)))
         ratio = st.byzantine_bound(prof, 1) / st.byzantine_bound(prof, 0)
         assert ratio == pytest.approx(3.0 / (2.0 * math.sqrt(2.0)), abs=1e-12)
 
     def test_majority_rejected(self, rng):
-        prof = VoterProfile(rng.standard_normal((3, 2)))
+        prof = uniform_profile(rng.standard_normal((3, 2)))
         with pytest.raises(MajorityAttack):
             st.byzantine_bound(prof, 3)
 
     def test_monte_carlo_never_escapes(self, rng):
-        prof = VoterProfile(rng.standard_normal((11, 2)))
+        prof = uniform_profile(rng.standard_normal((11, 2)))
         g = geometric_median(prof).point
         radius = st.byzantine_bound(prof, 5)
         for trial in range(50):

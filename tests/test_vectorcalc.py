@@ -152,6 +152,24 @@ class TestLpGradient:
             with pytest.raises(ZeroVector):
                 vc.lp_gradient(np.zeros(3), p)
 
+    @pytest.mark.parametrize("p", [0.5, 0, -1, float("nan")])
+    def test_p_below_one_rejected(self, p):
+        # one rule for the norm and its subgradient
+        for fn in (vc.lp_norm, vc.lp_gradient):
+            with pytest.raises(ValueError, match=rf"^p must lie in \[1, inf\], got {p}$"):
+                fn([3.0, 4.0], p)
+
+    @pytest.mark.parametrize("size", [1e200, 1e-170])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_scale_safe_at_extreme_magnitudes(self, size, p):
+        # squares of 1e200 overflow and of 1e-170 underflow; 0-homogeneity
+        # and 1-homogeneity read the answer off z = (1, 1)
+        z = np.array([size, size])
+        with np.errstate(all="raise"):
+            g, n = vc.lp_gradient(z, p), vc.lp_norm(z, p)
+        np.testing.assert_allclose(g, vc.lp_gradient([1.0, 1.0], p), rtol=1e-15)
+        assert n == pytest.approx(size * 2.0 ** (1.0 / p), rel=1e-15)
+
     def test_dual_norm_is_one(self, rng):
         for _ in range(200):
             d = rng.integers(2, 8)

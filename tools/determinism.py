@@ -43,12 +43,16 @@ weight, a weight lost to normalizing, two columns, or too few rows; a non-SPD
 2-d profile, a 2x2 --pref-matrix on a 3-d one and a 2x3 skewness --matrix;
 a non-finite --theta0, and an inline and a file --theta0 of 3 entries on a
 2-d profile; a profile CSV with a cell of 131,073 characters, over the csv
-module's field limit;
+module's field limit, and one with an inf cell; an all-zero skewness
+--matrix; best-response with --input but no --theta0, and --preset thm1
+with --X but no --V;
 best-response on the collinear profile; best-response --restarts 0;
 --preset thm1 --X 1e40; and simulate configs with "trials": 0, with V_S = V_T,
 with a 2x2 asymptotic preference_matrix, with a uniform-ball "radius": true,
-with a descending theorem1 V_grid, with a byzantine "seed": 1.5, and one
-nested 1,100 lists deep, past the JSON decoder's recursion limit. The
+with a descending theorem1 V_grid, with a byzantine "seed": 1.5, one
+nested 1,100 lists deep, past the JSON decoder's recursion limit, the
+skewed asymptotic config with median_skew misspelled "median_skw", and a
+byzantine isotropic-gaussian distribution with a "radius". The
 script exits 1 if a run that must succeed fails, or a run that must fail
 exits 0, prints a traceback or leaves behind the --output it names last.
 """
@@ -122,6 +126,11 @@ ERRORS = {
                                "inputs/theta0_3d.csv"],
     "profile_field_too_large": ["aggregate", "--input", "inputs/field_too_large.csv",
                                 "--method", "gm"],
+    "profile_infinite_cell": ["aggregate", "--input", "inputs/infinite_cell.csv",
+                              "--method", "gm"],
+    "skewness_zero_matrix": ["skewness", "--matrix", "inputs/zero2.csv"],
+    "best_response_no_theta0": ["best-response", "--input", "inputs/triangle.csv"],
+    "preset_thm1_no_v": ["best-response", "--preset", "thm1", "--X", "20"],
     "best_response_collinear": ["best-response", "--input", "inputs/collinear.csv",
                                 "--theta0", "1,1,1"],
     "best_response_restarts_zero": ["best-response", "--input", "inputs/triangle.csv",
@@ -141,6 +150,12 @@ ERRORS = {
                                "--output", "simulate_byzantine_seed_fraction"],
     "simulate_nested_too_deeply": ["simulate", "--config", "inputs/nested_too_deeply.json",
                                    "--output", "simulate_nested_too_deeply"],
+    "simulate_misspelled_median_skew": ["simulate", "--config",
+                                        "inputs/asymptotic_median_skw.json",
+                                        "--output", "simulate_asymptotic_median_skw"],
+    "simulate_gaussian_radius": ["simulate", "--config",
+                                 "inputs/byzantine_gaussian_radius.json",
+                                 "--output", "simulate_byzantine_gaussian_radius"],
 }
 
 
@@ -178,6 +193,9 @@ def write_inputs(out_dir):
     write_csv(os.path.join(inputs, "not_spd2.csv"), np.diag([1.0, -1.0]))
     write_csv(os.path.join(inputs, "matrix_2x3.csv"), np.ones((2, 3)))
     write_csv(os.path.join(inputs, "theta0_3d.csv"), [[1.0, 2.0, 3.0]])
+    write_csv(os.path.join(inputs, "zero2.csv"), np.zeros((2, 2)))
+    with open(os.path.join(inputs, "infinite_cell.csv"), "w", encoding="utf-8") as fh:
+        fh.write("1,2\n3,inf\n")
     with open(os.path.join(inputs, "bad_weights_header.csv"), "w", encoding="utf-8") as fh:
         fh.write("weight\n")
     write_csv(os.path.join(inputs, "bad_weights_negative.csv"), [[1.0], [-1.0], [1.0]])
@@ -198,6 +216,12 @@ def write_inputs(out_dir):
                                                                      radius=True))
     configs["theorem1_descending"] = dict(SIMULATE["theorem1"][0], V_grid=[400, 200])
     configs["byzantine_seed_fraction"] = dict(ball, seed=1.5)
+    skewed = dict(SIMULATE["asymptotic_skewed"][0])
+    skewed["median_skw"] = skewed.pop("median_skew")
+    configs["asymptotic_median_skw"] = skewed
+    isotropic = SIMULATE["byzantine_isotropic"][0]
+    configs["byzantine_gaussian_radius"] = dict(
+        isotropic, distribution=dict(isotropic["distribution"], radius=-4))
     for name, cfg in configs.items():
         with open(os.path.join(inputs, f"{name}.json"), "w", encoding="utf-8") as fh:
             json.dump(cfg, fh, indent=2, sort_keys=True)

@@ -19,7 +19,6 @@ the benchmark's relative slack. Writes nothing. Exits 1 if a trial failed,
 else 0.
 """
 
-import os
 import sys
 
 sys.dont_write_bytecode = True  # leaves tools/ and perfbench/ as it found them
