@@ -26,7 +26,6 @@ from .reportio import (
     write_rows_csv,
 )
 from .simulate import (
-    STRESS_GAMMAS,
     ExperimentConfig,
     PreferenceDistribution,
     asymptotic_experiment,
@@ -36,6 +35,7 @@ from .simulate import (
     theorem1_experiment,
 )
 from .solvers import (
+    DEFAULT_TOL_GRAD,
     average,
     coordinatewise_median,
     geometric_median,
@@ -201,27 +201,13 @@ def _cmd_best_response(args) -> int:
 # -- simulate -----------------------------------------------------------------
 
 
-THEOREM1_FIELDS = ["X", "V", "alpha_V", "truthful_dist", "strategic_dist", "ratio",
-                   "gain_alpha", "vote_achievable", "truthful_median_err",
-                   "limit_ratio", "paper_gain_bound"]
-BYZANTINE_FIELDS = ["V_T", "V_S", "trial", "seed", "attack", "delta", "bound",
-                    "displacement", "within_bound"]
-ASYMPTOTIC_FIELDS = ["V", "trial", "seed", "skew_closed", "skew_numeric",
-                     *(f"gain_gamma_{g}" for g in STRESS_GAMMAS), "max_gain", "error"]
-CONVERGENCE_FIELDS = ["V", "trial", "seed", "ref_seed", "median_err", "hessian_err"]
 CONFIG_KEYS = {  # each experiment and the keys it reads besides "experiment"
     "asymptotic": ("distribution", "V_grid", "trials", "seed", "epsilon", "delta",
                    "preference_matrix", "median_skew"),
     "theorem1": ("X", "V_grid"),
     "byzantine": ("distribution", "V_T", "V_S", "trials", "seed"),
-    "convergence": ("distribution", "V_grid", "trials", "seed", "epsilon", "delta"),
+    "convergence": ("distribution", "V_grid", "trials", "seed"),
 }
-
-
-def _csv_rows(rows):
-    """Each stress gain of an asymptotic row becomes a column of its own."""
-    return [dict(r, **{f"gain_gamma_{g['gamma']}": g["gain_alpha"]
-                       for g in r.get("gains", ())}) for r in rows]
 
 
 def _read(cfg, key, convert):
@@ -250,28 +236,28 @@ def _bind_experiment(kind, cfg, parallel):
     """Bind a simulate config's values to the experiment call, unconverted:
     the library judges each one before any trial runs.
 
-    Returns the experiment call and its CSV fields. A missing key raises
-    KeyError; a malformed value, ValueError naming it.
+    Returns the experiment call. A missing key raises KeyError; a malformed
+    value, ValueError naming it.
     """
     if kind == "theorem1":
         return functools.partial(theorem1_experiment, cfg["X"], cfg["V_grid"],
-                                 parallel=parallel), THEOREM1_FIELDS
+                                 parallel=parallel)
     seed = check_count(cfg["seed"], "seed", 0) if "seed" in cfg else _env_seed()
     dist = _read(cfg, "distribution", _distribution)
     if kind == "byzantine":
         return functools.partial(byzantine_experiment, dist, cfg["V_T"], cfg["V_S"],
-                                 cfg["trials"], seed, parallel=parallel), BYZANTINE_FIELDS
-    optional = {key: cfg[key] for key in ("epsilon", "delta") if key in cfg}
+                                 cfg["trials"], seed, parallel=parallel)
+    optional = {key: cfg[key] for key in ("epsilon", "delta")
+                if key in cfg and kind == "asymptotic"}
     config = ExperimentConfig(dist, cfg["V_grid"], cfg["trials"], seed, **optional)
     if kind == "convergence":
-        return functools.partial(convergence_diagnostics, config,
-                                 parallel=parallel), CONVERGENCE_FIELDS
+        return functools.partial(convergence_diagnostics, config, parallel=parallel)
     as_matrix = functools.partial(np.asarray, dtype=float)
     matrices = {arg: _read(cfg, key, as_matrix)
                 for arg, key in (("s", "preference_matrix"), ("median_skew", "median_skew"))
                 if key in cfg}
     return functools.partial(asymptotic_experiment, config, parallel=parallel,
-                             **matrices), ASYMPTOTIC_FIELDS
+                             **matrices)
 
 
 def _cmd_simulate(args) -> int:
@@ -293,7 +279,7 @@ def _cmd_simulate(args) -> int:
         raise ParseError(f"{args.config}: experiment must be one of "
                          f"{', '.join(CONFIG_KEYS)}; got {kind!r}")
     try:
-        experiment, fields = _build(args.config, _bind_experiment, kind, cfg, args.parallel)
+        experiment = _build(args.config, _bind_experiment, kind, cfg, args.parallel)
     except KeyError as exc:
         raise ParseError(f"{args.config}: {kind} needs {exc}") from None
     # after the values, so a bad value is named before a stray key
@@ -311,7 +297,7 @@ def _cmd_simulate(args) -> int:
     dump_report(make_report({"config": cfg},
                             {"summary": report.summary, "rows": report.rows}, {},
                             args.deterministic), json_path)
-    write_rows_csv(csv_path, fields, _csv_rows(report.rows))
+    write_rows_csv(csv_path, report.rows)
     print(f"wrote {json_path} and {csv_path}", file=sys.stderr)
 
     errors = sum(1 for r in report.rows if r.get("error"))
@@ -342,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     agg.add_argument("--method", required=True, choices=["gm", "cw", "avg", "skewed-gm"])
     agg.add_argument("--skew-matrix", help="square CSV, required for skewed-gm")
     agg.add_argument("--weights", help="CSV with one positive weight per voter")
-    agg.add_argument("--tol", type=float, default=1e-10, help="gradient-norm stop")
+    agg.add_argument("--tol", type=float, default=DEFAULT_TOL_GRAD, help="gradient-norm stop")
     agg.set_defaults(func=_cmd_aggregate)
 
     skw = sub.add_parser("skewness", parents=[report], help="skewness of an SPD matrix")

@@ -107,12 +107,13 @@ def read_weights_csv(path: str, voter_count: int) -> np.ndarray:
     return w[:, 0]
 
 
-def write_rows_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
-    """Long-form CSV, one row per trial; floats at 17 significant digits."""
+def write_rows_csv(path: str, rows: list[dict]) -> None:
+    """Long-form CSV, one row per trial, its columns the first row's keys;
+    floats at 17 significant digits."""
     with _open_for_write(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:  # a missing field is written empty, as None is
+        for row in rows:  # None is written empty
             writer.writerow({k: fmt_float(v) if isinstance(v, float) else v
                              for k, v in row.items()})
 

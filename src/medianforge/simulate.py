@@ -46,6 +46,10 @@ __all__ = [
 DIST_KINDS = ("isotropic-gaussian", "diagonal-gaussian", "uniform-ball")
 
 STRESS_GAMMAS = (1.5, 3.0, 10.0)
+# an asymptotic row's measured columns, in order; a failed trial's are None
+_STRESS_COLUMNS = ("skew_closed", "skew_numeric",
+                   *(f"{name}_gamma_{gamma}" for gamma in STRESS_GAMMAS
+                     for name in ("gain", "truthful_dist", "strategic_dist")))
 
 
 @dataclass(frozen=True)
@@ -143,8 +147,9 @@ class Theorem1Instance:
 
     The honest profile is v_per_corner copies of each (+-X, +-1) atom. g_v is
     the truthful median of theta0 joined with the honest profile; the
-    strategic vote mirrors theta0 across the tangent plane of the achievable
-    ellipsoid, landing strictly inside it.
+    strategic vote mirrors theta0 across the tangent plane at g_v of the
+    limiting ellipsoid; the theorem-1 row's vote_achievable reports whether it
+    lies inside the achievable set at this V (at X=20, V=200 it does not).
     """
 
     corner_x: float
@@ -232,8 +237,8 @@ def build_theorem1_instance(x: float, v_per_corner: int) -> Theorem1Instance:
 def _theorem1_task(inst):
     honest = inst.honest_profile
     achievable = achievable_contains(honest, inst.strategic_vote)
-    manipulated = _median_with_vote(honest.voters, inst.strategic_vote, None).point
-    strategic_dist = float(np.linalg.norm(manipulated - inst.theta0))
+    manipulated = _median_with_vote(honest.voters, inst.strategic_vote, None)
+    strategic_dist = float(np.linalg.norm(manipulated.point - inst.theta0))
     truthful_check = _median_with_vote(honest.voters, inst.theta0, None)
     ratio = inst.truthful_dist / strategic_dist
     return {
@@ -247,6 +252,7 @@ def _theorem1_task(inst):
         "vote_achievable": bool(achievable),
         "truthful_median_err": float(np.linalg.norm(truthful_check.point - inst.g_v)),
         "truthful_median_bound": truthful_check.additive_bound,
+        "strategic_median_bound": manipulated.additive_bound,
         "limit_ratio": inst.limit_ratio,
         "paper_gain_bound": inst.paper_gain_bound,
     }
@@ -271,7 +277,7 @@ def theorem1_experiment(x: float, v_grid, parallel: int = 1) -> ExperimentReport
 
 def _stress_gains(profile, pref, seed):
     """Place stress preferences just outside the achievable set and measure
-    the strategic gain at each; returns (rows, skew_closed, skew_numeric),
+    the strategic gain at each; returns the _STRESS_COLUMNS of a row,
     skew_numeric being the sphere objective at the closed form's maximizer."""
     v_count = profile.count
     final = _solve_gm(profile)[0]
@@ -279,32 +285,26 @@ def _stress_gains(profile, pref, seed):
     pref_inv = spd_inv(pref)
     bound_matrix = pref_inv @ hess @ pref_inv
     bound_matrix = 0.5 * (bound_matrix + bound_matrix.T)
-    skew_closed = skewness(bound_matrix)
 
     # Worst-case direction: the skewness supremum is attained on the mixture
     # of extreme eigenvectors weighted by inverse square-root eigenvalues;
     # steer the boundary point so the outward pull aligns with it.
     w, q = np.linalg.eigh(bound_matrix)
     x_star = q[:, 0] / math.sqrt(w[0]) + q[:, -1] / math.sqrt(w[-1])
-    skew_num = float(_sphere_objective(bound_matrix, x_star) - 1.0)
+    measured = {"skew_closed": skewness(bound_matrix).value,
+                "skew_numeric": float(_sphere_objective(bound_matrix, x_star) - 1.0)}
     pull_dir = np.linalg.solve(hess, pref_inv @ x_star)
     z_b = boundary_point(profile, g, pull_dir)
     outward = v_count * loss_gradient(profile, z_b)
     outward /= np.linalg.norm(outward)
 
-    gains = []
     for gamma in STRESS_GAMMAS:
         theta0 = z_b + (gamma / v_count) * outward
         rep = best_response(theta0, profile, s=pref, seed=seed)
-        gains.append(
-            {
-                "gamma": gamma,
-                "gain_alpha": rep.gain_alpha,
-                "truthful_dist": rep.truthful_dist,
-                "strategic_dist": rep.strategic_dist,
-            }
-        )
-    return gains, skew_closed.value, skew_num
+        measured.update({f"gain_gamma_{gamma}": rep.gain_alpha,
+                         f"truthful_dist_gamma_{gamma}": rep.truthful_dist,
+                         f"strategic_dist_gamma_{gamma}": rep.strategic_dist})
+    return measured
 
 
 def _asymptotic_task(args):
@@ -315,19 +315,12 @@ def _asymptotic_task(args):
         profile = sample_profile(dist, v_count, trial_seed)
         if median_skew is not None:
             profile = uniform_profile(profile.voters @ median_skew.T)
-        gains, skew_closed, skew_num = _stress_gains(profile, pref, trial_seed)
-        row.update(
-            {
-                "skew_closed": skew_closed,
-                "skew_numeric": skew_num,
-                "gains": gains,
-                "max_gain": max(g["gain_alpha"] for g in gains),
-                "error": None,
-            }
-        )
+        measured = _stress_gains(profile, pref, trial_seed)
+        row.update(measured, max_gain=max(measured[f"gain_gamma_{g}"]
+                                          for g in STRESS_GAMMAS), error=None)
     except (MedianForgeError, RuntimeError) as exc:  # recorded, never aborts the sweep
-        row.update({"skew_closed": None, "skew_numeric": None, "gains": [],
-                    "max_gain": None, "error": f"{type(exc).__name__}: {exc}"})
+        row.update(dict.fromkeys((*_STRESS_COLUMNS, "max_gain")),
+                   error=f"{type(exc).__name__}: {exc}")
     return row
 
 
@@ -359,9 +352,6 @@ def asymptotic_experiment(config: ExperimentConfig, s=None, median_skew=None,
         for trial in range(config.trials)
     ]
     rows = _run_tasks(_asymptotic_task, tasks, parallel)
-    if median_skew is not None:
-        for row in rows:
-            row["median_skew"] = True
 
     summary = {}
     for v_count in config.V_grid:

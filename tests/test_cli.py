@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -731,6 +732,11 @@ class TestSimulateCommand:
                      "distribution": {"kind": "isotropic-gaussian", "dim": 3}}),
          "byzantine reads no key 'V_grid', 'epsilon'"),
         (json.dumps(dict(THEOREM1, seed=3)), "theorem1 reads no key 'seed'"),
+        # epsilon and delta are asymptotic keys; no convergence diagnostic reads them
+        (json.dumps({"experiment": "convergence", "V_grid": [100, 200], "trials": 1,
+                     "epsilon": 123.0, "delta": 0.9,
+                     "distribution": {"kind": "isotropic-gaussian", "dim": 5}}),
+         "convergence reads no key 'delta', 'epsilon'"),
         (json.dumps({"experiment": "byzantine", "V_T": 5, "V_S": 1, "trials": 1,
                      "distribution": {"kind": "isotropic-gaussian", "dim": 3,
                                       "radius": -4}}),
@@ -744,8 +750,8 @@ class TestSimulateCommand:
          "distribution: isotropic-gaussian reads no key 'X'"),
     ], ids=["byzantine-majority", "2x2-preference", "infinite-preference", "zero-trials",
             "theorem1-X-401-digits", "convergence-dim-3", "misspelled-median-skew",
-            "byzantine-unread-keys", "theorem1-seed", "gaussian-radius", "ball-sigmas",
-            "unread-distribution-key"])
+            "byzantine-unread-keys", "theorem1-seed", "convergence-epsilon-delta",
+            "gaussian-radius", "ball-sigmas", "unread-distribution-key"])
     def test_rejected_config_names_it_and_writes_nothing(self, text, message, tmp_path,
                                                          capsys):
         path = write_csv(tmp_path / "c.json", text)
@@ -796,6 +802,31 @@ class TestSimulateCommand:
         assert csv_text.count("\n") == 3  # header + 2 rows
         doc = json.load(open(os.path.join(out_dir, "theorem1_report.json")))
         assert doc["results"]["summary"]["limit_ratio"] == pytest.approx(5.0125)
+
+    @pytest.mark.parametrize("cfg", [
+        THEOREM1,
+        {"experiment": "byzantine", "seed": 11, "V_T": 5, "V_S": 2, "trials": 3,
+         "distribution": {"kind": "isotropic-gaussian", "dim": 3}},
+        {"experiment": "asymptotic", "seed": 13, "V_grid": [200], "trials": 1,
+         "distribution": DIAG5},
+        {"experiment": "convergence", "seed": 14, "V_grid": [100, 200], "trials": 1,
+         "distribution": {"kind": "isotropic-gaussian", "dim": 5}},
+    ], ids=lambda cfg: cfg["experiment"])
+    def test_csv_columns_are_the_row_fields(self, cfg, tmp_path, capsys):
+        path = write_csv(tmp_path / "c.json", json.dumps(cfg))
+        out_dir = tmp_path / "o"
+        code, _, _ = run_cli(["simulate", "--config", path, "--output", str(out_dir)],
+                             capsys)
+        assert code == 0
+        kind = cfg["experiment"]
+        rows = json.load(open(out_dir / f"{kind}_report.json"))["results"]["rows"]
+        with open(out_dir / f"{kind}_trials.csv", newline="", encoding="utf-8") as fh:
+            header, *cells = csv.reader(fh)
+        assert sorted(header) == list(rows[0])  # the report sorts its keys
+        # each cell as write_rows_csv writes the row's value
+        assert [dict(zip(header, line)) for line in cells] == [
+            {k: "" if v is None else fmt_float(v) if isinstance(v, float) else str(v)
+             for k, v in row.items()} for row in rows]
 
     def test_deterministic_across_runs_and_parallel(self, tmp_path, capsys):
         cfg = write_csv(

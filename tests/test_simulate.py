@@ -304,6 +304,14 @@ class TestTheorem1Instance:
         row = rep.rows[0]
         assert row["truthful_median_err"] <= row["truthful_median_bound"]
 
+    def test_row_reports_the_manipulated_median_certificate(self):
+        inst = sim.build_theorem1_instance(20.0, 200)
+        manipulated = st._median_with_vote(inst.honest_profile.voters,
+                                           inst.strategic_vote, None)
+        row = sim._theorem1_task(inst)
+        assert row["strategic_median_bound"] == manipulated.additive_bound < 1e-6
+        assert row["strategic_dist"] == float(np.linalg.norm(manipulated.point - inst.theta0))
+
 
 class TestAsymptoticExperiment:
     def test_isotropic_skew_and_gains_shrink(self):
@@ -348,9 +356,9 @@ class TestAsymptoticExperiment:
         d = sim.PreferenceDistribution("diagonal-gaussian", 5, sigmas=(1, 1, 1, 1, 4))
         for trial in range(4):
             seed = sim._derived_seed(2026, 1, 1000, trial)
-            _, closed, numeric = sim._stress_gains(sim.sample_profile(d, 1000, seed),
-                                                   np.eye(5), seed)
-            assert numeric == pytest.approx(closed, rel=1e-13, abs=0.0)
+            measured = sim._stress_gains(sim.sample_profile(d, 1000, seed), np.eye(5), seed)
+            assert measured["skew_numeric"] == pytest.approx(measured["skew_closed"],
+                                                             rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("kwargs,error", [
         ({"s": np.diag([1.0, 1.0, -1.0, 1.0, 1.0])}, NotSPD),
@@ -427,9 +435,21 @@ class TestAsymptoticExperiment:
         row = sim.asymptotic_experiment(cfg, median_skew=sk).rows[0]
         mapped = uniform_profile(sim.sample_profile(dist, 200, row["seed"]).voters @ sk.T)
         pref = np.ascontiguousarray(spd_sqrt(spd_inv(sk) @ spd_inv(sk)))
-        gains, skew_closed, skew_num = sim._stress_gains(mapped, pref, row["seed"])
-        assert row["gains"] == gains
-        assert (row["skew_closed"], row["skew_numeric"]) == (skew_closed, skew_num)
+        measured = sim._stress_gains(mapped, pref, row["seed"])
+        assert {key: row[key] for key in measured} == measured
+        assert row["max_gain"] == max(measured[f"gain_gamma_{g}"] for g in sim.STRESS_GAMMAS)
+
+    def test_failed_trial_row_has_the_completed_row_keys(self):
+        # two voters in d=5 fail the trial; 200 complete it
+        dist = sim.PreferenceDistribution("isotropic-gaussian", 5)
+        cfg = sim.ExperimentConfig(dist, V_grid=(2, 200), trials=1, seed=0)
+        failed, completed = sim.asymptotic_experiment(cfg).rows
+        assert (failed["error"] is not None, completed["error"]) == (True, None)
+        assert list(failed) == list(completed)
+        assert all(failed[key] is None for key in failed
+                   if key not in ("V", "trial", "seed", "error"))
+        assert all(completed[f"{name}_gamma_{g}"] > 0.0 for g in sim.STRESS_GAMMAS
+                   for name in ("truthful_dist", "strategic_dist"))
 
 
 def _blas_threads(_task=None):

@@ -51,8 +51,9 @@ best-response on the collinear profile; best-response --restarts 0;
 with a 2x2 asymptotic preference_matrix, with a uniform-ball "radius": true,
 with a descending theorem1 V_grid, with a byzantine "seed": 1.5, one
 nested 1,100 lists deep, past the JSON decoder's recursion limit, the
-skewed asymptotic config with median_skew misspelled "median_skw", and a
-byzantine isotropic-gaussian distribution with a "radius". The
+skewed asymptotic config with median_skew misspelled "median_skw", a
+byzantine isotropic-gaussian distribution with a "radius", and a convergence
+config with an "epsilon", which only the asymptotic sweep reads. The
 script exits 1 if a run that must succeed fails, or a run that must fail
 exits 0, prints a traceback or leaves behind the --output it names last.
 """
@@ -156,6 +157,8 @@ ERRORS = {
     "simulate_gaussian_radius": ["simulate", "--config",
                                  "inputs/byzantine_gaussian_radius.json",
                                  "--output", "simulate_byzantine_gaussian_radius"],
+    "simulate_convergence_epsilon": ["simulate", "--config", "inputs/convergence_epsilon.json",
+                                     "--output", "simulate_convergence_epsilon"],
 }
 
 
@@ -222,6 +225,7 @@ def write_inputs(out_dir):
     isotropic = SIMULATE["byzantine_isotropic"][0]
     configs["byzantine_gaussian_radius"] = dict(
         isotropic, distribution=dict(isotropic["distribution"], radius=-4))
+    configs["convergence_epsilon"] = dict(SIMULATE["convergence"][0], epsilon=0.1)
     for name, cfg in configs.items():
         with open(os.path.join(inputs, f"{name}.json"), "w", encoding="utf-8") as fh:
             json.dump(cfg, fh, indent=2, sort_keys=True)
